@@ -53,21 +53,20 @@ from .experiments import all_experiments, get
 from .obs import observe
 
 
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    """The scheduler-kernel escape hatch, shared by every verb."""
-    from .sim import KERNELS
-    parser.add_argument("--kernel", choices=list(KERNELS), default=None,
-                        help="event-scheduler kernel (default: calendar; "
-                             "heap is the pre-calendar reference "
-                             "implementation, bit-identical by the "
-                             "kernel-equivalence battery)")
+def _positive(kind):
+    """An argparse ``type``: a ``kind`` value above zero, else exit 2."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _apply_kernel_flag(args) -> None:
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        from .sim import set_default_kernel
-        set_default_kernel(kernel)
+_positive_int = _positive(int)
+_positive_float = _positive(float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,10 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment id (fig1..fig8, table1, "
                              "xaged, xlossy, xmixed, xfaults, xreplay) "
                              "or 'list' / 'all'")
-    parser.add_argument("--scale", type=float, default=0.125,
+    parser.add_argument("--scale", type=_positive_float, default=0.125,
                         help="file-size scale factor; 1.0 is the paper's "
                              "256 MB working set (default: 0.125)")
-    parser.add_argument("--runs", type=int, default=3,
+    parser.add_argument("--runs", type=_positive_int, default=3,
                         help="runs per point (paper uses >=10; "
                              "default: 3)")
     parser.add_argument("--seed", type=int, default=0,
@@ -116,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(raw counters behind the summarised "
                              "points, e.g. xfaults' retransmit and "
                              "recovery counts) as JSON to FILE")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -194,7 +192,6 @@ def _add_testbed_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nfsheur", choices=["default", "improved"],
                         default="default")
     parser.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(parser)
 
 
 def _build_bench_parser() -> argparse.ArgumentParser:
@@ -203,10 +200,10 @@ def _build_bench_parser() -> argparse.ArgumentParser:
         description="One NFS benchmark point (§4.3), repeated and "
                     "summarised; repeats optionally run in parallel.")
     _add_testbed_flags(parser)
-    parser.add_argument("--readers", type=int, default=4,
+    parser.add_argument("--readers", type=_positive_int, default=4,
                         help="concurrent sequential readers (default: 4)")
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--scale", type=float, default=0.125,
+    parser.add_argument("--runs", type=_positive_int, default=3)
+    parser.add_argument("--scale", type=_positive_float, default=0.125,
                         help="file-size scale factor (default: 0.125)")
     parser.add_argument("--workload", choices=["streaming", "namespace"],
                         default="streaming",
@@ -261,7 +258,6 @@ def _main_bench(argv: List[str]) -> int:
     from .bench.runner import collect_metric, run_nfs_once
     from .stats import RunningSummary
     args = _build_bench_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     config = _bench_config(args)
     if args.workload == "namespace":
         from .workloads import (NamespaceTreeSpec, NamespaceWorkload,
@@ -346,7 +342,7 @@ def _build_replay_parser() -> argparse.ArgumentParser:
                         default="closed",
                         help="closed = dependency-ordered, as fast as "
                              "possible; open = timestamp-faithful")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="open-loop time-scaling factor; >1 "
                              "compresses the captured schedule "
                              "(default: 1.0)")
@@ -356,9 +352,10 @@ def _build_replay_parser() -> argparse.ArgumentParser:
     parser.add_argument("--zipf", type=float, default=1.1,
                         help="Zipf exponent for the popularity remap")
     _add_testbed_flags(parser)
-    parser.add_argument("--readers", type=int, default=2,
+    parser.add_argument("--readers", type=_positive_int, default=2,
                         help="readers in the captured benchmark run")
-    parser.add_argument("--bench-scale", type=float, default=0.125,
+    parser.add_argument("--bench-scale", type=_positive_float,
+                        default=0.125,
                         help="file-size scale of the captured run")
     parser.add_argument("--capture-clients", type=int, default=2,
                         help="client machines in the captured run")
@@ -393,7 +390,6 @@ def _main_replay(argv: List[str]) -> int:
                          write_trace_file)
     from .replay.format import TraceFormatError
     args = _build_replay_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if args.capture is None and args.replay is None:
         print("replay: need --capture FILE and/or --replay FILE",
               file=sys.stderr)
@@ -498,7 +494,6 @@ def _build_diagnose_parser() -> argparse.ArgumentParser:
                              "criterion)")
     parser.add_argument("--json", action="store_true",
                         help="print the DiagnosisReport as JSON")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -506,7 +501,6 @@ def _main_diagnose(argv: List[str]) -> int:
     from .diagnose import (DEFAULT_FLOOR, build_inputs, diagnose,
                            load_history)
     args = _build_diagnose_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if not (args.trace or args.metrics or args.against):
         print("diagnose: need at least one of --trace/--metrics/"
               "--against", file=sys.stderr)
@@ -659,10 +653,10 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
         "bench", help="shard seeded benchmark repeats; the fold is "
                       "byte-identical to a serial `bench` run")
     _add_testbed_flags(bench)
-    bench.add_argument("--readers", type=int, default=4)
-    bench.add_argument("--runs", type=int, default=10,
+    bench.add_argument("--readers", type=_positive_int, default=4)
+    bench.add_argument("--runs", type=_positive_int, default=10,
                        help="repeats = cells (default: 10)")
-    bench.add_argument("--scale", type=float, default=0.125)
+    bench.add_argument("--scale", type=_positive_float, default=0.125)
     bench.add_argument("--history", metavar="PATH", nargs="?",
                        const=True, default=None,
                        help="stream the folded record into the bench "
@@ -697,7 +691,6 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
                             "failure fingerprint into DIR")
     _add_orchestrator_flags(chaos, jobs_default=2)
     chaos.add_argument("--json", action="store_true")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -708,7 +701,6 @@ def _main_campaign(argv: List[str]) -> int:
                            run_chaos_campaign, write_report)
     from .diagnose import DEFAULT_HISTORY_PATH
     args = _build_campaign_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if args.kind == "bench":
         spec = bench_spec(args.runs, drive=args.drive,
                           partition=args.partition,
@@ -863,7 +855,6 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
     replay.add_argument("bundle", help="path to a chaos bundle JSON")
     replay.add_argument("--json", action="store_true",
                         help="print the full replay outcome as JSON")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -891,7 +882,6 @@ def _main_chaos(argv: List[str]) -> int:
                         write_bundle)
     from .host.testbed import TestbedConfig
     args = _build_chaos_parser().parse_args(argv)
-    _apply_kernel_flag(args)
 
     if args.mode == "replay":
         try:
@@ -1067,7 +1057,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "campaign":
         return _main_campaign(argv[1:])
     args = build_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if args.experiment == "list":
         _list_experiments()
         return 0

@@ -72,6 +72,9 @@ class Machine:
 
         With ``jitter=True``, a scheduling-jitter delay is added *before*
         the CPU is acquired — modelling the wakeup race among daemons.
+        Positive work on an idle CPU takes it at once; only a charge
+        that must queue (or a zero charge, whose instant hold others
+        can observe) waits on a grant event.
         """
         if seconds < 0:
             raise ValueError("cannot execute negative work")
@@ -79,12 +82,16 @@ class Machine:
             wait = self.scheduling_jitter()
             if wait > 0:
                 yield self.sim.timeout(wait)
-        yield self.cpu.acquire()
-        try:
+        cpu = self.cpu
+        cost = seconds * self.dilation
+        if not (cost > 0 and cpu.try_acquire()):
+            yield cpu.acquire()
+            # Re-read: busy loops may have changed while this charge queued.
             cost = seconds * self.dilation
+        try:
             self.cpu_time_consumed += cost
             if cost > 0:
                 yield self.sim.timeout(cost)
         finally:
-            self.cpu.release()
+            cpu.release()
         return None

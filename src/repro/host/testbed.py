@@ -240,17 +240,6 @@ class LocalTestbed:
                        lambda: float(self.config.partition))
         registry.gauge("host.server.cpu_s",
                        lambda: self.machine.cpu_time_consumed)
-        # Calendar-kernel churn: resizes, tombstoned cancels, and parked
-        # records.  The heap kernel has none of these attributes and
-        # reports 0 — runs can correlate scheduler maintenance with op
-        # stalls regardless of kernel.
-        queue = sim._queue
-        registry.gauge("kernel.calendar.resizes",
-                       lambda: float(getattr(queue, "resizes", 0)))
-        registry.gauge("kernel.calendar.tombstones",
-                       lambda: float(getattr(queue, "tombstones", 0)))
-        registry.gauge("kernel.calendar.freelist_depth",
-                       lambda: float(getattr(queue, "freelist_depth", 0)))
         # Per-zone throughput: the ZCAV breakdown of §5.1, computed from
         # the always-on byte counters the drive keeps.
         for index in range(len(drive.geometry.zones)):

@@ -12,7 +12,8 @@ What distinguishes NFS over TCP in the paper (§5.4):
 
 The model: writes enter a FIFO; a sender process drains it, transmitting
 each message when window space is available; the receiver frees window
-space one acknowledgement-latency after delivery.  Loss and retransmit are modelled as
+space one acknowledgement-latency after delivery (a scheduled callback,
+not a process).  Loss and retransmit are modelled as
 a fast-retransmit-class penalty per lost segment (a few milliseconds,
 versus UDP's coarse RPC timer) — negligible on the paper's LAN, decisive
 in the lossy-network extension experiment.
@@ -121,10 +122,8 @@ class TcpConnection:
             # window waits — the transport latency an RPC actually sees.
             self._m_wire.observe(self.sim.now - enqueued)
             self._receiver(message)
-            self.sim.spawn(
-                self._release_window_later(min(plan.wire_bytes,
-                                               self.window)),
-                name=f"{self.name}.ack")
+            self.sim.call_later(self.ACK_LATENCY, self._release_window,
+                                min(plan.wire_bytes, self.window))
 
     def _reserve_window(self, nbytes: int):
         while self._window_free < nbytes:
@@ -134,9 +133,8 @@ class TcpConnection:
         self._window_free -= nbytes
         return None
 
-    def _release_window_later(self, nbytes: int):
-        yield self.sim.timeout(self.ACK_LATENCY)
+    def _release_window(self, nbytes: int) -> None:
+        """The ACK is back: free its window space, wake every waiter."""
         self._window_free += nbytes
         while self._window_waiters:
             self._window_waiters.popleft().succeed()
-        return None

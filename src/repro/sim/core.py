@@ -6,84 +6,25 @@ events; the kernel resumes each generator when the event it waited on
 fires.  The kernel is deliberately small — everything domain-specific
 (disks, schedulers, NFS daemons) is layered on top.
 
-Two interchangeable scheduler kernels sit underneath:
-
-``calendar`` (the default)
-    A bucketed calendar queue (:mod:`repro.sim.calendar`) with O(1)
-    amortized enqueue/dequeue, pooled zero-alloc queue records, and a
-    flattened run loop that pops and fires without per-event method
-    dispatch.
-
-``heap``
-    The reference kernel: the original binary-heap
-    :class:`~repro.sim.events.EventQueue` driven by the original
-    ``step()`` loop, retained as the escape hatch and as ground truth
-    for the bit-identity battery (``tests/test_kernel_equivalence.py``).
-
-Both kernels dequeue in exactly ``(time, insertion-order)`` sequence, so
-every layer above — net, nfs, kernel, disk, faults, replay, chaos,
-campaign — produces byte-identical results under either.  Select with
-``Simulator(kernel=...)``, the ``--kernel`` CLI flag, the
-``REPRO_KERNEL`` environment variable, or :func:`set_default_kernel`.
+There is one scheduler: a binary heap of ``(when, seq, entry)`` tuples
+(:class:`~repro.sim.events.EventQueue`), where ``seq`` is a monotone
+insertion counter, so entries fire in exactly ``(time, insertion-order)``
+sequence and every run is deterministic.  :meth:`Simulator.run` pops
+the heap and fires each entry inline.  Every entry — event, timeout,
+process bootstrap or completion, :meth:`Simulator.call_later` callback —
+is scheduled through the instance attribute ``sim._push``, so a caller
+that wants to count or trace scheduling wraps that one attribute.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Iterable, Optional
+from heapq import heappop
+from typing import Any, Callable, Iterable, Optional
 
 from ..obs import NULL_OBS, Observability
-from .calendar import CalendarQueue
 from .errors import SchedulingError, SimulationError
 from .events import AllOf, AnyOf, Event, EventQueue, Timeout
 from .process import Process
-
-KERNELS = ("calendar", "heap")
-
-_default_kernel: Optional[str] = None
-
-
-def _validate_kernel(name: str) -> str:
-    if name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r} (choose from {', '.join(KERNELS)})")
-    return name
-
-
-def default_kernel() -> str:
-    """The kernel used when ``Simulator(kernel=None)``.
-
-    Resolution order: :func:`set_default_kernel`, then the
-    ``REPRO_KERNEL`` environment variable, then ``"calendar"``.
-    """
-    if _default_kernel is not None:
-        return _default_kernel
-    env = os.environ.get("REPRO_KERNEL")
-    if env:
-        return _validate_kernel(env)
-    return "calendar"
-
-
-def set_default_kernel(name: Optional[str]) -> Optional[str]:
-    """Set the process-wide default kernel; returns the previous value.
-
-    ``None`` restores environment/built-in resolution.
-    """
-    global _default_kernel
-    previous = _default_kernel
-    _default_kernel = _validate_kernel(name) if name is not None else None
-    return previous
-
-
-@contextmanager
-def use_kernel(name: str):
-    """Context manager scoping :func:`set_default_kernel`."""
-    previous = set_default_kernel(name)
-    try:
-        yield
-    finally:
-        set_default_kernel(previous)
 
 
 class Simulator:
@@ -106,22 +47,14 @@ class Simulator:
     ``sim.obs``.  The default is the shared all-off null object, and by
     the no-perturbation invariant of :mod:`repro.obs` an instrumented
     run is bit-identical to an uninstrumented one.
-
-    ``kernel`` selects the scheduler implementation (``"calendar"`` or
-    ``"heap"``); ``None`` uses :func:`default_kernel`.
     """
 
-    def __init__(self, obs: Optional[Observability] = None,
-                 kernel: Optional[str] = None):
+    def __init__(self, obs: Optional[Observability] = None):
         self.now: float = 0.0
-        self.kernel = _validate_kernel(kernel if kernel is not None
-                                       else default_kernel())
-        if self.kernel == "heap":
-            self._queue = EventQueue()
-        else:
-            self._queue = CalendarQueue()
-        #: The single scheduling entry point both kernels share: every
-        #: event/timeout/process-completion lands here.
+        self._queue = EventQueue()
+        #: The single scheduling entry point: ``_push(when, entry)``
+        #: queues anything with a ``_process()`` method to fire at the
+        #: absolute time ``when``.
         self._push = self._queue.push
         self._running = False
         self.obs = obs if obs is not None else NULL_OBS
@@ -149,80 +82,60 @@ class Simulator:
         """Start a new process from a generator; returns its Process."""
         return Process(self, generator, name=name)
 
+    def call_later(self, delay: float, callback: Callable[..., Any],
+                   *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay`` simulated seconds from now.
+
+        One queue entry and no process: the cheap form of a process
+        that only sleeps and then acts.  Nothing can wait on it.
+        """
+        if delay < 0:
+            raise SchedulingError("cannot schedule a callback in the past")
+        self._push(self.now + delay, _Call(callback, args))
+
     # ------------------------------------------------------------------
     # Scheduling and the main loop
     # ------------------------------------------------------------------
 
-    def _schedule_event(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {event!r} in the past")
-        self._push(self.now + delay, event)
-
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        when, event = self._queue.pop()
+        """Process exactly one entry (advancing the clock to it)."""
+        when, entry = self._queue.pop()
         if when < self.now:
             raise SimulationError("event queue went backwards in time")
         self.now = when
-        event._process()
+        entry._process()
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches ``until``.
 
         Returns the final simulation time.  ``until`` is an absolute
-        simulated timestamp, not a delta.
+        simulated timestamp, not a delta.  The loop pops heap tuples and
+        fires them inline: no :meth:`step` call, no ``len`` or ``peek``
+        per entry.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        heap = self._queue._heap
         try:
-            if self.kernel == "heap":
-                # Reference loop, verbatim from the pre-calendar kernel.
-                while len(self._queue):
-                    if until is not None and \
-                            self._queue.peek_time() > until:
+            if until is None:
+                while heap:
+                    when, _seq, entry = heappop(heap)
+                    self.now = when
+                    entry._process()
+            else:
+                while heap:
+                    if heap[0][0] > until:
                         self.now = until
                         break
-                    self.step()
-            else:
-                self._run_calendar(until)
+                    when, _seq, entry = heappop(heap)
+                    self.now = when
+                    entry._process()
         finally:
             self._running = False
         if until is not None and self.now < until:
             self.now = until
         return self.now
-
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """The flattened main loop for the calendar kernel.
-
-        Pops raw queue records and fires them inline — no ``step()``
-        call, no ``len``/``peek`` per event, records recycled into the
-        queue's free list.  Dequeue order is identical to
-        :meth:`step`'s, which the equivalence battery asserts.
-        """
-        queue = self._queue
-        pop_record = queue._pop_record
-        free = queue._free
-        if until is None:
-            while queue._size:
-                record = pop_record()
-                self.now = record[0]
-                fire = record[2]._process
-                record[2] = None
-                free.append(record)
-                fire()
-        else:
-            peek = queue.peek_time
-            while queue._size:
-                if peek() > until:
-                    self.now = until
-                    break
-                record = pop_record()
-                self.now = record[0]
-                fire = record[2]._process
-                record[2] = None
-                free.append(record)
-                fire()
 
     def run_until_complete(self, process: Process,
                            limit: Optional[float] = None) -> Any:
@@ -243,3 +156,16 @@ class Simulator:
         if process.error is not None:
             raise process.error
         return process.value
+
+
+class _Call:
+    """Queue entry that runs a callback: :meth:`Simulator.call_later`."""
+
+    __slots__ = ("callback", "args")
+
+    def __init__(self, callback: Callable[..., Any], args: tuple):
+        self.callback = callback
+        self.args = args
+
+    def _process(self) -> None:
+        self.callback(*self.args)

@@ -11,8 +11,7 @@ This module sits on the kernel's hottest path — a replay run processes
 hundreds of events per NFS operation — so the primitives are written
 flat: callback lists materialize only when a subscriber appears, event
 labels are computed lazily, and scheduling goes through the simulator's
-single ``_push`` indirection shared by both the heap and calendar
-kernels (see :mod:`repro.sim.core`).
+single ``_push`` indirection (see :mod:`repro.sim.core`).
 """
 
 from __future__ import annotations
@@ -196,30 +195,29 @@ class AllOf(Event):
 
 
 class EventQueue:
-    """The reference time-ordered queue: a binary heap of tuples.
+    """The kernel's time-ordered queue: a binary heap of tuples.
 
-    Ties on timestamp are broken FIFO via a monotonically increasing
-    sequence number, which keeps the simulation deterministic.  This is
-    the pre-calendar implementation, retained verbatim as the
-    ``--kernel heap`` escape hatch and as the independent ground truth
-    the bit-identity battery compares the calendar kernel against.
+    Each entry is ``(when, seq, entry)``.  Ties on timestamp are broken
+    FIFO via a monotonically increasing sequence number, which keeps the
+    simulation deterministic.  The simulator's run loop pops ``_heap``
+    directly.
     """
 
     __slots__ = ("_heap", "_counter")
 
     def __init__(self):
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Any]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, when: float, event: Event) -> None:
-        heapq.heappush(self._heap, (when, next(self._counter), event))
+    def push(self, when: float, entry: Any) -> None:
+        heapq.heappush(self._heap, (when, next(self._counter), entry))
 
-    def pop(self) -> Tuple[float, Event]:
-        when, _seq, event = heapq.heappop(self._heap)
-        return when, event
+    def pop(self) -> Tuple[float, Any]:
+        when, _seq, entry = heapq.heappop(self._heap)
+        return when, entry
 
     def peek_time(self) -> float:
         return self._heap[0][0]

@@ -8,11 +8,8 @@ the generator sets the process's result.
 The resume/step trampoline here is the single hottest code path in the
 kernel — every event a process waits on funnels through it — so it is
 written flat: ``send``/``throw`` are bound once at spawn, the resume
-callback is pre-bound, the bootstrap is a direct queue record instead of
-a throwaway event, and the yielded event is subscribed to inline.  The
-flattening is pure mechanics: the sequence of queue pushes (and
-therefore the deterministic FIFO tie-break order) is exactly the one the
-pre-calendar kernel produced, which the bit-identity battery proves.
+callback is pre-bound, the bootstrap is a direct queue entry instead of
+a throwaway event, and the yielded event is subscribed to inline.
 """
 
 from __future__ import annotations
@@ -131,7 +128,7 @@ class Process(Event):
 
 
 class _Bootstrap:
-    """Queue record payload that performs a process's first step.
+    """Queue entry that performs a process's first step.
 
     Replaces the old per-spawn bootstrap :class:`Event` (allocation plus
     callback list plus state machine) with the cheapest object exposing

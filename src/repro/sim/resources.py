@@ -106,7 +106,9 @@ class RateLimiter:
     """A fixed-bandwidth pipe shared by many transfers.
 
     ``transfer(nbytes)`` returns an event that fires when the transfer
-    completes.  Transfers are serialised FIFO, which models a bus or a
+    completes; ``reserve(nbytes)`` books the same transfer and only
+    returns its finish time, for callers that schedule the completion
+    themselves.  Transfers are serialised FIFO, which models a bus or a
     half-duplex link: the pipe's finish time advances by
     ``nbytes / rate`` per transfer and never runs ahead of ``sim.now``.
     """
@@ -121,13 +123,19 @@ class RateLimiter:
         self._busy_until = 0.0
         self.bytes_moved = 0
 
-    def transfer(self, nbytes: int) -> Event:
+    def reserve(self, nbytes: int) -> float:
+        """Book ``nbytes`` through the pipe; return the absolute time the
+        transfer finishes.  Nothing is scheduled."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
         start = max(self.sim.now, self._busy_until)
         finish = start + self.overhead + nbytes / self.rate
         self._busy_until = finish
         self.bytes_moved += nbytes
+        return finish
+
+    def transfer(self, nbytes: int) -> Event:
+        finish = self.reserve(nbytes)
         return self.sim.timeout(finish - self.sim.now)
 
     @property

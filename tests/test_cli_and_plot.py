@@ -80,6 +80,31 @@ class TestCli:
         assert "paper claim" in out
         assert "|" in out            # the plot was drawn
 
+    @pytest.mark.parametrize("argv", [
+        "fig8 --runs 0",
+        "fig8 --scale 0",
+        "bench --readers 0",
+        "bench --runs 0",
+        "bench --scale 0",
+        "replay --capture t.jsonl --readers 0",
+        "replay --capture t.jsonl --bench-scale 0",
+        "replay --replay t.jsonl --scale 0",
+        "campaign bench --runs 0",
+        "campaign bench --readers 0",
+    ])
+    def test_non_positive_numbers_fail_at_parse_time(self, argv, capsys,
+                                                     tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv.split())
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        flag = argv.split()[-2]
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: must be positive, got 0")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBenchVerb:
     def test_json_output_parses(self, capsys):

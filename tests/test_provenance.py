@@ -3,8 +3,8 @@
 Five contracts:
 
 * **Zero perturbation** — a provenance-enabled run is bit-identical to
-  a disabled run, on both scheduler kernels, and the provenance
-  artifact itself is byte-identical across kernels.
+  a disabled run, and the provenance artifact itself is byte-identical
+  across reruns.
 * **Export round trip** — any provenance graph survives a JSONL
   write/read byte-identically (property-based), and the Perfetto flow
   events carry per-export-unique flow ids.
@@ -35,7 +35,6 @@ from repro.obs import observe
 from repro.obs.provenance import (EDGE_KINDS, ProvEdge, ProvNote,
                                   dumps_provenance, flow_events,
                                   loads_provenance, to_dot)
-from repro.sim import KERNELS, use_kernel
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -43,15 +42,14 @@ SCALE = 0.05
 LOSSY = dict(loss_rate=0.02, seed=3)
 
 
-def run_once(provenance: bool, kernel: str = "calendar",
-             config: TestbedConfig = None, nreaders: int = 2):
+def run_once(provenance: bool, config: TestbedConfig = None,
+             nreaders: int = 2):
     config = config or TestbedConfig(**LOSSY)
-    with use_kernel(kernel):
-        if provenance:
-            with observe(provenance=True) as session:
-                result = run_nfs_once(config, nreaders, scale=SCALE)
-            return result, session
-        return run_nfs_once(config, nreaders, scale=SCALE), None
+    if provenance:
+        with observe(provenance=True) as session:
+            result = run_nfs_once(config, nreaders, scale=SCALE)
+        return result, session
+    return run_nfs_once(config, nreaders, scale=SCALE), None
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +78,15 @@ def inputs_from(session) -> DiagnosisInputs:
 
 
 class TestZeroPerturbation:
-    @pytest.mark.parametrize("kernel", list(KERNELS))
-    def test_enabling_provenance_is_bit_identical(self, kernel):
-        baseline = run_once(provenance=False, kernel=kernel)[0]
-        enabled = run_once(provenance=True, kernel=kernel)[0]
+    def test_enabling_provenance_is_bit_identical(self):
+        baseline = run_once(provenance=False)[0]
+        enabled = run_once(provenance=True)[0]
         assert enabled == baseline
 
-    def test_provenance_artifact_identical_across_kernels(self):
-        exports = {}
-        for kernel in KERNELS:
-            _result, session = run_once(provenance=True, kernel=kernel)
-            exports[kernel] = (session.provenance_jsonl(),
-                               session.trace_json())
-        assert exports["calendar"] == exports["heap"]
+    def test_provenance_artifact_identical_across_reruns(self, lossy_session):
+        _result, session = run_once(provenance=True)
+        assert (session.provenance_jsonl(), session.trace_json()) == \
+            (lossy_session.provenance_jsonl(), lossy_session.trace_json())
 
 
 # ---------------------------------------------------------------------------
@@ -293,47 +287,6 @@ class TestAttemptDedupe:
                 assert attempt == previous + 1, \
                     "attempt windows must close in order per xid"
                 last_attempt[xid] = attempt
-
-
-# ---------------------------------------------------------------------------
-# Satellite: calendar-kernel pull gauges
-
-
-class TestCalendarGauges:
-    def test_calendar_kernel_exposes_churn_gauges(self):
-        with use_kernel("calendar"):
-            config = TestbedConfig(metrics=True, **LOSSY)
-            result = run_nfs_once(config, 2, scale=SCALE)
-        gauges = result.metrics["gauges"]
-        for name in ("kernel.calendar.resizes",
-                     "kernel.calendar.tombstones",
-                     "kernel.calendar.freelist_depth"):
-            assert name in gauges
-        # A full NFS run schedules thousands of events, so the calendar
-        # must have resized; tombstones only appear on cancel paths
-        # (covered at the unit level below), so the gauge just reads 0.
-        assert gauges["kernel.calendar.resizes"] > 0
-        assert gauges["kernel.calendar.tombstones"] >= 0.0
-
-    def test_heap_kernel_reports_zero(self):
-        with use_kernel("heap"):
-            config = TestbedConfig(metrics=True, **LOSSY)
-            result = run_nfs_once(config, 2, scale=SCALE)
-        gauges = result.metrics["gauges"]
-        assert gauges["kernel.calendar.resizes"] == 0.0
-        assert gauges["kernel.calendar.tombstones"] == 0.0
-        assert gauges["kernel.calendar.freelist_depth"] == 0.0
-
-    def test_counters_are_kernel_local_bookkeeping(self):
-        from repro.sim.calendar import CalendarQueue
-        queue = CalendarQueue()
-        records = [queue.push(float(i), object()) for i in range(64)]
-        resizes_after_growth = queue.resizes
-        assert resizes_after_growth > 0
-        for record in records[:40]:
-            queue.cancel(record)
-        assert queue.tombstones == 40
-        assert queue.freelist_depth >= 0
 
 
 # ---------------------------------------------------------------------------

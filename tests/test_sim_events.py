@@ -150,6 +150,22 @@ class TestTimeout:
         assert sim.now == 0.0
 
 
+class TestCallLater:
+    def test_runs_callback_at_delay_in_fifo_order(self):
+        sim = Simulator()
+        fired = []
+        sim.call_later(0.5, lambda tag: fired.append((sim.now, tag)), "a")
+        sim.call_later(0.5, lambda tag: fired.append((sim.now, tag)), "b")
+        sim.call_later(0.25, lambda: fired.append((sim.now, "c")))
+        sim.run()
+        assert fired == [(0.25, "c"), (0.5, "a"), (0.5, "b")]
+
+    def test_negative_delay_rejected(self):
+        from repro.sim import SchedulingError
+        with pytest.raises(SchedulingError):
+            Simulator().call_later(-0.1, lambda: None)
+
+
 class TestAnyOfAllOf:
     def test_any_of_fires_on_first(self):
         sim = Simulator()
