@@ -3,8 +3,9 @@
 Five contracts:
 
 * **Zero perturbation** — a provenance-enabled run is bit-identical to
-  a disabled run, and the provenance artifact itself is byte-identical
-  across reruns.
+  a disabled run and equal to the result each former scheduler kernel
+  produced, and the provenance artifact itself is byte-identical across
+  reruns.
 * **Export round trip** — any provenance graph survives a JSONL
   write/read byte-identically (property-based), and the Perfetto flow
   events carry per-export-unique flow ids.
@@ -18,6 +19,8 @@ Five contracts:
   causal chains to their findings when provenance is available.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -77,11 +80,32 @@ def inputs_from(session) -> DiagnosisInputs:
 # Zero perturbation
 
 
+#: SHA-256 of the lossy run's canonical ``RunResult`` as each former
+#: scheduler kernel (calendar queue, binary heap) produced it, with
+#: provenance off and on, pinned before both gave way to the one heap
+#: kernel.
+KERNEL_RESULT_DIGESTS = {
+    "calendar": "ffe4a7dc65ec30211f839d2e3b3273c3"
+                "acd6b17fd2a8412e395e98c9e6ee8bb9",
+    "heap": "ffe4a7dc65ec30211f839d2e3b3273c3"
+            "acd6b17fd2a8412e395e98c9e6ee8bb9",
+}
+
+
+def result_digest(result) -> str:
+    blob = json.dumps(dataclasses.asdict(result), sort_keys=True,
+                      separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 class TestZeroPerturbation:
-    def test_enabling_provenance_is_bit_identical(self):
+    @pytest.mark.parametrize("kernel", list(KERNEL_RESULT_DIGESTS))
+    def test_enabling_provenance_is_bit_identical(self, kernel):
         baseline = run_once(provenance=False)[0]
         enabled = run_once(provenance=True)[0]
         assert enabled == baseline
+        assert result_digest(enabled) == KERNEL_RESULT_DIGESTS[kernel], \
+            f"result moved from the one the {kernel} kernel produced"
 
     def test_provenance_artifact_identical_across_reruns(self, lossy_session):
         _result, session = run_once(provenance=True)
