@@ -1,10 +1,11 @@
 """The campaign worker: a process that executes cells until told to stop.
 
 The orchestrator owns the control flow; a worker is deliberately dumb.
-It blocks on its private task queue, executes one ``(cell, attempt)``
+It waits on its private task queue, executes one ``(cell, attempt)``
 task at a time through the runner it was born with, and reports each
 outcome on the shared result queue tagged with its worker id.  A
-``None`` task is the poison pill.
+``None`` task is the poison pill.  An orchestrator killed outright
+sends no pill, so a worker also exits once it has been reparented.
 
 Crash injection for tests and the CI smoke job rides on two
 environment variables: when ``REPRO_CAMPAIGN_KILL_CELL`` names a cell
@@ -18,11 +19,16 @@ file, so the re-dispatched cell then completes normally.
 from __future__ import annotations
 
 import os
+import queue
 import traceback
 
 #: Exit code of an injected worker death (distinguishable from real
 #: crashes in logs; the orchestrator treats any abnormal exit the same).
 KILL_EXIT = 42
+
+#: Seconds an idle worker waits for a task before it checks that its
+#: orchestrator is still its parent.
+ORPHAN_POLL_S = 1.0
 
 KILL_CELL_ENV = "REPRO_CAMPAIGN_KILL_CELL"
 KILL_FLAG_ENV = "REPRO_CAMPAIGN_KILL_FLAG"
@@ -43,8 +49,14 @@ def should_inject_kill(cell: int) -> bool:
 
 def worker_main(worker_id: int, runner, task_queue, result_queue) -> None:
     """Process entry point: loop over tasks until the poison pill."""
+    orchestrator = os.getppid()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=ORPHAN_POLL_S)
+        except queue.Empty:
+            if os.getppid() != orchestrator:
+                os._exit(0)
+            continue
         if task is None:
             return
         cell, attempt = task

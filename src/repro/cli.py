@@ -50,23 +50,29 @@ import time
 from typing import List, Optional
 
 from .experiments import all_experiments, get
+from .host.testbed import PARTITIONS
 from .obs import observe
+from .readahead import HEURISTICS
 
 
-def _positive(kind):
-    """An argparse ``type``: a ``kind`` value above zero, else exit 2."""
+def _checked(kind, accept, requirement: str):
+    """An argparse ``type``: a ``kind`` value that ``accept`` holds for,
+    else exit 2 with "must be <requirement>"."""
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}")
         return value
     # argparse names the type in its "invalid <type> value" message.
     parse.__name__ = kind.__name__
     return parse
 
 
-_positive_int = _positive(int)
-_positive_float = _positive(float)
+_positive_int = _checked(int, lambda value: value > 0, "positive")
+_positive_float = _checked(float, lambda value: value > 0, "positive")
+_non_negative_int = _checked(int, lambda value: value >= 0,
+                             "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,13 +188,14 @@ def _run_one(experiment_id: str, args) -> None:
 def _add_testbed_flags(parser: argparse.ArgumentParser) -> None:
     """The testbed knobs shared by the ``bench`` and ``replay`` verbs."""
     parser.add_argument("--drive", choices=["ide", "scsi"], default="ide")
-    parser.add_argument("--partition", type=int, default=1,
+    parser.add_argument("--partition", type=int, choices=PARTITIONS,
+                        default=1,
                         help="disk partition, 1 (outer) .. 4 (inner)")
     parser.add_argument("--transport", choices=["udp", "tcp"],
                         default="udp")
-    parser.add_argument("--heuristic", default="default",
-                        help="server read-ahead heuristic "
-                             "(default/slowdown/always/cursor)")
+    parser.add_argument("--heuristic", choices=HEURISTICS,
+                        default="default",
+                        help="server read-ahead heuristic")
     parser.add_argument("--nfsheur", choices=["default", "improved"],
                         default="default")
     parser.add_argument("--seed", type=int, default=0)
@@ -222,10 +229,10 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                         help="directories per level when nested")
     parser.add_argument("--ops", type=int, default=1_000,
                         help="namespace operations per run")
-    parser.add_argument("--clients", type=int, default=1,
+    parser.add_argument("--clients", type=_positive_int, default=1,
                         help="client machines sharing the namespace "
                              "workload")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for the repeats; output "
                              "is byte-identical to --jobs 1")
     parser.add_argument("--json", action="store_true",
@@ -257,19 +264,23 @@ def _bench_config(args):
 def _main_bench(argv: List[str]) -> int:
     from .bench.runner import collect_metric, run_nfs_once
     from .stats import RunningSummary
-    args = _build_bench_parser().parse_args(argv)
+    parser = _build_bench_parser()
+    args = parser.parse_args(argv)
     config = _bench_config(args)
     if args.workload == "namespace":
         from .workloads import (NamespaceTreeSpec, NamespaceWorkload,
                                 run_namespace_once)
+        try:
+            tree = NamespaceTreeSpec(files=args.files,
+                                     depth=args.tree_depth,
+                                     fanout=args.fanout)
+            workload = NamespaceWorkload(pattern=args.pattern,
+                                         ops=args.ops)
+        except ValueError as error:
+            parser.error(str(error))
         config = dataclasses.replace(config, num_clients=args.clients)
-        point = functools.partial(
-            run_namespace_once,
-            tree=NamespaceTreeSpec(files=args.files,
-                                   depth=args.tree_depth,
-                                   fanout=args.fanout),
-            workload=NamespaceWorkload(pattern=args.pattern,
-                                       ops=args.ops))
+        point = functools.partial(run_namespace_once, tree=tree,
+                                  workload=workload)
         metric, unit = "ops_per_s", "ops/s"
     else:
         point = functools.partial(run_nfs_once, nreaders=args.readers,
@@ -346,7 +357,7 @@ def _build_replay_parser() -> argparse.ArgumentParser:
                         help="open-loop time-scaling factor; >1 "
                              "compresses the captured schedule "
                              "(default: 1.0)")
-    parser.add_argument("--clients", type=int, default=0,
+    parser.add_argument("--clients", type=_non_negative_int, default=0,
                         help="multiplex the trace to N clients with "
                              "Zipfian file remapping (0 = as captured)")
     parser.add_argument("--zipf", type=float, default=1.1,
@@ -357,17 +368,20 @@ def _build_replay_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bench-scale", type=_positive_float,
                         default=0.125,
                         help="file-size scale of the captured run")
-    parser.add_argument("--capture-clients", type=int, default=2,
+    parser.add_argument("--capture-clients", type=_positive_int,
+                        default=2,
                         help="client machines in the captured run")
     parser.add_argument("--target-transport", choices=["udp", "tcp"],
                         default=None, help="target transport "
                         "(default: same as the source)")
-    parser.add_argument("--target-heuristic", default=None)
+    parser.add_argument("--target-heuristic", choices=HEURISTICS,
+                        default=None)
     parser.add_argument("--target-nfsheur",
                         choices=["default", "improved"], default=None)
     parser.add_argument("--target-drive", choices=["ide", "scsi"],
                         default=None)
-    parser.add_argument("--target-partition", type=int, default=None)
+    parser.add_argument("--target-partition", type=int,
+                        choices=PARTITIONS, default=None)
     parser.add_argument("--target-seed", type=int, default=None)
     parser.add_argument("--metrics", action="store_true",
                         help="print the target testbed's metrics "
@@ -561,7 +575,7 @@ def _add_orchestrator_flags(parser: argparse.ArgumentParser,
                             jobs_default: int = 1) -> None:
     """The sharding/robustness knobs shared by `campaign` and
     `chaos fuzz --jobs`."""
-    parser.add_argument("--jobs", type=int, default=jobs_default,
+    parser.add_argument("--jobs", type=_positive_int, default=jobs_default,
                         help="worker processes to shard cells across")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="campaign journal (JSONL); every completed "
@@ -578,11 +592,12 @@ def _add_orchestrator_flags(parser: argparse.ArgumentParser,
                         help="write a per-campaign report directory "
                              "(fold.json, cells.csv, coverage.json, "
                              "report.html)")
-    parser.add_argument("--cell-timeout", type=float, default=300.0,
+    parser.add_argument("--cell-timeout", type=_positive_float,
+                        default=300.0,
                         help="wall-clock seconds per cell before its "
                              "worker is killed and the cell retried "
                              "(default: 300)")
-    parser.add_argument("--max-attempts", type=int, default=3,
+    parser.add_argument("--max-attempts", type=_positive_int, default=3,
                         help="attempts per cell before it is abandoned "
                              "(default: 3)")
     parser.add_argument("--wall-budget", type=float, default=None,
@@ -592,7 +607,7 @@ def _add_orchestrator_flags(parser: argparse.ArgumentParser,
 
 def _campaign_options(args):
     from .campaign import CampaignOptions
-    return CampaignOptions(workers=max(1, args.jobs),
+    return CampaignOptions(workers=args.jobs,
                            cell_timeout=args.cell_timeout,
                            max_attempts=args.max_attempts,
                            wall_budget=args.wall_budget)
@@ -667,17 +682,18 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
         "chaos", help="shard fuzzed fault schedules; failures are "
                       "deduped by run fingerprint and shrunk once per "
                       "distinct failure")
-    chaos.add_argument("--budget", type=int, default=1000,
+    chaos.add_argument("--budget", type=_positive_int, default=1000,
                        help="schedules = cells (default: 1000)")
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--transport", choices=["udp", "tcp"],
                        default="udp")
-    chaos.add_argument("--heuristic", default="default")
+    chaos.add_argument("--heuristic", choices=HEURISTICS,
+                       default="default")
     chaos.add_argument("--nfsheur", choices=["default", "improved"],
                        default="default")
-    chaos.add_argument("--clients", type=int, default=2)
-    chaos.add_argument("--horizon", type=float, default=20.0)
-    chaos.add_argument("--max-events", type=int, default=4)
+    chaos.add_argument("--clients", type=_positive_int, default=2)
+    chaos.add_argument("--horizon", type=_positive_float, default=20.0)
+    chaos.add_argument("--max-events", type=_positive_int, default=4)
     chaos.add_argument("--no-recovery", action="store_true")
     chaos.add_argument("--workload",
                        choices=["write", "metadata", "mixed"],
@@ -809,22 +825,22 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
     fuzz = sub.add_parser(
         "fuzz", help="run a fixed-seed campaign of fuzzed schedules")
-    fuzz.add_argument("--budget", type=int, default=30,
+    fuzz.add_argument("--budget", type=_positive_int, default=30,
                       help="schedules to run (default: 30)")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign master seed (default: 0)")
     fuzz.add_argument("--transport", choices=["udp", "tcp"],
                       default="udp")
-    fuzz.add_argument("--heuristic", default="default",
-                      help="server read-ahead heuristic "
-                           "(default/slowdown/always/cursor)")
+    fuzz.add_argument("--heuristic", choices=HEURISTICS,
+                      default="default",
+                      help="server read-ahead heuristic")
     fuzz.add_argument("--nfsheur", choices=["default", "improved"],
                       default="default")
-    fuzz.add_argument("--clients", type=int, default=2,
+    fuzz.add_argument("--clients", type=_positive_int, default=2,
                       help="client machines (default: 2)")
-    fuzz.add_argument("--horizon", type=float, default=20.0,
+    fuzz.add_argument("--horizon", type=_positive_float, default=20.0,
                       help="schedule horizon in simulated seconds")
-    fuzz.add_argument("--max-events", type=int, default=4,
+    fuzz.add_argument("--max-events", type=_positive_int, default=4,
                       help="max fault events per schedule (default: 4)")
     fuzz.add_argument("--no-recovery", action="store_true",
                       help="disable the client's write-verifier "

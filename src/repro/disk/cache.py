@@ -88,30 +88,25 @@ class SegmentedCache:
     """A fixed number of prefetch segments with configurable recycling.
 
     ``replacement`` selects the victim policy when a new stream needs a
-    segment: ``"lru"`` (server-class firmware), ``"mru"`` (simpler
-    desktop firmware; optimal-ish for cyclic stream sets), or
-    ``"random"``.  The distinction matters for stride workloads: with
-    as many LRU segments as stride arms every arm keeps its stream,
-    while MRU replacement produces one rotating "hole" once the arms
-    fill the cache — our model for the IDE drive's s=8 dip in the
-    paper's Table 1.
+    segment: ``"lru"`` (server-class firmware) or ``"mru"`` (simpler
+    desktop firmware; optimal-ish for cyclic stream sets).  The
+    distinction matters for stride workloads: with as many LRU segments
+    as stride arms every arm keeps its stream, while MRU replacement
+    produces one rotating "hole" once the arms fill the cache — our
+    model for the IDE drive's s=8 dip in the paper's Table 1.
     """
 
     def __init__(self, num_segments: int, segment_sectors: int,
-                 replacement: str = "lru", rng=None):
+                 replacement: str = "lru"):
         if num_segments < 1:
             raise ValueError("need at least one segment")
         if segment_sectors < 1:
             raise ValueError("segments must hold at least one sector")
-        if replacement not in ("lru", "random", "mru"):
+        if replacement not in ("lru", "mru"):
             raise ValueError(f"unknown replacement policy {replacement!r}")
         self.num_segments = num_segments
         self.segment_sectors = segment_sectors
         self.replacement = replacement
-        if rng is None:
-            import random as _random
-            rng = _random.Random(0xD15C)
-        self._rng = rng
         self.segments: List[Segment] = []
 
     # ------------------------------------------------------------------
@@ -175,15 +170,13 @@ class SegmentedCache:
                 candidates = self.segments
             if self.replacement == "lru":
                 victim = min(candidates, key=lambda s: s.last_use)
-            elif self.replacement == "mru":
+            else:
                 # Most-recently-used eviction: the classic choice for
                 # cyclic stream sets, and our model of the IDE drive's
                 # simpler segment management.  Under a stride pattern
                 # with more arms than segments it produces one rotating
                 # "hole" (miss rate ~1/arms) instead of a miss cascade.
                 victim = max(candidates, key=lambda s: s.last_use)
-            else:
-                victim = self._rng.choice(candidates)
             self.segments.remove(victim)
         self.segments.append(segment)
         return segment

@@ -171,52 +171,18 @@ class DiskDrive:
 
         Cache hits and active continuations position for free.
         """
-        lookup = self.cache.lookup(request.lba, request.nsectors,
-                                   self.sim.now)
+        now = self.sim.now
+        lookup = self.cache.lookup(request.lba, request.nsectors, now)
         if lookup.hit and (lookup.covered_sectors >= request.nsectors
                            or lookup.continuation):
             return 0.0
-        return self._mechanical_positioning(request.lba, self.sim.now)
-
-    def _mechanical_positioning(self, lba: int, now: float) -> float:
-        target_cyl = self.geometry.cylinder_of_lba(lba)
+        geometry = self.geometry
         seek = self.seek_model.seek_time(
-            abs(target_cyl - self.current_cylinder))
+            abs(geometry.cylinder_of_lba(request.lba)
+                - self.current_cylinder))
         rot = self.rotation.latency_to(
-            now + seek, self.geometry.angle_of_lba(lba))
+            now + seek, geometry.angle_of_lba(request.lba))
         return seek + rot
-
-    def positioning_times(self, requests: List[DiskRequest]) -> List[float]:
-        """Batch :meth:`positioning_time` over a queue snapshot.
-
-        Cache probes run per request *in queue order* — they mutate the
-        segment LRU state, so the probe sequence must be exactly the one
-        the scalar loop performs.  Only the mechanical math (seek curve,
-        rotation) for the cache misses is batched, through the
-        vectorized geometry/mechanics helpers.
-        """
-        now = self.sim.now
-        times = [0.0] * len(requests)
-        miss_positions: List[int] = []
-        miss_lbas: List[int] = []
-        for position, request in enumerate(requests):
-            lookup = self.cache.lookup(request.lba, request.nsectors, now)
-            if lookup.hit and (lookup.covered_sectors >= request.nsectors
-                               or lookup.continuation):
-                continue
-            miss_positions.append(position)
-            miss_lbas.append(request.lba)
-        if miss_lbas:
-            current = self.current_cylinder
-            cylinders = self.geometry.cylinders_of_lbas(miss_lbas)
-            seeks = self.seek_model.seek_times(
-                [abs(cylinder - current) for cylinder in cylinders])
-            rots = self.rotation.latencies_to(
-                [now + seek for seek in seeks],
-                self.geometry.angles_of_lbas(miss_lbas))
-            for position, seek, rot in zip(miss_positions, seeks, rots):
-                times[position] = seek + rot
-        return times
 
     # ------------------------------------------------------------------
     # Service loop
@@ -231,13 +197,8 @@ class DiskDrive:
                 continue
             scheduler = (self.firmware if self.tagged_queueing
                          else self._fifo)
-            if getattr(scheduler, "accepts_batch", False):
-                request = scheduler.select(
-                    self._queue, self.sim.now, self.positioning_time,
-                    positioning_times=self.positioning_times)
-            else:
-                request = scheduler.select(
-                    self._queue, self.sim.now, self.positioning_time)
+            request = scheduler.select(
+                self._queue, self.sim.now, self.positioning_time)
             self._busy = True
             start = self.sim.now
             if self._obs_on:
@@ -340,68 +301,50 @@ class DiskDrive:
             # Writes always touch the media (write caching disabled, as
             # benchmarking rigs do): seek, rotate, write, no prefetch.
             self.stats.writes += 1
-            self.cache.freeze_fills(now)
-            target_cyl = geometry.cylinder_of_lba(request.lba)
-            distance = abs(target_cyl - self.current_cylinder)
-            seek = self.seek_model.seek_time(distance)
-            if distance:
-                self.stats.seeks += 1
-                self.stats.total_seek_cylinders += distance
-            rot = self.rotation.latency_to(
-                now + seek + overhead, geometry.angle_of_lba(request.lba))
-            rate = geometry.media_rate(request.lba)
-            media_time = request.nsectors * geometry.sector_size / rate
-            end = min(request.end_lba, geometry.total_sectors - 1)
-            self.current_cylinder = geometry.cylinder_of_lba(end)
-            if self._prov.enabled:
-                self._breakdown = {
-                    "zone": zone, "media_rate": rate, "seek_s": seek,
-                    "rot_s": rot, "transfer_s": media_time,
-                    "overhead_s": overhead}
-            return overhead + seek + rot + media_time
+        else:
+            lookup = self.cache.lookup(request.lba, request.nsectors, now)
 
-        lookup = self.cache.lookup(request.lba, request.nsectors, now)
+            if lookup.hit and lookup.covered_sectors >= request.nsectors:
+                # Full cache hit: ship over the interface, head
+                # untouched; any active fill keeps running.
+                self.stats.cache_hits += 1
+                request.serviced_from_cache = True
+                if self._prov.enabled:
+                    self._breakdown = {
+                        "zone": zone, "cache_hit": True,
+                        "transfer_s": nbytes / self.interface_rate,
+                        "overhead_s": overhead}
+                return overhead + nbytes / self.interface_rate
 
-        if lookup.hit and lookup.covered_sectors >= request.nsectors:
-            # Full cache hit: ship over the interface, head untouched;
-            # any active fill keeps running.
-            self.stats.cache_hits += 1
-            request.serviced_from_cache = True
-            if self._prov.enabled:
-                self._breakdown = {
-                    "zone": zone, "cache_hit": True,
-                    "transfer_s": nbytes / self.interface_rate,
-                    "overhead_s": overhead}
-            return overhead + nbytes / self.interface_rate
+            if lookup.hit and lookup.continuation:
+                # The head is streaming this segment right now: the
+                # covered prefix ships from buffer while the remainder
+                # arrives at media rate, with no repositioning.
+                self.stats.sequential_continuations += 1
+                self.stats.media_reads += 1
+                remainder = request.nsectors - lookup.covered_sectors
+                rate = geometry.media_rate(request.lba)
+                media_time = remainder * geometry.sector_size / rate
+                # The buffered prefix ships over the interface while the
+                # remainder comes off the media, but every byte still
+                # crosses the interface: the command cannot complete
+                # faster than its full interface transfer.
+                duration = overhead + max(media_time,
+                                          nbytes / self.interface_rate)
+                if self._prov.enabled:
+                    self._breakdown = {
+                        "zone": zone, "media_rate": rate,
+                        "continuation": True,
+                        "transfer_s": duration - overhead,
+                        "overhead_s": overhead}
+                self._finish_media_access(request, rate, now + duration)
+                return duration
 
-        if lookup.hit and lookup.continuation:
-            # The head is streaming this segment right now: the covered
-            # prefix ships from buffer while the remainder arrives at
-            # media rate, with no repositioning.
-            self.stats.sequential_continuations += 1
             self.stats.media_reads += 1
-            remainder = request.nsectors - lookup.covered_sectors
-            rate = geometry.media_rate(request.lba)
-            media_time = remainder * geometry.sector_size / rate
-            # The buffered prefix ships over the interface while the
-            # remainder comes off the media, but every byte still
-            # crosses the interface: the command cannot complete faster
-            # than its full interface transfer.
-            duration = overhead + max(media_time,
-                                      nbytes / self.interface_rate)
-            if self._prov.enabled:
-                self._breakdown = {
-                    "zone": zone, "media_rate": rate,
-                    "continuation": True,
-                    "transfer_s": duration - overhead,
-                    "overhead_s": overhead}
-            self._finish_media_read(request, rate, now + duration)
-            return duration
 
-        # Full mechanical read.  The head leaves wherever it was, so all
-        # active fills stop capturing data now.
+        # Full mechanical access.  The head leaves wherever it was, so
+        # all active fills stop capturing data now.
         self.cache.freeze_fills(now)
-        self.stats.media_reads += 1
         target_cyl = geometry.cylinder_of_lba(request.lba)
         distance = abs(target_cyl - self.current_cylinder)
         seek = self.seek_model.seek_time(distance)
@@ -418,18 +361,20 @@ class DiskDrive:
                 "zone": zone, "media_rate": rate, "seek_s": seek,
                 "rot_s": rot, "transfer_s": media_time,
                 "overhead_s": overhead}
-        self._finish_media_read(request, rate, now + duration)
+        self._finish_media_access(request, rate, now + duration)
         return duration
 
-    def _finish_media_read(self, request: DiskRequest, rate: float,
-                           completion: float) -> None:
-        """Move the head and restart prefetch behind the read.
+    def _finish_media_access(self, request: DiskRequest, rate: float,
+                             completion: float) -> None:
+        """Move the head and, after a read, restart prefetch behind it.
 
         The fill is credited from ``completion`` — prefetch cannot begin
         before the request's own sectors have passed under the head.
         """
         end = min(request.end_lba, self.geometry.total_sectors - 1)
         self.current_cylinder = self.geometry.cylinder_of_lba(end)
+        if request.is_write:
+            return
         fill_rate_sectors = rate / self.geometry.sector_size
         self.cache.begin_fill(request.lba, request.nsectors,
                               fill_rate_sectors, completion)

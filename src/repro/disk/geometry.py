@@ -19,14 +19,6 @@ import bisect
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-try:  # numpy accelerates the batch paths; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-
-#: Below this many elements the scalar loop beats numpy's call overhead.
-VECTOR_MIN = 8
-
 SECTOR_SIZE = 512
 
 
@@ -89,16 +81,6 @@ class DiskGeometry:
         self.cylinders = cyl
         self.total_sectors = lba
         self.capacity_bytes = lba * sector_size
-
-        # Per-zone columns as arrays for the vectorized LBA translation.
-        if _np is not None:
-            self._np_first_lba = _np.asarray(self._zone_first_lba,
-                                             dtype=_np.int64)
-            self._np_first_cyl = _np.asarray(self._zone_first_cyl,
-                                             dtype=_np.int64)
-            self._np_spt = _np.asarray(
-                [zone.sectors_per_track for zone in self.zones],
-                dtype=_np.int64)
 
     # ------------------------------------------------------------------
 
@@ -166,44 +148,6 @@ class DiskGeometry:
         sector_in_track = (lba - self._zone_first_lba[zi]) % \
             zone.sectors_per_track
         return sector_in_track / zone.sectors_per_track
-
-    # ------------------------------------------------------------------
-    # Batch LBA translation (vectorized when numpy is available)
-    # ------------------------------------------------------------------
-
-    def cylinders_of_lbas(self, lbas: Sequence[int]) -> List[int]:
-        """Batch :meth:`cylinder_of_lba`; exact-identical results.
-
-        ``searchsorted(..., side='right') - 1`` is the array form of the
-        ``bisect_right`` zone lookup, and the remaining arithmetic is
-        all int64 (floor division on non-negative operands matches
-        Python ``//`` exactly).
-        """
-        if _np is not None and len(lbas) >= VECTOR_MIN:
-            lba = _np.asarray(lbas, dtype=_np.int64)
-            if len(lba) and (lba.min() < 0
-                             or lba.max() >= self.total_sectors):
-                raise ValueError("LBA out of range")
-            zi = _np.searchsorted(self._np_first_lba, lba,
-                                  side="right") - 1
-            offset = lba - self._np_first_lba[zi]
-            per_cyl = self._np_spt[zi] * self.heads
-            return (self._np_first_cyl[zi] + offset // per_cyl).tolist()
-        return [self.cylinder_of_lba(lba) for lba in lbas]
-
-    def angles_of_lbas(self, lbas: Sequence[int]) -> List[float]:
-        """Batch :meth:`angle_of_lba`; exact-identical results."""
-        if _np is not None and len(lbas) >= VECTOR_MIN:
-            lba = _np.asarray(lbas, dtype=_np.int64)
-            if len(lba) and (lba.min() < 0
-                             or lba.max() >= self.total_sectors):
-                raise ValueError("LBA out of range")
-            zi = _np.searchsorted(self._np_first_lba, lba,
-                                  side="right") - 1
-            spt = self._np_spt[zi]
-            sector_in_track = (lba - self._np_first_lba[zi]) % spt
-            return (sector_in_track / spt).tolist()
-        return [self.angle_of_lba(lba) for lba in lbas]
 
     def _check_lba(self, lba: int) -> None:
         if not 0 <= lba < self.total_sectors:

@@ -17,15 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
-
-try:  # numpy accelerates the batch paths; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-
-#: Below this many elements the scalar loop beats numpy's call overhead.
-VECTOR_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -78,25 +69,6 @@ class SeekModel:
             return self._a + self._b * math.sqrt(distance)
         return self._short_at_knee + self._slope * (distance - self._knee)
 
-    def seek_times(self, distances: Sequence[int]) -> List[float]:
-        """Batch :meth:`seek_time` over a sequence of distances.
-
-        Bit-identical to the scalar loop: the numpy path evaluates the
-        same two-piece expressions in the same operation order on the
-        same float64 values (``sqrt``, ``*``, ``+`` are all correctly
-        rounded in both), which `tests/test_disk_vector.py` asserts.
-        """
-        if _np is not None and len(distances) >= VECTOR_MIN:
-            d = _np.asarray(distances, dtype=_np.float64)
-            if d.min() < 0:
-                raise ValueError("seek distance cannot be negative")
-            short = self._a + self._b * _np.sqrt(d)
-            long = self._short_at_knee + self._slope * (d - self._knee)
-            out = _np.where(d <= self._knee, short, long)
-            out[d == 0.0] = 0.0
-            return out.tolist()
-        return [self.seek_time(distance) for distance in distances]
-
 
 @dataclass(frozen=True)
 class RotationModel:
@@ -119,23 +91,3 @@ class RotationModel:
             target_angle %= 1.0
         delta = (target_angle - self.angle_at(now)) % 1.0
         return delta * self.revolution_time
-
-    def latencies_to(self, nows: Sequence[float],
-                     target_angles: Sequence[float]) -> List[float]:
-        """Batch :meth:`latency_to` over paired ``(now, angle)`` inputs.
-
-        numpy's ``mod`` follows Python's floored-modulo semantics, so
-        the batch path reproduces the scalar one bit-for-bit (asserted
-        by `tests/test_disk_vector.py`).
-        """
-        if _np is not None and len(nows) >= VECTOR_MIN:
-            rev = self.revolution_time
-            target = _np.asarray(target_angles, dtype=_np.float64)
-            out_of_range = (target < 0.0) | (target >= 1.0)
-            if out_of_range.any():
-                target = target.copy()
-                target[out_of_range] = _np.mod(target[out_of_range], 1.0)
-            angle = _np.mod(_np.asarray(nows, dtype=_np.float64) / rev, 1.0)
-            return (_np.mod(target - angle, 1.0) * rev).tolist()
-        return [self.latency_to(now, angle)
-                for now, angle in zip(nows, target_angles)]

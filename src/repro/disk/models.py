@@ -57,7 +57,7 @@ class DriveSpec:
                          cylinders=self.cylinders)
 
     def build(self, sim: Simulator, tagged_queueing: Optional[bool] = None,
-              name: Optional[str] = None, cache_rng=None,
+              name: Optional[str] = None,
               bus=None, faults=None) -> DiskDrive:
         """Instantiate a :class:`DiskDrive` from this spec.
 
@@ -83,8 +83,6 @@ class DriveSpec:
             faults=faults,
             name=name or self.name)
         drive.cache.replacement = self.cache_replacement
-        if cache_rng is not None:
-            drive.cache._rng = cache_rng
         return drive
 
 

@@ -19,21 +19,13 @@ this same knob.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, List, Protocol
 
 from .request import DiskRequest
 
 
 class FirmwareScheduler(Protocol):
-    """Interface: pick the next command from a queue.
-
-    A scheduler that sets the class attribute ``accepts_batch = True``
-    is handed an extra ``positioning_times`` keyword: a callable that
-    returns positioning estimates for a whole queue snapshot at once
-    (vectorized in the drive when numpy is available).  Schedulers
-    without the attribute keep the original three-argument call, so
-    existing implementations work unchanged.
-    """
+    """Interface: pick the next command from a queue."""
 
     def select(self, queue: List[DiskRequest], now: float,
                positioning_time: Callable[[DiskRequest], float],
@@ -64,7 +56,6 @@ class AgedSptfFirmware:
     """
 
     name = "aged-sptf"
-    accepts_batch = True
 
     def __init__(self, aging_weight: float = 0.6):
         if aging_weight < 0:
@@ -73,20 +64,10 @@ class AgedSptfFirmware:
 
     def select(self, queue: List[DiskRequest], now: float,
                positioning_time: Callable[[DiskRequest], float],
-               positioning_times: Optional[
-                   Callable[[List[DiskRequest]], List[float]]] = None,
                ) -> DiskRequest:
         aging_weight = self.aging_weight
         best_index = 0
         best_score = None
-        if positioning_times is not None and len(queue) > 1:
-            for index, (request, ptime) in enumerate(
-                    zip(queue, positioning_times(queue))):
-                score = ptime - aging_weight * (now - request.arrival)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best_index = index
-            return queue.pop(best_index)
         for index, request in enumerate(queue):
             score = (positioning_time(request)
                      - aging_weight * (now - request.arrival))

@@ -43,6 +43,9 @@ NFSHEUR_PARAMS: Dict[str, NfsHeurParams] = {
     "improved": IMPROVED_NFSHEUR,
 }
 
+#: The drive's four partitions, 1 (outermost) .. 4 (innermost).
+PARTITIONS = (1, 2, 3, 4)
+
 
 @dataclass(frozen=True)
 class TestbedConfig:
@@ -161,7 +164,7 @@ class LocalTestbed:
     def __init__(self, config: TestbedConfig):
         if config.drive not in DRIVE_SPECS:
             raise ValueError(f"unknown drive {config.drive!r}")
-        if not 1 <= config.partition <= 4:
+        if config.partition not in PARTITIONS:
             raise ValueError("partition must be 1..4")
         self.config = config
         session = active_session()
@@ -188,7 +191,6 @@ class LocalTestbed:
         self.server_pci = RateLimiter(self.sim, SERVER_PCI_DMA)
         self.drive: DiskDrive = spec.build(
             self.sim, tagged_queueing=config.tagged_queueing,
-            cache_rng=self.streams.stream("drive-cache"),
             bus=self.server_pci,
             faults=(self.fault_plan.disk_injector()
                     if self.fault_plan else None))

@@ -25,6 +25,9 @@ _BY_NAME = {
     "none": NoReadAheadHeuristic,
 }
 
+#: Every name :func:`make_heuristic` accepts.
+HEURISTICS = tuple(_BY_NAME)
+
 
 def make_heuristic(name: str, **kwargs) -> Heuristic:
     """Instantiate a heuristic by name (default/slowdown/always/cursor)."""
@@ -48,6 +51,7 @@ __all__ = [
     "DEFAULT_POOL_SIZE",
     "NoReadAheadHeuristic",
     "make_heuristic",
+    "HEURISTICS",
     "readahead_blocks",
     "clamp_seqcount",
     "MAX_SEQCOUNT",

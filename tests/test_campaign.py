@@ -773,6 +773,22 @@ def _count_results(journal_path):
         return 0
 
 
+def _children(pid):
+    """Pids of ``pid``'s child processes."""
+    with open(f"/proc/{pid}/task/{pid}/children") as handle:
+        return [int(child) for child in handle.read().split()]
+
+
+def _running(pid):
+    """True while ``pid`` exists and has not exited (zombies have)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
 class TestOrchestratorCrashRecovery:
     BUDGET = 8
 
@@ -808,8 +824,16 @@ class TestOrchestratorCrashRecovery:
         else:
             victim.kill()
             pytest.fail("journal never accumulated results")
+        workers = _children(victim.pid)
+        assert workers, "the orchestrator forked no workers"
         os.kill(victim.pid, signal.SIGKILL)
         victim.wait(timeout=30)
+        # Orphaned workers must notice the dead orchestrator and exit.
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers)), \
+            "workers outlived their SIGKILLed orchestrator"
 
         resumed_report = str(tmp_path / "resumed")
         resumed = subprocess.run(

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.readahead import HEURISTICS
 from repro.stats import Series, SeriesSet, render_plot, summarize
+from repro.workloads import PATTERNS
 
 
 def make_figure():
@@ -54,6 +56,76 @@ class TestPlot:
             render_plot(make_figure(), y_min=10.0, y_max=5.0)
 
 
+_PARTITION_CHOICE = "invalid choice: 9 (choose from 1, 2, 3, 4)"
+_HEURISTIC_CHOICE = ("invalid choice: '{}' (choose from "
+                     + ", ".join(map(repr, HEURISTICS)) + ")")
+_NAMESPACE = "bench --workload namespace"
+_REPLAY = "replay --capture t.jsonl --replay t.jsonl"
+
+#: (argv, the diagnostic after "error: ") for input rejected at parse
+#: time with exit 2.
+BAD_ARGV = [
+    ("fig8 --runs 0", "argument --runs: must be positive, got 0"),
+    ("fig8 --scale 0", "argument --scale: must be positive, got 0"),
+    ("bench --readers 0", "argument --readers: must be positive, got 0"),
+    ("bench --runs 0", "argument --runs: must be positive, got 0"),
+    ("bench --scale 0", "argument --scale: must be positive, got 0"),
+    ("replay --capture t.jsonl --readers 0",
+     "argument --readers: must be positive, got 0"),
+    ("replay --capture t.jsonl --bench-scale 0",
+     "argument --bench-scale: must be positive, got 0"),
+    ("replay --replay t.jsonl --scale 0",
+     "argument --scale: must be positive, got 0"),
+    ("campaign bench --runs 0", "argument --runs: must be positive, got 0"),
+    ("campaign bench --readers 0",
+     "argument --readers: must be positive, got 0"),
+    ("bench --partition 9", f"argument --partition: {_PARTITION_CHOICE}"),
+    ("bench --heuristic bogus",
+     "argument --heuristic: " + _HEURISTIC_CHOICE.format("bogus")),
+    ("bench --jobs 0", "argument --jobs: must be positive, got 0"),
+    (f"{_NAMESPACE} --pattern bogus",
+     f"unknown namespace pattern 'bogus'; pick one of {PATTERNS}"),
+    (f"{_NAMESPACE} --files 0", "need at least one file"),
+    (f"{_NAMESPACE} --ops 0", "need at least one operation"),
+    (f"{_NAMESPACE} --clients 0",
+     "argument --clients: must be positive, got 0"),
+    (f"{_NAMESPACE} --tree-depth -1", "depth cannot be negative"),
+    (f"{_REPLAY} --capture-clients 0",
+     "argument --capture-clients: must be positive, got 0"),
+    (f"{_REPLAY} --clients -1",
+     "argument --clients: must be non-negative, got -1"),
+    (f"{_REPLAY} --target-partition 9",
+     f"argument --target-partition: {_PARTITION_CHOICE}"),
+    (f"{_REPLAY} --target-heuristic nope",
+     "argument --target-heuristic: " + _HEURISTIC_CHOICE.format("nope")),
+    ("chaos fuzz --clients 0", "argument --clients: must be positive, got 0"),
+    ("chaos fuzz --horizon 0", "argument --horizon: must be positive, got 0"),
+    ("chaos fuzz --max-events -1",
+     "argument --max-events: must be positive, got -1"),
+    ("chaos fuzz --heuristic nope",
+     "argument --heuristic: " + _HEURISTIC_CHOICE.format("nope")),
+    ("chaos fuzz --jobs 2 --cell-timeout 0",
+     "argument --cell-timeout: must be positive, got 0"),
+    ("chaos fuzz --jobs 2 --max-attempts 0",
+     "argument --max-attempts: must be positive, got 0"),
+    ("chaos fuzz --budget -1", "argument --budget: must be positive, got -1"),
+    ("chaos fuzz --jobs 0", "argument --jobs: must be positive, got 0"),
+    ("campaign chaos --budget 0",
+     "argument --budget: must be positive, got 0"),
+    ("campaign chaos --clients 0",
+     "argument --clients: must be positive, got 0"),
+    ("campaign bench --max-attempts 0",
+     "argument --max-attempts: must be positive, got 0"),
+    ("campaign bench --cell-timeout -1",
+     "argument --cell-timeout: must be positive, got -1"),
+    ("campaign bench --partition 9",
+     f"argument --partition: {_PARTITION_CHOICE}"),
+    ("campaign bench --heuristic nope",
+     "argument --heuristic: " + _HEURISTIC_CHOICE.format("nope")),
+    ("campaign bench --jobs 0", "argument --jobs: must be positive, got 0"),
+]
+
+
 class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fig1"])
@@ -80,29 +152,22 @@ class TestCli:
         assert "paper claim" in out
         assert "|" in out            # the plot was drawn
 
-    @pytest.mark.parametrize("argv", [
-        "fig8 --runs 0",
-        "fig8 --scale 0",
-        "bench --readers 0",
-        "bench --runs 0",
-        "bench --scale 0",
-        "replay --capture t.jsonl --readers 0",
-        "replay --capture t.jsonl --bench-scale 0",
-        "replay --replay t.jsonl --scale 0",
-        "campaign bench --runs 0",
-        "campaign bench --readers 0",
-    ])
-    def test_non_positive_numbers_fail_at_parse_time(self, argv, capsys,
-                                                     tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv,message", BAD_ARGV,
+                             ids=[argv for argv, _ in BAD_ARGV])
+    def test_non_positive_numbers_fail_at_parse_time(self, argv, message,
+                                                     capsys, tmp_path,
+                                                     monkeypatch):
+        """Bad numbers and names exit 2 with one diagnostic line before
+        anything runs or is written."""
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_:
             main(argv.split())
         assert exit_.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        flag = argv.split()[-2]
-        assert err.splitlines()[-1].endswith(
-            f"error: argument {flag}: must be positive, got 0")
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] \
+            == [err.splitlines()[-1]]
+        assert err.splitlines()[-1].endswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
 
 

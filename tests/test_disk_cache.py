@@ -1,15 +1,12 @@
 """Unit tests for the firmware segmented prefetch cache."""
 
-import random
-
 import pytest
 
 from repro.disk import SegmentedCache
 
 
 def cache(segments=4, sectors=512, replacement="lru"):
-    return SegmentedCache(segments, sectors, replacement=replacement,
-                          rng=random.Random(1))
+    return SegmentedCache(segments, sectors, replacement=replacement)
 
 
 class TestLookup:
@@ -118,5 +115,7 @@ class TestValidation:
             SegmentedCache(4, 0)
 
     def test_bad_replacement(self):
-        with pytest.raises(ValueError):
-            SegmentedCache(4, 100, replacement="fifo")
+        # Firmware recycles segments LRU (SCSI) or MRU (IDE), nothing else.
+        for policy in ("fifo", "random"):
+            with pytest.raises(ValueError):
+                SegmentedCache(4, 100, replacement=policy)

@@ -1,6 +1,9 @@
 """Unit tests for the machine model and testbed builders."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +117,24 @@ class TestBuilders:
         assert testbed.mount.config.transport == "udp"
         assert testbed.server.nfsds.capacity == 8
         assert testbed.mount.nfsiods.capacity == 8
+
+    def test_nfs_testbed_does_not_import_numpy(self):
+        # Importing numpy alone adds over 10 MB to a process's peak RSS;
+        # the CLI and a tagged-queue testbed must not pull it in.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys\n"
+                  "import repro.cli\n"
+                  "from repro.host import TestbedConfig, "
+                  "build_nfs_testbed\n"
+                  "build_nfs_testbed(TestbedConfig(drive='scsi'))\n"
+                  "print('numpy' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_busy_loops_propagate(self):
         testbed = build_nfs_testbed(TestbedConfig(client_busy_loops=4))

@@ -10,8 +10,10 @@ kernel drives:
         × fault schedule (none, fuzzed) × chaos seed
 
 plus metadata and mixed chaos, a captured trace and its replay, three
-namespace patterns, a sharded bench campaign, and the ``fig4`` table
-the CLI prints.  A rerun that differs is nondeterminism; a stable
+namespace patterns, a sharded bench campaign, and the tables the CLI
+prints for ``fig4`` and for the disk-only experiments (``fig1``,
+``fig2``, ``fig3``, ``table1``), whose numbers come from the disk model
+alone.  A rerun that differs is nondeterminism; a stable
 render with a new digest is a moved artifact.  Either means a change to
 the kernel or the plumbing above it altered ``(when, seq)`` order or the
 work done (see DESIGN.md §12).
@@ -88,7 +90,9 @@ MATRIX = [
 MATRIX_IDS = [f"{t}-{'soft' if s else 'hard'}-{sid}-seed{seed}"
               for t, s, sid, _, seed in MATRIX]
 NAMESPACE_PATTERNS = ("stat", "list", "edit")
-FIG4_ARGV = ["--runs", "1", "--scale", "0.05", "fig4"]
+#: CLI experiments whose printed tables are pinned; all but ``fig4``
+#: run the disk model without NFS.
+CLI_FIGURES = ("fig1", "fig2", "fig3", "table1", "fig4")
 
 
 def render_matrix_cell(transport: str, soft: bool,
@@ -146,12 +150,14 @@ def render_campaign(journal: str):
     return fold_json(outcome).encode(), canonical(record)
 
 
-def render_fig4() -> bytes:
-    """The CLI's ``fig4`` table with its host-time ``wall=`` line cut."""
+def render_cli(experiment: str) -> bytes:
+    """The CLI's table for ``experiment`` with its host-time ``wall=``
+    line cut."""
     from repro.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(list(FIG4_ARGV)) in (0, None)
+        assert main(["--runs", "1", "--scale", "0.05",
+                     experiment]) in (0, None)
     return "".join(line for line in out.getvalue().splitlines(True)
                    if "wall=" not in line).encode()
 
@@ -177,7 +183,8 @@ def render_all() -> dict:
         (blobs["campaign/bench-fold"],
          blobs["campaign/bench-record"]) = render_campaign(
             os.path.join(journal_dir, "journal.jsonl"))
-    blobs["cli/fig4"] = render_fig4()
+    for experiment in CLI_FIGURES:
+        blobs[f"cli/{experiment}"] = render_cli(experiment)
     return blobs
 
 
@@ -191,8 +198,9 @@ class TestManifest:
                     | {f"chaos-metadata/{sid}" for sid, _ in SCHEDULES}
                     | {"chaos-mixed/fuzz-s7", "replay/capture",
                        "replay/summary", "campaign/bench-fold",
-                       "campaign/bench-record", "cli/fig4"}
-                    | {f"namespace/{p}" for p in NAMESPACE_PATTERNS})
+                       "campaign/bench-record"}
+                    | {f"namespace/{p}" for p in NAMESPACE_PATTERNS}
+                    | {f"cli/{e}" for e in CLI_FIGURES})
         assert set(pinned()) == expected
 
 
@@ -267,7 +275,14 @@ class TestCampaignFoldIdentity:
 
 class TestCliFigure:
     def test_fig4_table_byte_identical(self):
-        assert_pinned("cli/fig4", render_fig4)
+        assert_pinned("cli/fig4", lambda: render_cli("fig4"))
+
+    @pytest.mark.parametrize("experiment", CLI_FIGURES[:-1])
+    def test_disk_figure_table_byte_identical(self, experiment):
+        """ZCAV zones, tagged-queue reordering, scheduler fairness and
+        the IDE stride dip: every seek, rotation and cache decision of
+        the disk model shows in these tables."""
+        assert_pinned(f"cli/{experiment}", lambda: render_cli(experiment))
 
 
 if __name__ == "__main__":
