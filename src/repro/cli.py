@@ -492,7 +492,8 @@ def _build_diagnose_parser() -> argparse.ArgumentParser:
                         help="explain one op: walk span ID's lineage "
                              "and print its evidence chain "
                              "(needs --trace)")
-    parser.add_argument("--slowest", metavar="K", type=int, default=None,
+    parser.add_argument("--slowest", metavar="K", type=_positive_int,
+                        default=None,
                         help="explain the K slowest ops in the trace "
                              "(needs --trace)")
     parser.add_argument("--bench", metavar="FILE", default=None,

@@ -42,16 +42,18 @@ class TrapDetector:
         bite one configuration of a sweep while another run dominates
         the session-wide tail), keeps chains where ``predicate(chain)``
         holds, and attaches the ``limit`` slowest of them (as
-        deterministic JSON-ready dicts) to the finding.
+        deterministic JSON-ready dicts) to the finding.  The chains come
+        from the inputs' one root-cause index, which every citing
+        detector of a diagnosis shares.
         """
-        from ..rootcause import explain_op, slowest_ops
+        from ..rootcause import slowest_ops
         if not inputs.provenance or not inputs.runs:
             return
+        index = inputs.rootcause_index()
         chains = []
         for run_index, run in enumerate(inputs.runs):
             for _index, op in slowest_ops([run], candidates):
-                chain = explain_op(inputs.runs, run_index, op,
-                                   inputs.provenance)
+                chain = index.explain(run_index, op)
                 if predicate(chain):
                     chains.append(chain)
         chains.sort(key=lambda chain: (-chain.duration, chain.run,

@@ -18,6 +18,7 @@ from ..obs.export import loads_trace
 from ..obs.metrics import merge_snapshots
 from ..obs.provenance import ProvRecord, loads_provenance
 from ..obs.span import Span
+from .rootcause import RootCauseIndex
 
 
 @dataclass
@@ -37,10 +38,26 @@ class DiagnosisInputs:
     #: The causal provenance graph (``--provenance`` JSONL), when the
     #: run recorded one.  Record node ids name span ids in ``runs``.
     provenance: List[ProvRecord] = field(default_factory=list)
+    _rootcause: Optional[RootCauseIndex] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def spans(self) -> List[Span]:
         return [span for run in self.runs for span in run]
+
+    def rootcause_index(self) -> RootCauseIndex:
+        """The root-cause index over ``runs`` and ``provenance``.
+
+        Built on first use and kept, so every detector that cites
+        chains in one diagnosis reuses it; assigning new ``runs`` or
+        ``provenance`` lists makes the next call build a fresh one.
+        """
+        index = self._rootcause
+        if (index is None or index.runs is not self.runs
+                or index.prov_records is not self.provenance):
+            index = RootCauseIndex(self.runs, self.provenance)
+            self._rootcause = index
+        return index
 
     def gauge(self, snapshot: dict, name: str,
               default: float = 0.0) -> float:

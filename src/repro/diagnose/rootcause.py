@@ -152,39 +152,25 @@ def find_op(runs: Sequence[List[Span]], op_id: int
 # Deepest-cover decomposition
 
 
-def _subtree(run: List[Span], op: Span) -> Dict[int, int]:
-    """Span id -> depth for the op's subtree (op itself at depth 0)."""
-    children: Dict[Optional[int], List[Span]] = {}
-    for span in run:
-        children.setdefault(span.parent_id, []).append(span)
-    depth = {op.id: 0}
-    frontier = [op]
-    while frontier:
-        node = frontier.pop()
-        for child in children.get(node.id, ()):
-            if child.id not in depth:
-                depth[child.id] = depth[node.id] + 1
-                frontier.append(child)
-    return depth
-
-
-def decompose(run: List[Span], op: Span) -> List[EvidenceHop]:
+def decompose(op: Span, depth: Dict[int, int],
+              members: Sequence[Span]) -> List[EvidenceHop]:
     """Tile [op.start, op.end] by the deepest covering subtree span.
 
-    Descendants are clipped to the op's interval (detached children may
-    outlive it; the overhang is not the op's latency).  Because the op
-    itself covers the whole interval, every segment has an owner and
-    the hop durations sum to the op's duration exactly (the segment
-    boundaries are shared floats, so the sum telescopes).
+    ``depth`` and ``members`` are the op's subtree, as
+    :meth:`RootCauseIndex.subtree` returns it.  Descendants are clipped
+    to the op's interval (detached children may outlive it; the
+    overhang is not the op's latency).  Because the op itself covers
+    the whole interval, every segment has an owner and the hop
+    durations sum to the op's duration exactly (the segment boundaries
+    are shared floats, so the sum telescopes).
     """
     if op.end is None or op.end <= op.start:
         return []
-    depth = _subtree(run, op)
-    members = [span for span in run
-               if span.id in depth and span.end is not None]
     clipped: List[Tuple[float, float, Span]] = []
     boundaries = {op.start, op.end}
     for span in members:
+        if span.end is None:
+            continue
         start = max(span.start, op.start)
         end = min(span.end, op.end)
         if end > start:
@@ -275,74 +261,122 @@ def _annotate_edges(hop: EvidenceHop, edges: List[ProvEdge]) -> None:
                 f"coalesced with in-flight fetch span #{edge.dst}")
 
 
-def annotate(hops: List[EvidenceHop],
-             prov_records: Sequence[ProvRecord]) -> None:
-    """Attach provenance evidence to each hop, in record order."""
-    if not prov_records:
-        return
-    edges_by_src, notes_by_node = index_by_node(prov_records)
-    # A span split into several hops is annotated once, on its longest
-    # hop — the one a reader looks at to see where the time went.
+def _longest_hops(hops: List[EvidenceHop]) -> Dict[int, EvidenceHop]:
+    """Each span's longest hop, in first-hop order."""
     longest: Dict[int, EvidenceHop] = {}
     for hop in hops:
         best = longest.get(hop.span_id)
         if best is None or hop.duration > best.duration:
             longest[hop.span_id] = hop
-    for hop in longest.values():
-        for note in notes_by_node.get(hop.span_id, ()):
-            _annotate_note(hop, note)
-        _annotate_edges(hop, edges_by_src.get(hop.span_id, []))
+    return longest
 
 
-def explain_op(runs: Sequence[List[Span]], run_index: int, op: Span,
-               prov_records: Sequence[ProvRecord] = ()) -> EvidenceChain:
-    """Build the full evidence chain for one op."""
-    run = runs[run_index]
-    hops = decompose(run, op)
-    # Retried-as edges hang off the instant xmit markers *inside* RPC
-    # call spans, which own no interval of their own; fold marker
-    # evidence onto the hop of their parent call span.
-    if prov_records:
-        annotate(hops, prov_records)
-        _fold_marker_evidence(run, op, hops, prov_records)
-    return EvidenceChain(op_id=op.id, op_name=op.name, op_layer=op.cat,
-                         run=run_index, start=op.start, end=op.end,
-                         hops=hops)
-
-
-def _fold_marker_evidence(run: List[Span], op: Span,
-                          hops: List[EvidenceHop],
-                          prov_records: Sequence[ProvRecord]) -> None:
+def _fold_marker_evidence(members: Sequence[Span],
+                          hops: List[EvidenceHop]) -> None:
     """Surface retry evidence held by zero-width xmit markers.
 
     Attempt markers are instants, so they never own a hop; count the
-    markers parented to each RPC call span in the subtree and note the
-    retransmissions on that call's hop.
+    markers parented to each RPC call span in the subtree (``members``
+    after the op itself) and note the retransmissions on that call's
+    hop.
     """
-    depth = _subtree(run, op)
     markers: Dict[int, int] = {}
-    for span in run:
-        if (span.name == "xmit" and span.parent_id in depth
-                and span.args.get("attempt", 0)):
+    for span in members[1:]:
+        if span.name == "xmit" and span.args.get("attempt", 0):
             markers[span.parent_id] = markers.get(span.parent_id, 0) + 1
     if not markers:
         return
-    longest: Dict[int, EvidenceHop] = {}
-    for hop in hops:
-        if hop.span_id not in markers:
-            continue
-        best = longest.get(hop.span_id)
-        if best is None or hop.duration > best.duration:
-            longest[hop.span_id] = hop
+    longest = _longest_hops([hop for hop in hops
+                             if hop.span_id in markers])
     for span_id, hop in longest.items():
         hop.notes.append(
             f"retransmitted {markers[span_id]}× before completing")
 
 
+# ----------------------------------------------------------------------
+# The index: one per diagnosis
+
+
+def _children_by_parent(run: List[Span]
+                        ) -> Dict[Optional[int], List[Span]]:
+    """Parent span id -> the run's spans with that parent, in run order."""
+    children: Dict[Optional[int], List[Span]] = {}
+    for span in run:
+        children.setdefault(span.parent_id, []).append(span)
+    return children
+
+
+class RootCauseIndex:
+    """What explaining ops needs, built once and shared by every op.
+
+    The provenance graph is indexed by node on construction; each run's
+    parent -> children map is built the first time one of its ops is
+    explained.  Explaining an op then visits only its own subtree and
+    the index entries of its hops, so explaining k ops of N spans and P
+    provenance records costs O(N + P + Σ subtree), not O(k·(N + P)).
+    """
+
+    def __init__(self, runs: Sequence[List[Span]],
+                 prov_records: Sequence[ProvRecord] = ()):
+        self.runs = runs
+        self.prov_records = prov_records
+        self._edges_by_src, self._notes_by_node = index_by_node(
+            prov_records)
+        self._children: Dict[int, Dict[Optional[int], List[Span]]] = {}
+
+    def subtree(self, run_index: int, op: Span
+                ) -> Tuple[Dict[int, int], List[Span]]:
+        """The op's subtree: (span id -> depth, spans), op first at 0."""
+        children = self._children.get(run_index)
+        if children is None:
+            children = _children_by_parent(self.runs[run_index])
+            self._children[run_index] = children
+        depth = {op.id: 0}
+        members = [op]
+        frontier = [op]
+        while frontier:
+            node = frontier.pop()
+            for child in children.get(node.id, ()):
+                if child.id not in depth:
+                    depth[child.id] = depth[node.id] + 1
+                    members.append(child)
+                    frontier.append(child)
+        return depth, members
+
+    def explain(self, run_index: int, op: Span) -> EvidenceChain:
+        """Build the full evidence chain for one op of run ``run_index``."""
+        depth, members = self.subtree(run_index, op)
+        hops = decompose(op, depth, members)
+        if self.prov_records:
+            # A span split into several hops is annotated once, on its
+            # longest hop — the one a reader looks at to see where the
+            # time went.
+            for hop in _longest_hops(hops).values():
+                for note in self._notes_by_node.get(hop.span_id, ()):
+                    _annotate_note(hop, note)
+                _annotate_edges(hop, self._edges_by_src.get(hop.span_id,
+                                                            []))
+            # Retried-as edges hang off the instant xmit markers
+            # *inside* RPC call spans, which own no interval of their
+            # own; fold marker evidence onto the hop of their parent.
+            _fold_marker_evidence(members, hops)
+        return EvidenceChain(op_id=op.id, op_name=op.name,
+                             op_layer=op.cat, run=run_index,
+                             start=op.start, end=op.end, hops=hops)
+
+
+def explain_op(runs: Sequence[List[Span]], run_index: int, op: Span,
+               prov_records: Sequence[ProvRecord] = ()) -> EvidenceChain:
+    """Build the full evidence chain for one op."""
+    return RootCauseIndex(runs, prov_records).explain(run_index, op)
+
+
 def explain_slowest(runs: Sequence[List[Span]], k: int,
                     prov_records: Sequence[ProvRecord] = ()
                     ) -> List[EvidenceChain]:
-    return [explain_op(runs, run_index, op, prov_records)
+    """Evidence chains for the k slowest ops, from one index."""
+    index = RootCauseIndex(runs, prov_records)
+    return [index.explain(run_index, op)
             for run_index, op in slowest_ops(runs, k)]
 
 

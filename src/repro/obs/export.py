@@ -101,7 +101,7 @@ def loads_trace(text: str) -> List[Span]:
     for event in payload["traceEvents"]:
         if event.get("ph") != "X":
             continue
-        args = dict(event.get("args", {}))
+        args = event.get("args", {})
         span_id = args.pop("span_id")
         parent_id = args.pop("parent_id", None)
         detached = args.pop("detached", False)

@@ -230,13 +230,11 @@ def dumps_provenance(records: List[ProvRecord]) -> str:
     ``dumps(loads(dumps(records)))`` byte-identical to
     ``dumps(records)``.
     """
-    lines = [json.dumps({"format": PROVENANCE_FORMAT,
-                         "version": PROVENANCE_VERSION,
-                         "records": len(records)},
-                        sort_keys=True, separators=(",", ":"))]
-    for record in records:
-        lines.append(json.dumps(_record_jsonable(record), sort_keys=True,
-                                separators=(",", ":")))
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [encode({"format": PROVENANCE_FORMAT,
+                     "version": PROVENANCE_VERSION,
+                     "records": len(records)})]
+    lines.extend(encode(_record_jsonable(record)) for record in records)
     return "\n".join(lines) + "\n"
 
 
@@ -251,9 +249,14 @@ def loads_provenance(text: str) -> List[ProvRecord]:
     if header.get("version") != PROVENANCE_VERSION:
         raise ValueError(f"unsupported provenance version "
                          f"{header.get('version')!r}")
+    # One parse for every record line: they are objects, so joined by
+    # commas they form one array with exactly one element per line.
+    payloads = json.loads("[" + ",".join(lines[1:]) + "]")
+    if len(payloads) != len(lines) - 1:
+        raise ValueError("provenance records must be one JSON object "
+                         "per line")
     records: List[ProvRecord] = []
-    for line in lines[1:]:
-        payload = json.loads(line)
+    for payload in payloads:
         if payload["type"] == "edge":
             records.append(ProvEdge(payload["kind"], payload["src"],
                                     payload["dst"], payload["t"],
@@ -332,9 +335,20 @@ def flow_events(records: List[ProvRecord],
     span stream are skipped: an arrow needs two slices to bind to.
     """
     from .export import to_trace_events  # avoid cycle at import time
-    exported = to_trace_events(spans)
+    return flow_events_between(records,
+                               to_trace_events(spans)["traceEvents"])
+
+
+def flow_events_between(records: List[ProvRecord],
+                        trace_events: List[dict]) -> List[dict]:
+    """The flow events of :func:`flow_events`, bound to ``trace_events``.
+
+    ``trace_events`` is the ``traceEvents`` list of a span export the
+    caller already holds (:func:`~repro.obs.export.to_trace_events`),
+    so the spans are not exported a second time to find the slices.
+    """
     slices: Dict[int, dict] = {}
-    for event in exported["traceEvents"]:
+    for event in trace_events:
         slices[event["args"]["span_id"]] = event
     events: List[dict] = []
     flow_id = 0

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional
 
 from .core import Observability
 from .metrics import merge_snapshots, render_snapshot
-from .export import dumps_trace, to_trace_events
+from .export import to_trace_events
 from .provenance import (ProvEdge, ProvRecord, dumps_provenance,
-                         flow_events, to_dot)
+                         flow_events_between, to_dot)
 from .span import Span
 
 _ACTIVE: Optional["ObsSession"] = None
@@ -97,12 +97,13 @@ class ObsSession:
             self.snapshots.append(snapshot)
 
     def trace_json(self) -> str:
-        """Trace-event JSON; provenance runs gain flow-event arrows."""
-        if not self.prov_records:
-            return dumps_trace(self.spans)
+        """Trace-event JSON; provenance runs gain flow-event arrows.
+
+        The span events are built once and the arrows bound to them.
+        """
         payload = to_trace_events(self.spans)
-        payload["traceEvents"].extend(
-            flow_events(self.prov_records, self.spans))
+        events = payload["traceEvents"]
+        events.extend(flow_events_between(self.prov_records, events))
         return json.dumps(payload, sort_keys=True,
                           separators=(",", ":"))
 

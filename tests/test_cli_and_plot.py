@@ -123,6 +123,10 @@ BAD_ARGV = [
     ("campaign bench --heuristic nope",
      "argument --heuristic: " + _HEURISTIC_CHOICE.format("nope")),
     ("campaign bench --jobs 0", "argument --jobs: must be positive, got 0"),
+    ("diagnose --trace t.json --slowest 0",
+     "argument --slowest: must be positive, got 0"),
+    ("diagnose --trace t.json --slowest -3",
+     "argument --slowest: must be positive, got -3"),
 ]
 
 

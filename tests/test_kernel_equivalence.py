@@ -18,6 +18,11 @@ render with a new digest is a moved artifact.  Either means a change to
 the kernel or the plumbing above it altered ``(when, seq)`` order or the
 work done (see DESIGN.md §12).
 
+The observability pipeline is pinned the same way: a two-run lossy
+session's span trace, provenance JSONL and slowest-op evidence chains,
+and the ``diagnose --json`` report of a traced ``fig2``, whose trap
+findings cite causal chains (DESIGN.md §7, §14).
+
 A change that is meant to move an artifact re-pins the manifest and
 says why in CHANGES.md::
 
@@ -162,6 +167,54 @@ def render_cli(experiment: str) -> bytes:
                    if "wall=" not in line).encode()
 
 
+def observed_session():
+    """Two lossy UDP runs under full observation, in one session."""
+    from repro.bench import run_nfs_once
+    from repro.obs import observe
+    with observe(trace=True, metrics=True, provenance=True) as session:
+        for seed in (3, 4):
+            run_nfs_once(TestbedConfig(loss_rate=0.02, seed=seed), 2,
+                         scale=0.03)
+    return session
+
+
+def render_trace(session) -> bytes:
+    return session.trace_json().encode()
+
+
+def render_provenance(session) -> bytes:
+    return session.provenance_jsonl().encode()
+
+
+def render_slowest_chains(session) -> bytes:
+    """The ten slowest ops' evidence chains, from the exported bytes."""
+    from repro.diagnose import explain_slowest, split_runs
+    from repro.obs.export import loads_trace
+    from repro.obs.provenance import loads_provenance
+    runs = split_runs(loads_trace(session.trace_json()))
+    records = loads_provenance(session.provenance_jsonl())
+    return canonical([chain.to_jsonable()
+                      for chain in explain_slowest(runs, 10, records)])
+
+
+def render_diagnose_report() -> bytes:
+    """``diagnose --json`` over a traced ``fig2`` with provenance."""
+    from repro.cli import main
+    with tempfile.TemporaryDirectory() as root:
+        paths = [os.path.join(root, name)
+                 for name in ("t.json", "m.json", "p.jsonl")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fig2", "--runs", "1", "--scale", "0.015625",
+                         "--trace", paths[0], "--metrics-out", paths[1],
+                         "--provenance", paths[2]]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["diagnose", "--trace", paths[0],
+                         "--metrics", paths[1], "--provenance", paths[2],
+                         "--json"]) == 0
+    return out.getvalue().encode()
+
+
 def render_all() -> dict:
     """Every pinned artifact by name (the manifest's contents)."""
     blobs = {}
@@ -185,6 +238,11 @@ def render_all() -> dict:
             os.path.join(journal_dir, "journal.jsonl"))
     for experiment in CLI_FIGURES:
         blobs[f"cli/{experiment}"] = render_cli(experiment)
+    session = observed_session()
+    blobs["obs/trace"] = render_trace(session)
+    blobs["obs/provenance"] = render_provenance(session)
+    blobs["diagnose/slowest-chains"] = render_slowest_chains(session)
+    blobs["diagnose/fig2-report"] = render_diagnose_report()
     return blobs
 
 
@@ -200,7 +258,9 @@ class TestManifest:
                        "replay/summary", "campaign/bench-fold",
                        "campaign/bench-record"}
                     | {f"namespace/{p}" for p in NAMESPACE_PATTERNS}
-                    | {f"cli/{e}" for e in CLI_FIGURES})
+                    | {f"cli/{e}" for e in CLI_FIGURES}
+                    | {"obs/trace", "obs/provenance",
+                       "diagnose/slowest-chains", "diagnose/fig2-report"})
         assert set(pinned()) == expected
 
 
@@ -283,6 +343,39 @@ class TestCliFigure:
         the IDE stride dip: every seek, rotation and cache decision of
         the disk model shows in these tables."""
         assert_pinned(f"cli/{experiment}", lambda: render_cli(experiment))
+
+
+class TestObservabilityIdentity:
+    """Span export, provenance export and root-cause chains: every
+    byte the obs and diagnose layers write is pinned."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self):
+        """Two independent observed sessions of the same runs."""
+        return observed_session(), observed_session()
+
+    @pytest.mark.parametrize("name,render", [
+        ("obs/trace", render_trace),
+        ("obs/provenance", render_provenance),
+        ("diagnose/slowest-chains", render_slowest_chains),
+    ], ids=["trace", "provenance", "slowest-chains"])
+    def test_session_artifact_byte_identical(self, sessions, name, render):
+        first, second = (render(session) for session in sessions)
+        assert second == first, f"{name}: a rerun gave different bytes"
+        assert digest(first) == pinned()[name], \
+            f"{name}: artifact moved from its pinned digest"
+
+    def test_diagnose_report_byte_identical(self):
+        report = render_diagnose_report()
+        assert render_diagnose_report() == report, \
+            "diagnose/fig2-report: a rerun gave different bytes"
+        assert digest(report) == pinned()["diagnose/fig2-report"], \
+            "diagnose/fig2-report: artifact moved from its pinned digest"
+        # The cell exists to pin detector citations, so it must have some.
+        cited = {finding["detector"] for finding in
+                 json.loads(report)["findings"]
+                 if finding["evidence"].get("causal_chains")}
+        assert {"zcav", "tcq"} <= cited
 
 
 if __name__ == "__main__":

@@ -155,6 +155,13 @@ class TestRoundTrip:
             loads_provenance('{"format":"something-else","version":1,'
                              '"records":0}\n')
 
+    def test_loads_rejects_two_records_on_one_line(self):
+        note = '{"args":{},"node":1,"run":0,"t":0.0,"type":"note"}'
+        text = dumps_provenance([ProvNote(1, 0.0, {})])
+        header = text.splitlines()[0]
+        with pytest.raises(ValueError):
+            loads_provenance(f"{header}\n{note},{note}\n")
+
     def test_dot_export_renders(self, lossy_session):
         dot = to_dot(lossy_session.prov_records[:200],
                      lossy_session.spans)
