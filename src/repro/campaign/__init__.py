@@ -12,14 +12,14 @@ retried, timed out, abandoned — instead of silently dropping cells.
 See DESIGN.md §11.
 """
 
-from .cells import (CampaignSpec, SPEC_VERSION, run_bench_cell,
-                    run_chaos_cell, run_spec_cell)
+from .cells import (CampaignSpec, SPEC_VERSION, chaos_cell,
+                    run_bench_cell, run_chaos_cell, run_spec_cell)
 from .drivers import (CampaignIncomplete, bench_spec, chaos_spec,
                       collect_metric_sharded,
                       collect_throughputs_sharded, fold_bench,
                       fold_chaos, run_bench_campaign,
                       run_chaos_campaign, run_spec_campaign,
-                      shrink_and_bundle)
+                      shrink_and_bundle, shrink_failure)
 from .journal import (CampaignJournal, JournalError, LoadedJournal,
                       atomic_write_text, fold_records)
 from .orchestrator import (CampaignOptions, CampaignOutcome,
@@ -30,11 +30,12 @@ __all__ = [
     "CampaignIncomplete", "CampaignJournal", "CampaignOptions",
     "CampaignOutcome", "CampaignSpec", "CellOutcome", "JournalError",
     "LoadedJournal", "Orchestrator", "SPEC_VERSION",
-    "atomic_write_text", "bench_spec", "cells_csv", "chaos_spec",
+    "atomic_write_text", "bench_spec", "cells_csv", "chaos_cell",
+    "chaos_spec",
     "collect_metric_sharded", "collect_throughputs_sharded",
     "fold_bench", "fold_chaos",
     "fold_json", "fold_records", "report_html", "run_bench_campaign",
     "run_bench_cell", "run_chaos_campaign", "run_chaos_cell",
     "run_sharded", "run_spec_campaign", "run_spec_cell",
-    "shrink_and_bundle", "write_report",
+    "shrink_and_bundle", "shrink_failure", "write_report",
 ]

@@ -106,18 +106,25 @@ def run_bench_cell(spec: CampaignSpec, index: int) -> dict:
     return {"throughput_mb_s": result.throughput_mb_s}
 
 
-def run_chaos_cell(spec: CampaignSpec, index: int) -> dict:
-    """One fuzzed schedule judged by the oracles; mirrors run_campaign."""
-    from ..chaos import (ChaosWorkload, ScheduleFuzzer, run_chaos,
+def chaos_cell(spec: CampaignSpec, index: int):
+    """Cell ``index`` of a chaos campaign as ``(config, schedule,
+    workload)``: the one setup that serial `chaos fuzz`, the sharded
+    cells and the shrinker all run."""
+    from ..chaos import (ChaosWorkload, ScheduleFuzzer,
                          workload_from_jsonable)
     params = spec.params
     fuzzer = ScheduleFuzzer(params.get("seed", 0),
                             horizon=params.get("horizon", 20.0),
                             max_events=params.get("max_events", 4))
-    schedule = fuzzer.schedule(index)
     workload = workload_from_jsonable(params["workload"]) \
         if "workload" in params else ChaosWorkload()
-    config = _testbed_config(params, index)
+    return _testbed_config(params, index), fuzzer.schedule(index), workload
+
+
+def run_chaos_cell(spec: CampaignSpec, index: int) -> dict:
+    """One fuzzed schedule judged by the oracles; mirrors run_campaign."""
+    from ..chaos import run_chaos
+    config, schedule, workload = chaos_cell(spec, index)
     result = run_chaos(config, schedule, workload)
     return {"ok": result.ok,
             "failed_oracles": list(result.failed_oracles),

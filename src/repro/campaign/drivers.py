@@ -23,7 +23,7 @@ import os
 import tempfile
 from typing import Callable, List, Optional, Tuple
 
-from .cells import CampaignSpec, run_spec_cell
+from .cells import CampaignSpec, chaos_cell, run_spec_cell
 from .orchestrator import (CampaignOptions, CampaignOutcome,
                            run_sharded)
 
@@ -183,15 +183,21 @@ def chaos_spec(budget: int, *, transport: str = "udp",
                heuristic: str = "default", nfsheur: str = "default",
                clients: int = 2, horizon: float = 20.0,
                max_events: int = 4, recovery: bool = True,
-               seed: int = 0, workload: Optional[dict] = None,
+               seed: int = 0, workload: str = "write",
                metadata_journal: bool = True,
                ack_before_intent: bool = False) -> CampaignSpec:
+    """A chaos campaign; ``workload`` is a `chaos fuzz --workload`
+    kind: ``write``, ``metadata`` or ``mixed``."""
     params = {"transport": transport, "server_heuristic": heuristic,
               "nfsheur": nfsheur, "num_clients": clients,
               "horizon": horizon, "max_events": max_events,
               "mount_verifier_recovery": recovery, "seed": seed}
-    if workload is not None:
-        params["workload"] = workload
+    # The write workload stays implicit, so a pre-metadata spec (and
+    # its journal fingerprint) is unchanged.
+    if workload != "write":
+        from ..chaos import MetadataWorkload, MixedWorkload
+        kinds = {"metadata": MetadataWorkload, "mixed": MixedWorkload}
+        params["workload"] = kinds[workload]().to_jsonable()
     if not metadata_journal:
         params["metadata_journal"] = False
     if ack_before_intent:
@@ -243,6 +249,31 @@ def fold_chaos(spec: CampaignSpec, outcome: CampaignOutcome,
             "ok": not distinct}
 
 
+def shrink_failure(spec: CampaignSpec, index: int, oracle: str,
+                   max_runs: int = 48,
+                   bundle_dir: Optional[str] = None) -> dict:
+    """Shrink cell ``index`` to a minimal schedule that still fails
+    ``oracle``, and bundle it into ``bundle_dir`` if one is given.
+
+    Returns the failure record's shrink fields: ``shrunk_events``,
+    ``shrink_runs`` and ``bundle`` (the bundle path, or None).
+    """
+    from ..chaos import run_chaos, shrink, write_bundle
+    config, schedule, workload = chaos_cell(spec, index)
+    shrunk = shrink(config, schedule, oracle, workload=workload,
+                    max_runs=max_runs)
+    path = None
+    if bundle_dir is not None:
+        final = run_chaos(config, shrunk.schedule, workload)
+        os.makedirs(bundle_dir, exist_ok=True)
+        path = os.path.join(bundle_dir, f"chaos-{index}.json")
+        write_bundle(path, config, workload, shrunk.schedule, final)
+    return {"shrunk_events": [event.to_jsonable()
+                              for event in shrunk.schedule.events],
+            "shrink_runs": shrunk.runs,
+            "bundle": path}
+
+
 def shrink_and_bundle(spec: CampaignSpec, record: dict,
                       bundle_dir: str, shrink_runs: int = 48,
                       progress=None) -> None:
@@ -251,40 +282,15 @@ def shrink_and_bundle(spec: CampaignSpec, record: dict,
     Mutates ``record``'s failure entries in place with the shrink and
     bundle details (this part is post-fold reporting, not the fold).
     """
-    from ..chaos import (ChaosWorkload, ScheduleFuzzer, run_chaos,
-                         shrink, workload_from_jsonable, write_bundle)
-    from ..host.testbed import TestbedConfig
-    params = spec.params
-    workload = workload_from_jsonable(params["workload"]) \
-        if "workload" in params else ChaosWorkload()
-    fuzzer = ScheduleFuzzer(params["seed"], horizon=params["horizon"],
-                            max_events=params["max_events"])
-    base = TestbedConfig(
-        transport=params["transport"],
-        server_heuristic=params["server_heuristic"],
-        nfsheur=params["nfsheur"], num_clients=params["num_clients"],
-        mount_verifier_recovery=params["mount_verifier_recovery"],
-        metadata_journal=params.get("metadata_journal", True),
-        meta_ack_before_intent=params.get("meta_ack_before_intent",
-                                          False),
-        seed=params["seed"])
-    os.makedirs(bundle_dir, exist_ok=True)
     for entry in record["distinct_failures"]:
         index = entry["first_index"]
-        target = entry["failed_oracles"][0]
-        config = base.with_seed(base.seed + 1000 * index)
-        shrunk = shrink(config, fuzzer.schedule(index), target,
-                        workload=workload, max_runs=shrink_runs)
-        final = run_chaos(config, shrunk.schedule, workload)
-        path = os.path.join(bundle_dir, f"chaos-{index}.json")
-        write_bundle(path, config, workload, shrunk.schedule, final)
-        entry["shrunk_events"] = [e.to_jsonable()
-                                  for e in shrunk.schedule.events]
-        entry["shrink_runs"] = shrunk.runs
-        entry["bundle"] = path
+        entry.update(shrink_failure(spec, index,
+                                    entry["failed_oracles"][0],
+                                    shrink_runs, bundle_dir))
         if progress is not None:
-            progress({"event": "bundle", "cell": index, "bundle": path,
-                      "events": len(shrunk.schedule.events)})
+            progress({"event": "bundle", "cell": index,
+                      "bundle": entry["bundle"],
+                      "events": len(entry["shrunk_events"])})
 
 
 def run_chaos_campaign(spec: CampaignSpec, journal_path: str,

@@ -16,18 +16,19 @@ Examples::
     python -m repro fig2 --trace t.json --metrics-out m.json
     python -m repro diagnose --trace t.json --metrics m.json
 
-Five extra verbs ride next to the figure ids: ``bench`` (one
-benchmark point, optionally parallel and machine-readable), ``replay``
-(capture a run's vnode-boundary trace and/or replay a trace file
-against an arbitrary testbed; see :mod:`repro.replay`), ``diagnose``
-(critical-path attribution, benchmark-trap detection, and the
-perf-regression gate over previously recorded artifacts; see
-:mod:`repro.diagnose`), ``chaos`` (fault-schedule fuzzing judged
-by correctness oracles, with shrinking repro bundles; see
-:mod:`repro.chaos`), and ``campaign`` (fleet-scale sharded bench /
-chaos campaigns with a checkpointed journal, worker-failure recovery,
-``--resume``, and a CSV/HTML report directory; see
-:mod:`repro.campaign`)::
+Every command is a leaf of one argparse tree and takes its flags after
+its name.  Five verbs ride next to the experiment ids, ``list`` and
+``all``: ``bench`` (one benchmark point, optionally parallel and
+machine-readable), ``replay`` (capture a run's vnode-boundary trace
+and/or replay a trace file against an arbitrary testbed; see
+:mod:`repro.replay`), ``diagnose`` (critical-path attribution,
+benchmark-trap detection, and the perf-regression gate over previously
+recorded artifacts; see :mod:`repro.diagnose`), ``chaos fuzz|replay``
+(fault-schedule fuzzing judged by correctness oracles, with shrinking
+repro bundles; see :mod:`repro.chaos`), and ``campaign bench|chaos``
+(fleet-scale sharded bench / chaos campaigns with a checkpointed
+journal, worker-failure recovery, ``--resume``, and a CSV/HTML report
+directory; see :mod:`repro.campaign`)::
 
     python -m repro chaos fuzz --budget 30 --seed 0 --json
     python -m repro chaos fuzz --budget 10000 --jobs 8 --json
@@ -73,73 +74,444 @@ _positive_int = _checked(int, lambda value: value > 0, "positive")
 _positive_float = _checked(float, lambda value: value > 0, "positive")
 _non_negative_int = _checked(int, lambda value: value >= 0,
                              "non-negative")
+_non_negative_float = _checked(float, lambda value: value >= 0,
+                               "non-negative")
+# Output files are written after the run, so a path that cannot be
+# opened is refused before the run starts.
+_output_file = _checked(
+    str, lambda path: (os.path.isdir(os.path.dirname(path) or ".")
+                       and not os.path.isdir(path)),
+    "a file in an existing directory")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfstricks",
-        description=("Reproduce figures and tables from 'NFS Tricks and "
-                     "Benchmarking Traps' (USENIX 2003) in simulation."))
-    parser.add_argument("experiment",
-                        help="experiment id (fig1..fig8, table1, "
-                             "xaged, xlossy, xmixed, xfaults, xreplay) "
-                             "or 'list' / 'all'")
+def _leaf(commands, name: str, handler, help: str,
+          description: Optional[str] = None) -> argparse.ArgumentParser:
+    """A command that runs ``handler(args)``."""
+    parser = commands.add_parser(name, help=help,
+                                 description=description or help)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _json_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help="print a machine-readable JSON record "
+                             "instead of prose")
+
+
+def _obs_flags(parser: argparse.ArgumentParser) -> None:
+    """The observability flags of the experiments and ``replay``."""
+    parser.add_argument("--trace", metavar="FILE", type=_output_file,
+                        help="record spans for every simulated request "
+                             "and write Chrome trace_event JSON to FILE "
+                             "(open with Perfetto / chrome://tracing)")
+    parser.add_argument("--provenance", metavar="FILE", type=_output_file,
+                        help="record the causal provenance graph (op "
+                             "lineage edges; implies span tracing) and "
+                             "write it as JSONL to FILE; feed it to "
+                             "'diagnose --slowest/--op'")
+    parser.add_argument("--metrics", action="store_true",
+                        help="collect the per-layer metrics registry and "
+                             "print a report after the run")
+
+
+def _point_flags(parser: argparse.ArgumentParser, runs: int) -> None:
+    """File-size scale and runs per point: the experiments, ``bench``
+    and ``campaign bench``."""
     parser.add_argument("--scale", type=_positive_float, default=0.125,
                         help="file-size scale factor; 1.0 is the paper's "
                              "256 MB working set (default: 0.125)")
-    parser.add_argument("--runs", type=_positive_int, default=3,
-                        help="runs per point (paper uses >=10; "
-                             "default: 3)")
+    parser.add_argument("--runs", type=_positive_int, default=runs,
+                        help=f"seeded runs per point (paper uses >=10; "
+                             f"default: {runs})")
+
+
+def _figure_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every experiment id and of ``all``."""
+    _point_flags(parser, runs=3)
     parser.add_argument("--seed", type=int, default=0,
                         help="master random seed (default: 0)")
     parser.add_argument("--no-std", action="store_true",
                         help="print means only, no standard deviations")
     parser.add_argument("--plot", action="store_true",
                         help="also draw an ASCII chart of the figure")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="record spans for every simulated request "
-                             "and write Chrome trace_event JSON to FILE "
-                             "(open with Perfetto / chrome://tracing)")
-    parser.add_argument("--provenance", metavar="FILE", default=None,
-                        help="record the causal provenance graph (op "
-                             "lineage edges; implies span tracing) and "
-                             "write it as JSONL to FILE; feed it to "
-                             "'diagnose --slowest/--op'")
-    parser.add_argument("--provenance-dot", metavar="FILE", default=None,
+    _obs_flags(parser)
+    parser.add_argument("--provenance-dot", metavar="FILE",
+                        type=_output_file,
                         help="also write the provenance graph as a "
                              "Graphviz digraph to FILE (implies "
                              "--provenance collection)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="collect the per-layer metrics registry and "
-                             "print a report after each experiment")
-    parser.add_argument("--metrics-out", metavar="FILE", default=None,
+    parser.add_argument("--metrics-out", metavar="FILE", type=_output_file,
                         help="also write the per-run metric snapshots "
                              "as JSON to FILE (implies metrics "
                              "collection; feed it to 'diagnose')")
-    parser.add_argument("--detail-out", metavar="FILE", default=None,
+    parser.add_argument("--detail-out", metavar="FILE", type=_output_file,
                         help="write the experiment's per-run records "
                              "(raw counters behind the summarised "
                              "points, e.g. xfaults' retransmit and "
                              "recovery counts) as JSON to FILE")
+
+
+def _protocol_flags(parser: argparse.ArgumentParser) -> None:
+    """NFS transport and read-ahead knobs plus the master seed."""
+    parser.add_argument("--transport", choices=["udp", "tcp"],
+                        default="udp")
+    parser.add_argument("--heuristic", choices=HEURISTICS,
+                        default="default",
+                        help="server read-ahead heuristic")
+    parser.add_argument("--nfsheur", choices=["default", "improved"],
+                        default="default")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master random seed (default: 0)")
+
+
+def _testbed_flags(parser: argparse.ArgumentParser) -> None:
+    """The testbed knobs of ``bench``, ``replay`` and ``campaign
+    bench``."""
+    parser.add_argument("--drive", choices=["ide", "scsi"], default="ide")
+    parser.add_argument("--partition", type=int, choices=PARTITIONS,
+                        default=1,
+                        help="disk partition, 1 (outer) .. 4 (inner)")
+    _protocol_flags(parser)
+
+
+def _bench_flags(parser: argparse.ArgumentParser, runs: int) -> None:
+    """One benchmark point's shape: ``bench`` and ``campaign bench``."""
+    _testbed_flags(parser)
+    parser.add_argument("--readers", type=_positive_int, default=4,
+                        help="concurrent sequential readers (default: 4)")
+    _point_flags(parser, runs)
+    parser.add_argument("--history", metavar="PATH", nargs="?",
+                        const=True, default=None,
+                        help="append the JSON record to the bench "
+                             "history store (default: "
+                             "benchmarks/results/history.jsonl); "
+                             "'diagnose --against' gates future runs "
+                             "on it")
+
+
+def _orchestrator_flags(parser: argparse.ArgumentParser,
+                        jobs: int) -> None:
+    """The sharding/robustness knobs of `campaign` and `chaos fuzz`,
+    and their ``--json``."""
+    parser.add_argument("--jobs", type=_positive_int, default=jobs,
+                        help="worker processes to shard cells across")
+    parser.add_argument("--journal", metavar="PATH", default=None,
+                        help="campaign journal (JSONL); every completed "
+                             "cell is committed here before anything "
+                             "else happens, making the campaign "
+                             "resumable (default: an ephemeral "
+                             "temporary journal)")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume an interrupted campaign from "
+                             "--journal: cells already journalled are "
+                             "not re-run, and the final fold is "
+                             "byte-identical to an uninterrupted run")
+    parser.add_argument("--report", metavar="DIR", default=None,
+                        help="write a per-campaign report directory "
+                             "(fold.json, cells.csv, coverage.json, "
+                             "report.html)")
+    parser.add_argument("--cell-timeout", type=_positive_float,
+                        default=300.0,
+                        help="wall-clock seconds per cell before its "
+                             "worker is killed and the cell retried "
+                             "(default: 300)")
+    parser.add_argument("--max-attempts", type=_positive_int, default=3,
+                        help="attempts per cell before it is abandoned "
+                             "(default: 3)")
+    parser.add_argument("--wall-budget", type=_positive_float,
+                        default=None,
+                        help="stop dispatching after this many seconds "
+                             "and emit a partial, resumable result")
+    _json_flag(parser)
+
+
+def _chaos_flags(parser: argparse.ArgumentParser, budget: int,
+                 jobs: int) -> None:
+    """The fuzzed campaign of `chaos fuzz` and `campaign chaos`."""
+    parser.add_argument("--budget", type=_positive_int, default=budget,
+                        help=f"schedules to run (default: {budget})")
+    _protocol_flags(parser)
+    parser.add_argument("--clients", type=_positive_int, default=2,
+                        help="client machines (default: 2)")
+    parser.add_argument("--horizon", type=_positive_float, default=20.0,
+                        help="schedule horizon in simulated seconds")
+    parser.add_argument("--max-events", type=_positive_int, default=4,
+                        help="max fault events per schedule (default: 4)")
+    parser.add_argument("--no-recovery", action="store_true",
+                        help="disable the client's write-verifier "
+                             "recovery (bug-reintroduction mode: the "
+                             "no-lost-acked-data oracle should fail)")
+    parser.add_argument("--workload",
+                        choices=["write", "metadata", "mixed"],
+                        default="write",
+                        help="campaign kind: block writes (default), "
+                             "namespace mutations "
+                             "(CREATE/MKDIR/REMOVE/RENAME), or both "
+                             "at once")
+    parser.add_argument("--ack-before-intent", action="store_true",
+                        help="acknowledge metadata ops before forcing "
+                             "the intent log (bug-reintroduction mode: "
+                             "the no-lost-acked-metadata oracle should "
+                             "fail)")
+    parser.add_argument("--shrink-runs", type=_positive_int, default=48,
+                        help="run budget per failure for the shrinker")
+    parser.add_argument("--bundle-dir", metavar="DIR", default=None,
+                        help="shrink and bundle one repro per distinct "
+                             "failure into DIR")
+    _orchestrator_flags(parser, jobs)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nfstricks",
+        description=("Reproduce figures and tables from 'NFS Tricks and "
+                     "Benchmarking Traps' (USENIX 2003) in simulation. "
+                     "Flags follow the command."))
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+    for experiment in all_experiments():
+        leaf = _leaf(commands, experiment.id, _main_experiment,
+                     experiment.title)
+        leaf.set_defaults(experiment=experiment.id)
+        _figure_flags(leaf)
+    _leaf(commands, "list", _main_list,
+          "list every experiment and its paper claim")
+    _figure_flags(_leaf(commands, "all", _main_all,
+                        "run every experiment in turn"))
+
+    bench = _leaf(commands, "bench", None,
+                  "one NFS benchmark point (§4.3), repeated and "
+                  "summarised; repeats optionally run in parallel")
+    # The handler's namespace-spec errors are this leaf's usage errors.
+    bench.set_defaults(handler=functools.partial(_main_bench, bench))
+    _bench_flags(bench, runs=3)
+    bench.add_argument("--workload", choices=["streaming", "namespace"],
+                       default="streaming",
+                       help="streaming = the paper's §4.3 read "
+                            "benchmark; namespace = metadata-heavy "
+                            "directory-tree workload")
+    bench.add_argument("--pattern", default="stat",
+                       help="namespace access pattern "
+                            "(stat/list/grep/untar/edit)")
+    bench.add_argument("--files", type=int, default=10_000,
+                       help="namespace tree size in files")
+    bench.add_argument("--tree-depth", type=int, default=0,
+                       help="0 = one flat directory; >0 = nested "
+                            "fanout^depth leaf directories")
+    bench.add_argument("--fanout", type=int, default=32,
+                       help="directories per level when nested")
+    bench.add_argument("--ops", type=int, default=1_000,
+                       help="namespace operations per run")
+    bench.add_argument("--clients", type=_positive_int, default=1,
+                       help="client machines sharing the namespace "
+                            "workload")
+    bench.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for the repeats; output "
+                            "is byte-identical to --jobs 1")
+    bench.add_argument("--out", metavar="PATH", type=_output_file,
+                       help="also write the JSON record to PATH "
+                            "(implies --json), so CI and the history "
+                            "store consume it without shell "
+                            "redirection")
+    _json_flag(bench)
+
+    replay = _leaf(
+        commands, "replay", _main_replay,
+        "capture the benchmark's vnode-boundary trace and/or replay a "
+        "trace file against any testbed",
+        "Capture the benchmark's vnode-boundary trace and/or replay a "
+        "trace file against any testbed. Passing both --capture and "
+        "--replay with the same file does capture-then-replay in one "
+        "invocation.")
+    replay.add_argument("--capture", metavar="FILE", type=_output_file,
+                        help="run the benchmark on the source testbed "
+                             "(the plain flags) with capture on; write "
+                             "the trace to FILE")
+    replay.add_argument("--replay", metavar="FILE", default=None,
+                        help="replay the trace in FILE against the "
+                             "target testbed (the --target-* flags)")
+    replay.add_argument("--mode", choices=["open", "closed"],
+                        default="closed",
+                        help="closed = dependency-ordered, as fast as "
+                             "possible; open = timestamp-faithful")
+    replay.add_argument("--scale", type=_positive_float, default=1.0,
+                        help="open-loop time-scaling factor; >1 "
+                             "compresses the captured schedule "
+                             "(default: 1.0)")
+    replay.add_argument("--clients", type=_non_negative_int, default=0,
+                        help="multiplex the trace to N clients with "
+                             "Zipfian file remapping (0 = as captured)")
+    replay.add_argument("--zipf", type=_non_negative_float, default=1.1,
+                        help="Zipf exponent for the popularity remap")
+    _testbed_flags(replay)
+    replay.add_argument("--readers", type=_positive_int, default=2,
+                        help="readers in the captured benchmark run")
+    replay.add_argument("--bench-scale", type=_positive_float,
+                        default=0.125,
+                        help="file-size scale of the captured run")
+    replay.add_argument("--capture-clients", type=_positive_int,
+                        default=2,
+                        help="client machines in the captured run")
+    replay.add_argument("--target-transport", choices=["udp", "tcp"],
+                        default=None, help="target transport "
+                        "(default: same as the source)")
+    replay.add_argument("--target-heuristic", choices=HEURISTICS,
+                        default=None)
+    replay.add_argument("--target-nfsheur",
+                        choices=["default", "improved"], default=None)
+    replay.add_argument("--target-drive", choices=["ide", "scsi"],
+                        default=None)
+    replay.add_argument("--target-partition", type=int,
+                        choices=PARTITIONS, default=None)
+    replay.add_argument("--target-seed", type=int, default=None)
+    _obs_flags(replay)
+    _json_flag(replay)
+
+    diagnose = _leaf(
+        commands, "diagnose", _main_diagnose,
+        "attribute latency, flag benchmarking traps and gate "
+        "throughput over recorded artifacts",
+        "Diagnose recorded observability artifacts: attribute "
+        "end-to-end latency to request-path layers, flag the paper's "
+        "benchmarking traps with evidence, and gate throughput against "
+        "the bench history store.  Exit status 1 means the regression "
+        "gate failed.")
+    diagnose.add_argument("--trace", metavar="FILE", default=None,
+                          help="span export written by '--trace' "
+                               "(Chrome trace_event JSON)")
+    diagnose.add_argument("--metrics", metavar="FILE", default=None,
+                          help="metrics JSON written by '--metrics-out'")
+    diagnose.add_argument("--provenance", metavar="FILE", default=None,
+                          help="provenance JSONL written by "
+                               "'--provenance'; detectors cite causal "
+                               "chains and --op/--slowest annotate hops "
+                               "from it")
+    diagnose.add_argument("--op", metavar="ID", type=int, default=None,
+                          help="explain one op: walk span ID's lineage "
+                               "and print its evidence chain "
+                               "(needs --trace)")
+    diagnose.add_argument("--slowest", metavar="K", type=_positive_int,
+                          default=None,
+                          help="explain the K slowest ops in the trace "
+                               "(needs --trace)")
+    diagnose.add_argument("--bench", metavar="FILE", default=None,
+                          help="a 'bench --json' record to gate against "
+                               "the history store")
+    diagnose.add_argument("--against", metavar="FILE", default=None,
+                          help="history store (JSONL) to gate against; "
+                               "without --bench, its newest record is "
+                               "gated against its own past")
+    diagnose.add_argument("--floor", type=float, default=None,
+                          help="minimum relative regression that gates "
+                               "(default: 0.05, the paper's noise "
+                               "criterion)")
+    _json_flag(diagnose)
+
+    chaos = commands.add_parser(
+        "chaos", help="fuzz fault schedules against the correctness "
+                      "oracles; replay repro bundles",
+        description="Chaos-test the NFS stack: fuzz seeded fault "
+                    "schedules against the correctness oracles, shrink "
+                    "any failure to a minimal schedule, and replay "
+                    "repro bundles deterministically.  'fuzz' exits 1 "
+                    "if any oracle failed; 'replay' exits 1 if the "
+                    "bundle's failure did not reproduce bit-identically "
+                    "and 3 if the bundle file is missing, truncated, "
+                    "or corrupt.")
+    modes = chaos.add_subparsers(dest="mode", required=True)
+    fuzz = _leaf(modes, "fuzz", _main_chaos_fuzz,
+                 "run a fixed-seed campaign of fuzzed schedules; with "
+                 "--jobs or --journal it runs as 'campaign chaos'")
+    fuzz.set_defaults(kind="chaos")
+    _chaos_flags(fuzz, budget=30, jobs=1)
+    bundle = _leaf(modes, "replay", _main_chaos_replay,
+                   "re-execute a repro bundle deterministically")
+    bundle.add_argument("bundle", help="path to a chaos bundle JSON")
+    _json_flag(bundle)
+
+    campaign = commands.add_parser(
+        "campaign", help="sharded bench and chaos campaigns with a "
+                         "resumable journal",
+        description="Fleet-scale sharded campaigns with a checkpointed "
+                    "journal, worker-failure recovery, and --resume. "
+                    "Exit 0: complete and healthy; 1: complete with "
+                    "chaos failures; 3: campaign error; 4: partial "
+                    "(resumable with --resume).")
+    kinds = campaign.add_subparsers(dest="kind", required=True)
+    campaign_bench = _leaf(kinds, "bench", _main_campaign,
+                           "shard seeded benchmark repeats; the fold is "
+                           "byte-identical to a serial `bench` run")
+    _bench_flags(campaign_bench, runs=10)
+    _orchestrator_flags(campaign_bench, jobs=2)
+    _chaos_flags(_leaf(kinds, "chaos", _main_campaign,
+                       "shard fuzzed fault schedules; failures are "
+                       "deduped by run fingerprint and shrunk once per "
+                       "distinct failure"), budget=1000, jobs=2)
     return parser
 
 
-def _list_experiments() -> None:
+def _main_list(args) -> int:
     for experiment in all_experiments():
         print(f"{experiment.id:8s} {experiment.title}")
         print(f"{'':8s}   paper: {experiment.paper_claim}")
+    return 0
+
+
+def _main_experiment(args) -> int:
+    _run_one(args.experiment, args)
+    return 0
+
+
+def _main_all(args) -> int:
+    for experiment in all_experiments():
+        _run_one(experiment.id, args)
+        print()
+    return 0
+
+
+def _observe(args):
+    """The observation session the obs flags ask for."""
+    return observe(
+        trace=args.trace is not None,
+        metrics=(args.metrics
+                 or getattr(args, "metrics_out", None) is not None),
+        provenance=(args.provenance is not None
+                    or getattr(args, "provenance_dot", None) is not None))
+
+
+def _write_obs(session, args, quiet: bool = False) -> None:
+    """Print the metrics report and write the obs files the flags ask
+    for; ``quiet`` keeps the file lines off stdout."""
+    if args.metrics:
+        print()
+        print(session.metrics_report())
+    metrics_out = getattr(args, "metrics_out", None)
+    provenance_dot = getattr(args, "provenance_dot", None)
+    for path, render, line in (
+            (metrics_out, session.metrics_json,
+             f"metrics: {len(session.snapshots)} snapshots -> "
+             f"{metrics_out}"),
+            (args.trace, session.trace_json,
+             f"trace: {len(session.spans)} spans -> {args.trace} "
+             f"(load in https://ui.perfetto.dev)"),
+            (args.provenance, session.provenance_jsonl,
+             f"provenance: {len(session.prov_records)} records -> "
+             f"{args.provenance}"),
+            (provenance_dot, session.provenance_dot,
+             f"provenance dot: -> {provenance_dot}")):
+        if path is None:
+            continue
+        with open(path, "w") as handle:
+            handle.write(render())
+        if not quiet:
+            print(f"\n{line}")
 
 
 def _run_one(experiment_id: str, args) -> None:
     experiment = get(experiment_id)
-    metrics_out = getattr(args, "metrics_out", None)
-    provenance_out = getattr(args, "provenance", None)
-    provenance_dot = getattr(args, "provenance_dot", None)
     started = time.time()
-    with observe(trace=args.trace is not None,
-                 metrics=args.metrics or metrics_out is not None,
-                 provenance=(provenance_out is not None
-                             or provenance_dot is not None)) as session:
+    with _observe(args) as session:
         figure = experiment.run(scale=args.scale, runs=args.runs,
                                 seed=args.seed)
     elapsed = time.time() - started
@@ -148,109 +520,19 @@ def _run_one(experiment_id: str, args) -> None:
         from .stats import render_plot
         print()
         print(render_plot(figure))
-    if args.metrics:
-        print()
-        print(session.metrics_report())
-    if metrics_out is not None:
-        with open(metrics_out, "w") as handle:
-            handle.write(session.metrics_json())
-        print(f"\nmetrics: {len(session.snapshots)} snapshots -> "
-              f"{metrics_out}")
-    if args.trace is not None:
-        with open(args.trace, "w") as handle:
-            handle.write(session.trace_json())
-        print(f"\ntrace: {len(session.spans)} spans -> {args.trace} "
-              f"(load in https://ui.perfetto.dev)")
-    if provenance_out is not None:
-        with open(provenance_out, "w") as handle:
-            handle.write(session.provenance_jsonl())
-        print(f"\nprovenance: {len(session.prov_records)} records -> "
-              f"{provenance_out}")
-    if provenance_dot is not None:
-        with open(provenance_dot, "w") as handle:
-            handle.write(session.provenance_dot())
-        print(f"\nprovenance dot: -> {provenance_dot}")
-    detail_out = getattr(args, "detail_out", None)
-    if detail_out is not None:
+    _write_obs(session, args)
+    if args.detail_out is not None:
         records = getattr(figure, "detail", [])
-        with open(detail_out, "w") as handle:
+        with open(args.detail_out, "w") as handle:
             json.dump({"experiment": experiment.id,
                        "records": records}, handle,
                       indent=2, sort_keys=True)
             handle.write("\n")
         print(f"\ndetail: {len(records)} per-run records -> "
-              f"{detail_out}")
+              f"{args.detail_out}")
     print(f"\n[{experiment.id}] scale={args.scale} runs={args.runs} "
           f"seed={args.seed} wall={elapsed:.1f}s")
     print(f"paper claim: {experiment.paper_claim}")
-
-
-def _add_testbed_flags(parser: argparse.ArgumentParser) -> None:
-    """The testbed knobs shared by the ``bench`` and ``replay`` verbs."""
-    parser.add_argument("--drive", choices=["ide", "scsi"], default="ide")
-    parser.add_argument("--partition", type=int, choices=PARTITIONS,
-                        default=1,
-                        help="disk partition, 1 (outer) .. 4 (inner)")
-    parser.add_argument("--transport", choices=["udp", "tcp"],
-                        default="udp")
-    parser.add_argument("--heuristic", choices=HEURISTICS,
-                        default="default",
-                        help="server read-ahead heuristic")
-    parser.add_argument("--nfsheur", choices=["default", "improved"],
-                        default="default")
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfstricks bench",
-        description="One NFS benchmark point (§4.3), repeated and "
-                    "summarised; repeats optionally run in parallel.")
-    _add_testbed_flags(parser)
-    parser.add_argument("--readers", type=_positive_int, default=4,
-                        help="concurrent sequential readers (default: 4)")
-    parser.add_argument("--runs", type=_positive_int, default=3)
-    parser.add_argument("--scale", type=_positive_float, default=0.125,
-                        help="file-size scale factor (default: 0.125)")
-    parser.add_argument("--workload", choices=["streaming", "namespace"],
-                        default="streaming",
-                        help="streaming = the paper's §4.3 read "
-                             "benchmark; namespace = metadata-heavy "
-                             "directory-tree workload")
-    parser.add_argument("--pattern", default="stat",
-                        help="namespace access pattern "
-                             "(stat/list/grep/untar/edit)")
-    parser.add_argument("--files", type=int, default=10_000,
-                        help="namespace tree size in files")
-    parser.add_argument("--tree-depth", type=int, default=0,
-                        help="0 = one flat directory; >0 = nested "
-                             "fanout^depth leaf directories")
-    parser.add_argument("--fanout", type=int, default=32,
-                        help="directories per level when nested")
-    parser.add_argument("--ops", type=int, default=1_000,
-                        help="namespace operations per run")
-    parser.add_argument("--clients", type=_positive_int, default=1,
-                        help="client machines sharing the namespace "
-                             "workload")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for the repeats; output "
-                             "is byte-identical to --jobs 1")
-    parser.add_argument("--json", action="store_true",
-                        help="print a machine-readable JSON record "
-                             "instead of prose")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="also write the JSON record to PATH "
-                             "(implies --json), so CI and the history "
-                             "store consume it without shell "
-                             "redirection")
-    parser.add_argument("--history", metavar="PATH", nargs="?",
-                        const=True, default=None,
-                        help="append the JSON record to the bench "
-                             "history store (default: "
-                             "benchmarks/results/history.jsonl); "
-                             "'diagnose --against' gates future runs "
-                             "on it")
-    return parser
 
 
 def _bench_config(args):
@@ -261,11 +543,9 @@ def _bench_config(args):
                          nfsheur=args.nfsheur, seed=args.seed)
 
 
-def _main_bench(argv: List[str]) -> int:
+def _main_bench(parser: argparse.ArgumentParser, args) -> int:
     from .bench.runner import collect_metric, run_nfs_once
     from .stats import RunningSummary
-    parser = _build_bench_parser()
-    args = parser.parse_args(argv)
     config = _bench_config(args)
     if args.workload == "namespace":
         from .workloads import (NamespaceTreeSpec, NamespaceWorkload,
@@ -335,75 +615,11 @@ def _main_bench(argv: List[str]) -> int:
     return 0
 
 
-def _build_replay_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfstricks replay",
-        description="Capture the benchmark's vnode-boundary trace "
-                    "and/or replay a trace file against any testbed. "
-                    "Passing both --capture and --replay with the same "
-                    "file does capture-then-replay in one invocation.")
-    parser.add_argument("--capture", metavar="FILE", default=None,
-                        help="run the benchmark on the source testbed "
-                             "(the plain flags) with capture on; write "
-                             "the trace to FILE")
-    parser.add_argument("--replay", metavar="FILE", default=None,
-                        help="replay the trace in FILE against the "
-                             "target testbed (the --target-* flags)")
-    parser.add_argument("--mode", choices=["open", "closed"],
-                        default="closed",
-                        help="closed = dependency-ordered, as fast as "
-                             "possible; open = timestamp-faithful")
-    parser.add_argument("--scale", type=_positive_float, default=1.0,
-                        help="open-loop time-scaling factor; >1 "
-                             "compresses the captured schedule "
-                             "(default: 1.0)")
-    parser.add_argument("--clients", type=_non_negative_int, default=0,
-                        help="multiplex the trace to N clients with "
-                             "Zipfian file remapping (0 = as captured)")
-    parser.add_argument("--zipf", type=float, default=1.1,
-                        help="Zipf exponent for the popularity remap")
-    _add_testbed_flags(parser)
-    parser.add_argument("--readers", type=_positive_int, default=2,
-                        help="readers in the captured benchmark run")
-    parser.add_argument("--bench-scale", type=_positive_float,
-                        default=0.125,
-                        help="file-size scale of the captured run")
-    parser.add_argument("--capture-clients", type=_positive_int,
-                        default=2,
-                        help="client machines in the captured run")
-    parser.add_argument("--target-transport", choices=["udp", "tcp"],
-                        default=None, help="target transport "
-                        "(default: same as the source)")
-    parser.add_argument("--target-heuristic", choices=HEURISTICS,
-                        default=None)
-    parser.add_argument("--target-nfsheur",
-                        choices=["default", "improved"], default=None)
-    parser.add_argument("--target-drive", choices=["ide", "scsi"],
-                        default=None)
-    parser.add_argument("--target-partition", type=int,
-                        choices=PARTITIONS, default=None)
-    parser.add_argument("--target-seed", type=int, default=None)
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the target testbed's metrics "
-                             "registry after the replay")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="record spans during the replay and write "
-                             "Chrome trace_event JSON to FILE")
-    parser.add_argument("--provenance", metavar="FILE", default=None,
-                        help="record the replay's causal provenance "
-                             "graph (implies span tracing) and write "
-                             "it as JSONL to FILE")
-    parser.add_argument("--json", action="store_true",
-                        help="print the replay summary as JSON")
-    return parser
-
-
-def _main_replay(argv: List[str]) -> int:
+def _main_replay(args) -> int:
     from dataclasses import replace
     from .replay import (capture_nfs_run, read_trace_file, replay_trace,
                          write_trace_file)
     from .replay.format import TraceFormatError
-    args = _build_replay_parser().parse_args(argv)
     if args.capture is None and args.replay is None:
         print("replay: need --capture FILE and/or --replay FILE",
               file=sys.stderr)
@@ -435,9 +651,7 @@ def _main_replay(argv: List[str]) -> int:
         nfsheur=args.target_nfsheur or args.nfsheur,
         seed=args.target_seed if args.target_seed is not None
         else args.seed)
-    with observe(metrics=args.metrics,
-                 trace=args.trace is not None,
-                 provenance=args.provenance is not None) as session:
+    with _observe(args) as session:
         result = replay_trace(trace, target, mode=args.mode,
                               time_scale=args.scale,
                               clients=args.clients, zipf_s=args.zipf)
@@ -452,70 +666,13 @@ def _main_replay(argv: List[str]) -> int:
               f"{summary['throughput_mb_s']:.2f} MB/s in "
               f"{summary['elapsed']:.2f}s simulated, "
               f"lateness {summary['lateness_s']:.3f}s")
-    if args.metrics:
-        print()
-        print(session.metrics_report())
-    if args.trace is not None:
-        with open(args.trace, "w") as handle:
-            handle.write(session.trace_json())
-        if not args.json:
-            print(f"trace: {len(session.spans)} spans -> {args.trace}")
-    if args.provenance is not None:
-        with open(args.provenance, "w") as handle:
-            handle.write(session.provenance_jsonl())
-        if not args.json:
-            print(f"provenance: {len(session.prov_records)} records -> "
-                  f"{args.provenance}")
+    _write_obs(session, args, quiet=args.json)
     return 0
 
 
-def _build_diagnose_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfstricks diagnose",
-        description="Diagnose recorded observability artifacts: "
-                    "attribute end-to-end latency to request-path "
-                    "layers, flag the paper's benchmarking traps with "
-                    "evidence, and gate throughput against the bench "
-                    "history store.  Exit status 1 means the "
-                    "regression gate failed.")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="span export written by '--trace' "
-                             "(Chrome trace_event JSON)")
-    parser.add_argument("--metrics", metavar="FILE", default=None,
-                        help="metrics JSON written by '--metrics-out'")
-    parser.add_argument("--provenance", metavar="FILE", default=None,
-                        help="provenance JSONL written by "
-                             "'--provenance'; detectors cite causal "
-                             "chains and --op/--slowest annotate hops "
-                             "from it")
-    parser.add_argument("--op", metavar="ID", type=int, default=None,
-                        help="explain one op: walk span ID's lineage "
-                             "and print its evidence chain "
-                             "(needs --trace)")
-    parser.add_argument("--slowest", metavar="K", type=_positive_int,
-                        default=None,
-                        help="explain the K slowest ops in the trace "
-                             "(needs --trace)")
-    parser.add_argument("--bench", metavar="FILE", default=None,
-                        help="a 'bench --json' record to gate against "
-                             "the history store")
-    parser.add_argument("--against", metavar="FILE", default=None,
-                        help="history store (JSONL) to gate against; "
-                             "without --bench, its newest record is "
-                             "gated against its own past")
-    parser.add_argument("--floor", type=float, default=None,
-                        help="minimum relative regression that gates "
-                             "(default: 0.05, the paper's noise "
-                             "criterion)")
-    parser.add_argument("--json", action="store_true",
-                        help="print the DiagnosisReport as JSON")
-    return parser
-
-
-def _main_diagnose(argv: List[str]) -> int:
+def _main_diagnose(args) -> int:
     from .diagnose import (DEFAULT_FLOOR, build_inputs, diagnose,
                            load_history)
-    args = _build_diagnose_parser().parse_args(argv)
     if not (args.trace or args.metrics or args.against):
         print("diagnose: need at least one of --trace/--metrics/"
               "--against", file=sys.stderr)
@@ -572,48 +729,6 @@ def _diagnose_rootcause(inputs, args) -> int:
     return 0
 
 
-def _add_orchestrator_flags(parser: argparse.ArgumentParser,
-                            jobs_default: int = 1) -> None:
-    """The sharding/robustness knobs shared by `campaign` and
-    `chaos fuzz --jobs`."""
-    parser.add_argument("--jobs", type=_positive_int, default=jobs_default,
-                        help="worker processes to shard cells across")
-    parser.add_argument("--journal", metavar="PATH", default=None,
-                        help="campaign journal (JSONL); every completed "
-                             "cell is committed here before anything "
-                             "else happens, making the campaign "
-                             "resumable (default: an ephemeral "
-                             "temporary journal)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted campaign from "
-                             "--journal: cells already journalled are "
-                             "not re-run, and the final fold is "
-                             "byte-identical to an uninterrupted run")
-    parser.add_argument("--report", metavar="DIR", default=None,
-                        help="write a per-campaign report directory "
-                             "(fold.json, cells.csv, coverage.json, "
-                             "report.html)")
-    parser.add_argument("--cell-timeout", type=_positive_float,
-                        default=300.0,
-                        help="wall-clock seconds per cell before its "
-                             "worker is killed and the cell retried "
-                             "(default: 300)")
-    parser.add_argument("--max-attempts", type=_positive_int, default=3,
-                        help="attempts per cell before it is abandoned "
-                             "(default: 3)")
-    parser.add_argument("--wall-budget", type=float, default=None,
-                        help="stop dispatching after this many seconds "
-                             "and emit a partial, resumable result")
-
-
-def _campaign_options(args):
-    from .campaign import CampaignOptions
-    return CampaignOptions(workers=args.jobs,
-                           cell_timeout=args.cell_timeout,
-                           max_attempts=args.max_attempts,
-                           wall_budget=args.wall_budget)
-
-
 def _campaign_progress(total: int, quiet: bool):
     """Progress reporter: failures and health events go to stderr."""
     step = max(1, total // 20)
@@ -656,68 +771,23 @@ def _campaign_progress(total: int, quiet: bool):
     return progress
 
 
-def _build_campaign_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfstricks campaign",
-        description="Fleet-scale sharded campaigns with a checkpointed "
-                    "journal, worker-failure recovery, and --resume. "
-                    "Exit 0: complete and healthy; 1: complete with "
-                    "chaos failures; 3: campaign error; 4: partial "
-                    "(resumable with --resume).")
-    sub = parser.add_subparsers(dest="kind", required=True)
-    bench = sub.add_parser(
-        "bench", help="shard seeded benchmark repeats; the fold is "
-                      "byte-identical to a serial `bench` run")
-    _add_testbed_flags(bench)
-    bench.add_argument("--readers", type=_positive_int, default=4)
-    bench.add_argument("--runs", type=_positive_int, default=10,
-                       help="repeats = cells (default: 10)")
-    bench.add_argument("--scale", type=_positive_float, default=0.125)
-    bench.add_argument("--history", metavar="PATH", nargs="?",
-                       const=True, default=None,
-                       help="stream the folded record into the bench "
-                            "history store")
-    _add_orchestrator_flags(bench, jobs_default=2)
-    bench.add_argument("--json", action="store_true")
-    chaos = sub.add_parser(
-        "chaos", help="shard fuzzed fault schedules; failures are "
-                      "deduped by run fingerprint and shrunk once per "
-                      "distinct failure")
-    chaos.add_argument("--budget", type=_positive_int, default=1000,
-                       help="schedules = cells (default: 1000)")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--transport", choices=["udp", "tcp"],
-                       default="udp")
-    chaos.add_argument("--heuristic", choices=HEURISTICS,
-                       default="default")
-    chaos.add_argument("--nfsheur", choices=["default", "improved"],
-                       default="default")
-    chaos.add_argument("--clients", type=_positive_int, default=2)
-    chaos.add_argument("--horizon", type=_positive_float, default=20.0)
-    chaos.add_argument("--max-events", type=_positive_int, default=4)
-    chaos.add_argument("--no-recovery", action="store_true")
-    chaos.add_argument("--workload",
-                       choices=["write", "metadata", "mixed"],
-                       default="write",
-                       help="campaign kind: block writes (default), "
-                            "namespace mutations, or both at once")
-    chaos.add_argument("--ack-before-intent", action="store_true")
-    chaos.add_argument("--shrink-runs", type=int, default=48)
-    chaos.add_argument("--bundle-dir", metavar="DIR", default=None,
-                       help="shrink + bundle one repro per distinct "
-                            "failure fingerprint into DIR")
-    _add_orchestrator_flags(chaos, jobs_default=2)
-    chaos.add_argument("--json", action="store_true")
-    return parser
+def _chaos_spec(args):
+    from .campaign import chaos_spec
+    return chaos_spec(args.budget, transport=args.transport,
+                      heuristic=args.heuristic, nfsheur=args.nfsheur,
+                      clients=args.clients, horizon=args.horizon,
+                      max_events=args.max_events,
+                      recovery=not args.no_recovery, seed=args.seed,
+                      workload=args.workload,
+                      ack_before_intent=args.ack_before_intent)
 
 
-def _main_campaign(argv: List[str]) -> int:
+def _main_campaign(args) -> int:
     import tempfile
-    from .campaign import (CampaignIncomplete, JournalError, bench_spec,
-                           chaos_spec, run_bench_campaign,
+    from .campaign import (CampaignIncomplete, CampaignOptions,
+                           JournalError, bench_spec, run_bench_campaign,
                            run_chaos_campaign, write_report)
     from .diagnose import DEFAULT_HISTORY_PATH
-    args = _build_campaign_parser().parse_args(argv)
     if args.kind == "bench":
         spec = bench_spec(args.runs, drive=args.drive,
                           partition=args.partition,
@@ -729,21 +799,15 @@ def _main_campaign(argv: List[str]) -> int:
                  f"{args.transport}/{args.heuristic}/{args.nfsheur} "
                  f"{args.drive}{args.partition}")
     else:
-        spec = chaos_spec(args.budget, transport=args.transport,
-                          heuristic=args.heuristic,
-                          nfsheur=args.nfsheur, clients=args.clients,
-                          horizon=args.horizon,
-                          max_events=args.max_events,
-                          recovery=not args.no_recovery,
-                          seed=args.seed,
-                          workload=_chaos_workload_jsonable(
-                              args.workload),
-                          ack_before_intent=args.ack_before_intent)
+        spec = _chaos_spec(args)
         kind_tag = ("" if args.workload == "write"
                     else f"{args.workload} ")
         title = (f"chaos campaign: {args.budget} {kind_tag}schedules "
                  f"on {args.transport}/{args.heuristic}")
-    options = _campaign_options(args)
+    options = CampaignOptions(workers=args.jobs,
+                              cell_timeout=args.cell_timeout,
+                              max_attempts=args.max_attempts,
+                              wall_budget=args.wall_budget)
     progress = _campaign_progress(spec.cells, quiet=args.json)
     tmp_dir = None
     journal = args.journal
@@ -812,171 +876,35 @@ def _main_campaign(argv: List[str]) -> int:
     return 0
 
 
-def _build_chaos_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfstricks chaos",
-        description="Chaos-test the NFS stack: fuzz seeded fault "
-                    "schedules against the correctness oracles, shrink "
-                    "any failure to a minimal schedule, and replay "
-                    "repro bundles deterministically.  'fuzz' exits 1 "
-                    "if any oracle failed; 'replay' exits 1 if the "
-                    "bundle's failure did not reproduce bit-identically "
-                    "and 3 if the bundle file is missing, truncated, "
-                    "or corrupt.")
-    sub = parser.add_subparsers(dest="mode", required=True)
-    fuzz = sub.add_parser(
-        "fuzz", help="run a fixed-seed campaign of fuzzed schedules")
-    fuzz.add_argument("--budget", type=_positive_int, default=30,
-                      help="schedules to run (default: 30)")
-    fuzz.add_argument("--seed", type=int, default=0,
-                      help="campaign master seed (default: 0)")
-    fuzz.add_argument("--transport", choices=["udp", "tcp"],
-                      default="udp")
-    fuzz.add_argument("--heuristic", choices=HEURISTICS,
-                      default="default",
-                      help="server read-ahead heuristic")
-    fuzz.add_argument("--nfsheur", choices=["default", "improved"],
-                      default="default")
-    fuzz.add_argument("--clients", type=_positive_int, default=2,
-                      help="client machines (default: 2)")
-    fuzz.add_argument("--horizon", type=_positive_float, default=20.0,
-                      help="schedule horizon in simulated seconds")
-    fuzz.add_argument("--max-events", type=_positive_int, default=4,
-                      help="max fault events per schedule (default: 4)")
-    fuzz.add_argument("--no-recovery", action="store_true",
-                      help="disable the client's write-verifier "
-                           "recovery (bug-reintroduction mode: the "
-                           "no-lost-acked-data oracle should fail)")
-    fuzz.add_argument("--workload",
-                      choices=["write", "metadata", "mixed"],
-                      default="write",
-                      help="campaign kind: block writes (default), "
-                           "namespace mutations "
-                           "(CREATE/MKDIR/REMOVE/RENAME), or both "
-                           "at once")
-    fuzz.add_argument("--ack-before-intent", action="store_true",
-                      help="acknowledge metadata ops before forcing "
-                           "the intent log (bug-reintroduction mode: "
-                           "the no-lost-acked-metadata oracle should "
-                           "fail)")
-    fuzz.add_argument("--shrink-runs", type=int, default=48,
-                      help="run budget per failure for the shrinker")
-    fuzz.add_argument("--bundle-dir", metavar="DIR", default=None,
-                      help="write a shrunk repro bundle per failure "
-                           "into DIR")
-    fuzz.add_argument("--json", action="store_true",
-                      help="print a machine-readable campaign record")
-    _add_orchestrator_flags(fuzz)
-    replay = sub.add_parser(
-        "replay", help="re-execute a repro bundle deterministically")
-    replay.add_argument("bundle", help="path to a chaos bundle JSON")
-    replay.add_argument("--json", action="store_true",
-                        help="print the full replay outcome as JSON")
-    return parser
-
-
-def _chaos_workload(kind: str):
-    """The default workload object for a `--workload` choice."""
-    from .chaos import ChaosWorkload, MetadataWorkload, MixedWorkload
-    if kind == "metadata":
-        return MetadataWorkload()
-    if kind == "mixed":
-        return MixedWorkload()
-    return ChaosWorkload()
-
-
-def _chaos_workload_jsonable(kind: str):
-    """Campaign-spec form: None for the default write workload, so a
-    pre-metadata spec (and its journal fingerprint) is unchanged."""
-    if kind == "write":
-        return None
-    return _chaos_workload(kind).to_jsonable()
-
-
-def _main_chaos(argv: List[str]) -> int:
-    from .chaos import (BundleError, ScheduleFuzzer,
-                        replay_bundle, run_campaign, shrink,
-                        write_bundle)
-    from .host.testbed import TestbedConfig
-    args = _build_chaos_parser().parse_args(argv)
-
-    if args.mode == "replay":
-        try:
-            outcome = replay_bundle(args.bundle)
-        except BundleError as error:
-            # A bad bundle file is its own failure class: one line, no
-            # traceback, and an exit code distinct from both "did not
-            # reproduce" (1) and a usage error (2).
-            print(f"chaos replay: {error}", file=sys.stderr)
-            return 3
-        except (OSError, ValueError, KeyError) as error:
-            print(f"chaos replay: {error}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(outcome.to_jsonable(), sort_keys=True))
-        else:
-            verdict = ("reproduced" if outcome.reproduced
-                       else "DID NOT REPRODUCE")
-            print(f"{args.bundle}: {verdict} "
-                  f"(failed oracles: "
-                  f"{', '.join(outcome.result.failed_oracles) or 'none'}"
-                  f"; fingerprint {outcome.result.fingerprint[:16]}...)")
-        return 0 if outcome.reproduced else 1
-
+def _main_chaos_fuzz(args) -> int:
+    """`chaos fuzz`: serial, or the `campaign chaos` path under
+    ``--jobs``/``--journal``, which shards cells across workers,
+    journals every verdict, and shrinks each distinct failure once."""
     if args.jobs > 1 or args.journal is not None:
-        return _main_chaos_sharded(args)
-
-    config = TestbedConfig(
-        transport=args.transport, server_heuristic=args.heuristic,
-        nfsheur=args.nfsheur, num_clients=args.clients,
-        mount_verifier_recovery=not args.no_recovery,
-        meta_ack_before_intent=args.ack_before_intent, seed=args.seed)
-    fuzzer = ScheduleFuzzer(args.seed, horizon=args.horizon,
-                            max_events=args.max_events)
-    workload = _chaos_workload(args.workload)
+        return _main_campaign(args)
+    from .campaign import run_chaos_cell, shrink_failure
+    spec = _chaos_spec(args)
     failures = []
-
-    def report(run):
-        if run.result.ok:
-            return
-        failures.append(run)
+    for index in range(args.budget):
+        cell = run_chaos_cell(spec, index)
+        if cell["ok"]:
+            continue
+        failures.append({"index": index,
+                         "failed_oracles": cell["failed_oracles"],
+                         "fingerprint": cell["fingerprint"]})
         if not args.json:
-            print(f"schedule {run.index}: FAILED "
-                  f"{', '.join(run.result.failed_oracles)} "
-                  f"({len(run.schedule.events)} events)")
-
-    runs = run_campaign(config, fuzzer, args.budget, workload=workload,
-                        on_result=report)
-    failure_records = []
-    for run in failures:
-        target = run.result.failed_oracles[0]
-        run_config = config.with_seed(config.seed + 1000 * run.index)
-        shrunk = shrink(run_config, run.schedule, target,
-                        workload=workload, max_runs=args.shrink_runs)
-        minimal = shrunk.schedule
-        final = None
-        bundle_path = None
-        if args.bundle_dir is not None:
-            from .chaos import run_chaos
-            final = run_chaos(run_config, minimal, workload)
-            os.makedirs(args.bundle_dir, exist_ok=True)
-            bundle_path = os.path.join(args.bundle_dir,
-                                       f"chaos-{run.index}.json")
-            write_bundle(bundle_path, run_config, workload, minimal,
-                         final)
-        failure_records.append({
-            "index": run.index,
-            "failed_oracles": list(run.result.failed_oracles),
-            "fingerprint": run.result.fingerprint,
-            "shrunk_events": [e.to_jsonable() for e in minimal.events],
-            "shrink_runs": shrunk.runs,
-            "bundle": bundle_path,
-        })
+            print(f"schedule {index}: FAILED "
+                  f"{', '.join(cell['failed_oracles'])} "
+                  f"({cell['events']} events)")
+    for failure in failures:
+        failure.update(shrink_failure(
+            spec, failure["index"], failure["failed_oracles"][0],
+            args.shrink_runs, args.bundle_dir))
         if not args.json:
-            where = f" -> {bundle_path}" if bundle_path else ""
-            print(f"  shrunk to {len(minimal.events)} event(s) "
-                  f"in {shrunk.runs} runs{where}")
-
+            where = (f" -> {failure['bundle']}" if failure["bundle"]
+                     else "")
+            print(f"  shrunk to {len(failure['shrunk_events'])} "
+                  f"event(s) in {failure['shrink_runs']} runs{where}")
     record = {"verb": "chaos-fuzz", "budget": args.budget,
               "seed": args.seed, "transport": args.transport,
               "heuristic": args.heuristic, "nfsheur": args.nfsheur,
@@ -985,109 +913,47 @@ def _main_chaos(argv: List[str]) -> int:
               "recovery": not args.no_recovery,
               "workload": args.workload,
               "ack_before_intent": args.ack_before_intent,
-              "runs": len(runs),
-              "failures": failure_records,
+              "runs": args.budget,
+              "failures": failures,
               "ok": not failures}
     if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
         verdict = ("all oracles green" if not failures
                    else f"{len(failures)} failing schedule(s)")
-        print(f"chaos fuzz: {len(runs)} schedules on "
+        print(f"chaos fuzz: {args.budget} schedules on "
               f"{args.transport}/{args.heuristic}: {verdict}")
     return 1 if failures else 0
 
 
-def _main_chaos_sharded(args) -> int:
-    """`chaos fuzz --jobs/--journal`: the campaign-orchestrated path.
-
-    Raises fuzzing from hundreds of schedules to 100k-class campaigns:
-    cells are sharded across workers, every verdict is journalled, and
-    failures are deduped by run fingerprint before shrinking — a long
-    campaign rediscovers the same bug many times, but each distinct
-    failure is shrunk and bundled exactly once.
-    """
-    import tempfile
-    from .campaign import (CampaignIncomplete, JournalError, chaos_spec,
-                           run_chaos_campaign)
-    spec = chaos_spec(args.budget, transport=args.transport,
-                      heuristic=args.heuristic, nfsheur=args.nfsheur,
-                      clients=args.clients, horizon=args.horizon,
-                      max_events=args.max_events,
-                      recovery=not args.no_recovery, seed=args.seed,
-                      workload=_chaos_workload_jsonable(args.workload),
-                      ack_before_intent=args.ack_before_intent)
-    options = _campaign_options(args)
-    progress = _campaign_progress(spec.cells, quiet=args.json)
-    tmp_dir = None
-    journal = args.journal
-    if journal is None:
-        tmp_dir = tempfile.TemporaryDirectory(prefix="chaos-fuzz-")
-        journal = os.path.join(tmp_dir.name, "journal.jsonl")
+def _main_chaos_replay(args) -> int:
+    from .chaos import BundleError, replay_bundle
     try:
-        record, outcome = run_chaos_campaign(
-            spec, journal, options=options, resume=args.resume,
-            progress=progress, bundle_dir=args.bundle_dir,
-            shrink_runs=args.shrink_runs)
-    except (JournalError, CampaignIncomplete) as error:
-        print(f"chaos fuzz: {error}", file=sys.stderr)
-        return 3 if isinstance(error, JournalError) else 4
-    finally:
-        if tmp_dir is not None:
-            tmp_dir.cleanup()
-    if args.report is not None:
-        from .campaign import write_report
-        write_report(args.report, outcome,
-                     f"chaos fuzz: {args.budget} schedules on "
-                     f"{args.transport}/{args.heuristic}")
-    payload = {"record": record, "coverage": outcome.coverage}
+        outcome = replay_bundle(args.bundle)
+    except BundleError as error:
+        # A bad bundle file is its own failure class: one line, no
+        # traceback, and an exit code distinct from both "did not
+        # reproduce" (1) and a usage error (2).
+        print(f"chaos replay: {error}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError, KeyError) as error:
+        print(f"chaos replay: {error}", file=sys.stderr)
+        return 2
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(outcome.to_jsonable(), sort_keys=True))
     else:
-        coverage = outcome.coverage
-        verdict = ("all oracles green" if record["ok"] else
-                   f"{len(record['distinct_failures'])} distinct "
-                   f"failure(s) over {record['failing_cells']} "
-                   f"cell(s)")
-        print(f"chaos fuzz: {record['runs']} schedules on "
-              f"{args.transport}/{args.heuristic} "
-              f"({coverage['done']}/{coverage['cells']} cells, "
-              f"{coverage['retried']} retried, "
-              f"{coverage['worker_crashes']} worker crashes): "
-              f"{verdict}")
-    if not outcome.complete:
-        return 4
-    return 1 if not record["ok"] else 0
+        verdict = ("reproduced" if outcome.reproduced
+                   else "DID NOT REPRODUCE")
+        print(f"{args.bundle}: {verdict} "
+              f"(failed oracles: "
+              f"{', '.join(outcome.result.failed_oracles) or 'none'}"
+              f"; fingerprint {outcome.result.fingerprint[:16]}...)")
+    return 0 if outcome.reproduced else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        return _main_bench(argv[1:])
-    if argv and argv[0] == "replay":
-        return _main_replay(argv[1:])
-    if argv and argv[0] == "diagnose":
-        return _main_diagnose(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _main_chaos(argv[1:])
-    if argv and argv[0] == "campaign":
-        return _main_campaign(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.experiment == "list":
-        _list_experiments()
-        return 0
-    if args.experiment == "all":
-        for experiment in all_experiments():
-            _run_one(experiment.id, args)
-            print()
-        return 0
-    try:
-        _run_one(args.experiment, args)
-    except KeyError as error:
-        print(error, file=sys.stderr)
-        return 2
-    return 0
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -746,6 +746,11 @@ class TestCampaignCli:
         assert sharded_cells == len(serial["failures"])
         assert {f["fingerprint"] for f in record["distinct_failures"]} \
             <= serial_failures or not serial_failures
+        # Sharded `chaos fuzz` is `campaign chaos`: the same record.
+        code3 = main(["campaign", "chaos", "--budget", "4", "--jobs", "2",
+                      "--json"])
+        assert code3 == code2
+        assert json.loads(capsys.readouterr().out)["record"] == record
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,8 @@ def render_cli(experiment: str) -> bytes:
     from repro.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["--runs", "1", "--scale", "0.05",
-                     experiment]) in (0, None)
+        assert main([experiment, "--runs", "1", "--scale",
+                     "0.05"]) in (0, None)
     return "".join(line for line in out.getvalue().splitlines(True)
                    if "wall=" not in line).encode()
 
