@@ -5,8 +5,20 @@ the paper reports (who wins, roughly by how much) — not the absolute
 MB/s, which belong to the authors' hardware.  They are the regression
 net for the whole model: if a change to any subsystem breaks a paper
 claim, one of these fails.
+
+The same figures are also pinned byte for byte: each experiment's
+:class:`~repro.stats.SeriesSet`, as canonical JSON, must hash to the
+digest in ``tests/golden/experiments.json``.  A change that is meant
+to move a figure re-pins the manifest and says why in CHANGES.md::
+
+    PYTHONPATH=src python -m tests.test_experiments_shapes \\
+        > tests/golden/experiments.json
 """
 
+import dataclasses
+import hashlib
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,19 +29,48 @@ from repro.experiments import all_experiments, get
 SCALE = 1 / 16
 RUNS = 1
 
+GOLDEN_PATH = Path(__file__).parent / "golden" / "experiments.json"
+
 
 #: Experiments whose effects need longer files to mature (the nfsheur
 #: thrash of figs 6-7 builds up over a run) get a larger scale.
 SCALE_OVERRIDES = {"fig6": 1 / 8, "fig7": 1 / 8}
 
 
-@pytest.fixture(scope="module")
-def figures():
-    """Run every experiment once at small scale (module-cached)."""
+def run_all() -> dict:
+    """Every experiment's figure at small scale, by experiment id."""
     return {experiment.id: experiment.run(
                 scale=SCALE_OVERRIDES.get(experiment.id, SCALE),
                 runs=RUNS, seed=7)
             for experiment in all_experiments()}
+
+
+def figure_digest(figure) -> str:
+    """SHA-256 of a figure's canonical JSON (sorted keys)."""
+    blob = json.dumps(dataclasses.asdict(figure), sort_keys=True,
+                      separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def figures():
+    """Run every experiment once at small scale (module-cached)."""
+    return run_all()
+
+
+class TestPinnedFigures:
+    def test_manifest_names_every_experiment(self):
+        pinned = json.loads(GOLDEN_PATH.read_text())
+        assert sorted(pinned) == [e.id for e in all_experiments()]
+
+    @pytest.mark.parametrize("experiment_id",
+                             [e.id for e in all_experiments()])
+    def test_figure_byte_identical(self, figures, experiment_id):
+        pinned = json.loads(GOLDEN_PATH.read_text())
+        assert figure_digest(figures[experiment_id]) == \
+            pinned[experiment_id], \
+            f"{experiment_id}: figure moved from its pinned digest\n" \
+            f"{figures[experiment_id].render()}"
 
 
 class TestRegistry:
@@ -308,3 +349,10 @@ class TestExtensionExperiments(object):
         assert any(r["retransmits"] > 0 for r in lossy_udp)
         clean = [r for r in records if r["mean_loss"] == 0.0]
         assert all(r["retransmits"] == 0 for r in clean)
+
+
+if __name__ == "__main__":
+    manifest = {experiment_id: figure_digest(figure)
+                for experiment_id, figure in run_all().items()}
+    json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
