@@ -44,8 +44,7 @@ def _accepts_span(fn) -> bool:
 
     Pre-tracing open/read functions (plain 0- and 3-argument
     callables) remain valid reader arguments; span-aware ones opt in
-    by naming the parameter — the same probe the NFS server uses for
-    its heuristics.
+    by naming the parameter.
     """
     try:
         return "span" in inspect.signature(fn).parameters

@@ -22,7 +22,6 @@ FreeBSD-era RPC code actually does under failure:
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 from collections import OrderedDict
@@ -281,11 +280,15 @@ _IN_PROGRESS = object()
 class RpcServer:
     """Dispatches incoming calls to an asynchronous handler.
 
-    The handler is a generator function ``handler(body)`` returning
-    ``(reply_body, reply_payload_bytes)`` — or ``None`` to drop the
-    request without replying (a crashed server); each call runs as its
-    own simulation process, so the server's own concurrency limits (the
-    nfsd pool) live in the handler.
+    The handler is a generator function ``handler(body, span, rpc_key)``
+    returning ``(reply_body, reply_payload_bytes)`` — or ``None`` to
+    drop the request without replying (a crashed server); each call runs
+    as its own simulation process, so the server's own concurrency
+    limits (the nfsd pool) live in the handler.  ``span`` is the serve
+    span (None when tracing is off), for parenting the handler's own
+    instrumentation; ``rpc_key`` is the request's ``(client, xid)``
+    identity, what a stable-storage replay cache keys on (the wire
+    protocol already carries both fields).
 
     ``dupreq_cache_size`` bounds the duplicate-request cache (0
     disables it): a retransmission of an in-flight request is dropped,
@@ -316,25 +319,11 @@ class RpcServer:
         self._dupreq: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
         self._track_duplicates = track_duplicates
         self._executed_keys: set = set()
-        self._handler_takes_span = False
-        self._handler_takes_key = False
         self._m_handle = sim.obs.registry.histogram("rpc.server.handle_s")
         in_transport.bind(self._on_request)
 
     def serve(self, handler) -> None:
         self.handler = handler
-        # Handlers that accept a ``span`` keyword get the serve span for
-        # parenting their own instrumentation (same duck-typed probing
-        # the NFS server uses for its observe callbacks).
-        try:
-            parameters = inspect.signature(handler).parameters
-        except (TypeError, ValueError):
-            parameters = {}
-        self._handler_takes_span = "span" in parameters
-        # Handlers that accept ``rpc_key`` get the request's
-        # (client, xid) identity — what a stable-storage replay cache
-        # keys on (the wire protocol already carries both fields).
-        self._handler_takes_key = "rpc_key" in parameters
 
     def _on_request(self, message: RpcMessage) -> None:
         if self.handler is None:
@@ -379,14 +368,9 @@ class RpcServer:
                                        span)
         else:
             span = None
-        kwargs = {}
-        if self._handler_takes_span:
-            kwargs["span"] = span
-        if self._handler_takes_key:
-            kwargs["rpc_key"] = (message.client, message.xid)
-        result = yield from self.handler(message.body, **kwargs)
-        self._m_handle.observe(self.sim.now - arrived)
         key = (message.client, message.xid)
+        result = yield from self.handler(message.body, span, key)
+        self._m_handle.observe(self.sim.now - arrived)
         if result is None:
             # The handler dropped the request (server down): no reply,
             # and the dupreq slot is vacated so a retransmission after

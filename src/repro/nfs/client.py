@@ -35,13 +35,12 @@ from ..trace.records import (OP_COMMIT, OP_CREATE, OP_GETATTR, OP_MKDIR,
                              OP_RENAME, OP_SETATTR, OP_STAT, OP_WRITE)
 from .errors import NfsBadCookieError, NfsTimeoutError, raise_for_status
 from .fhandle import FileHandle
-from .protocol import (CommitReply, CommitRequest, CreateRequest,
-                       Fattr, GetattrRequest, LookupReply,
-                       LookupRequest, MkdirRequest, NFS_OK,
-                       NFS_READ_SIZE, READDIR_DEFAULT_COUNT,
-                       ReaddirRequest, ReadReply, ReadRequest,
+from .protocol import (CommitRequest, CreateRequest, Fattr,
+                       GetattrRequest, LookupRequest, MkdirRequest,
+                       NFS_OK, NFS_READ_SIZE, READDIR_DEFAULT_COUNT,
+                       REPLY_TYPES, ReaddirRequest, ReadRequest,
                        RemoveRequest, RenameRequest, SetattrRequest,
-                       WriteReply, WriteRequest)
+                       WriteRequest)
 
 
 @dataclass
@@ -275,14 +274,49 @@ class NfsMount:
         self._attrs.clear()
         self._dnlc.clear()
 
-    def _call(self, request, parent=None):
-        """One RPC round trip (generator; returns the reply).
+    def _capture(self, op: str, path: str, offset: int = 0,
+                 count: int = 0, path2: str = "") -> None:
+        """Record one application-level op at issue time (a no-op
+        unless this mount is capturing)."""
+        if self.capture is not None:
+            self.capture.record(self.sim.now, self.client_index, op,
+                                path, offset, count, path2)
 
-        A terminal :class:`~repro.net.rpc.RpcTimeout` — which only a
-        soft mount's bounded retransmission budget can produce — is
-        converted to :class:`NfsTimeoutError` (``ETIMEDOUT``), which is
-        what the application sees from the syscall.
+    def _next_seq(self, nfile: NfsFile) -> int:
+        """The next issue sequence number for ``nfile``'s requests."""
+        seq = self._issue_seq.get(nfile.fh.id, 0)
+        self._issue_seq[nfile.fh.id] = seq + 1
+        return seq
+
+    def _rpc(self, request, parent=None, data: bool = False):
+        """Marshal, send and await one call (generator; returns the
+        reply).
+
+        The marshal CPU is charged here and observed in
+        ``nfs.client.cpu_s``.  A data-path call (``data``, the READs
+        and WRITEs an nfsiod may carry) also pays its transport's cost:
+        over UDP each daemon sends its own datagram, so the race to the
+        wire is real and marshalling carries scheduling jitter; over
+        TCP one ordered stream is written promptly at dequeue, at the
+        price of the extra stream handling.  A reply whose type is not
+        the request's :data:`~repro.nfs.protocol.REPLY_TYPES` entry
+        raises ``TypeError``.  A terminal
+        :class:`~repro.net.rpc.RpcTimeout` — which only a soft mount's
+        bounded retransmission budget can produce — is converted to
+        :class:`NfsTimeoutError` (``ETIMEDOUT``), which is what the
+        application sees from the syscall.
         """
+        config = self.config
+        started = self.sim.now
+        if not data:
+            yield from self.machine.execute(config.marshal_cpu)
+        elif config.transport == "udp":
+            yield from self.machine.execute(config.marshal_cpu,
+                                            jitter=True)
+        else:
+            yield from self.machine.execute(
+                config.marshal_cpu + config.tcp_extra_cpu)
+        self._m_cpu.observe(self.sim.now - started)
         op = type(request).__name__
         rtt = self._m_rtt.get(op)
         if rtt is None:
@@ -296,6 +330,8 @@ class NfsMount:
             self.stats.timeouts += 1
             raise NfsTimeoutError(f"{self.name}: {exc}") from exc
         rtt.observe(self.sim.now - started)
+        if type(reply) is not REPLY_TYPES[type(request)]:
+            raise TypeError(f"bad {op} reply {reply!r}")
         return reply
 
     def open(self, name: str, span=None):
@@ -308,9 +344,7 @@ class NfsMount:
         data blocks if the file's mtime moved — opening a file always
         observes the last close's writes.
         """
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_OPEN, name)
+        self._capture(OP_OPEN, name)
         fh, size, from_cache = yield from self._walk(name, span=span)
         if from_cache and (self.config.close_to_open or size is None):
             old = self._attrs.get(fh.id)
@@ -335,9 +369,7 @@ class NfsMount:
         if offset >= nfile.size:
             return 0
         nbytes = min(nbytes, nfile.size - offset)
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_READ, nfile.name, offset, nbytes)
+        self._capture(OP_READ, nfile.name, offset, nbytes)
         bs = self.config.read_size
         first = offset // bs
         last = (offset + nbytes - 1) // bs
@@ -384,9 +416,7 @@ class NfsMount:
         if offset >= nfile.size:
             return 0
         nbytes = min(nbytes, nfile.size - offset)
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_WRITE, nfile.name, offset, nbytes)
+        self._capture(OP_WRITE, nfile.name, offset, nbytes)
         bs = self.config.read_size
         first = offset // bs
         last = (offset + nbytes - 1) // bs
@@ -418,9 +448,7 @@ class NfsMount:
         if offset >= nfile.size:
             return {}
         nbytes = min(nbytes, nfile.size - offset)
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_WRITE, nfile.name, offset, nbytes)
+        self._capture(OP_WRITE, nfile.name, offset, nbytes)
         bs = self.config.read_size
         first = offset // bs
         last = (offset + nbytes - 1) // bs
@@ -449,9 +477,7 @@ class NfsMount:
         retried.  Returns the committed ``{block: datum}`` tokens (the
         data this mount now guarantees is on stable storage).
         """
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_COMMIT, nfile.name)
+        self._capture(OP_COMMIT, nfile.name)
         file_pending = self._pending.get(nfile.fh.id)
         #: Snapshot of the entries this COMMIT vouches for — writes that
         #: race in after this point belong to the *next* commit.
@@ -469,13 +495,7 @@ class NfsMount:
                         self.stats.verifier_resends += 1
                         yield from self._write_block(nfile, block, entry,
                                                      parent=span)
-            started = self.sim.now
-            yield from self.machine.execute(self.config.marshal_cpu)
-            self._m_cpu.observe(self.sim.now - started)
-            request = CommitRequest(fh=nfile.fh)
-            reply = yield from self._call(request, parent=span)
-            if not isinstance(reply, CommitReply):
-                raise TypeError(f"bad COMMIT reply {reply!r}")
+            reply = yield from self._rpc(CommitRequest(fh=nfile.fh), span)
             self.stats.commits += 1
             verifier = reply.verifier
             if verifier is not None:
@@ -517,14 +537,9 @@ class NfsMount:
             if count <= 0:
                 versions[block] = 0
                 continue
-            seq = self._issue_seq.get(nfile.fh.id, 0)
-            self._issue_seq[nfile.fh.id] = seq + 1
             request = ReadRequest(fh=nfile.fh, offset=offset,
-                                  count=count, seq=seq)
-            yield from self.machine.execute(self.config.marshal_cpu)
-            reply = yield from self._call(request, parent=span)
-            if not isinstance(reply, ReadReply):
-                raise TypeError(f"bad READ reply {reply!r}")
+                                  count=count, seq=self._next_seq(nfile))
+            reply = yield from self._rpc(request, span)
             versions[block] = reply.data[0] if reply.data else 0
         return versions
 
@@ -595,33 +610,20 @@ class NfsMount:
     def _write_block(self, nfile: NfsFile, block: int,
                      entry: _PendingWrite, stable: bool = False,
                      parent=None):
-        config = self.config
-        bs = config.read_size
+        bs = self.config.read_size
         offset = block * bs
         count = min(bs, nfile.size - offset)
-        seq = self._issue_seq.get(nfile.fh.id, 0)
-        self._issue_seq[nfile.fh.id] = seq + 1
         request = WriteRequest(fh=nfile.fh, offset=offset, count=count,
-                               stable=stable, seq=seq,
+                               stable=stable, seq=self._next_seq(nfile),
                                datum=(entry.datum,))
-        started = self.sim.now
-        if config.transport == "udp":
-            yield from self.machine.execute(config.marshal_cpu,
-                                            jitter=True)
-        else:
-            yield from self.machine.execute(
-                config.marshal_cpu + config.tcp_extra_cpu)
-        self._m_cpu.observe(self.sim.now - started)
         try:
-            reply = yield from self._call(request, parent=parent)
+            reply = yield from self._rpc(request, parent, data=True)
         except NfsTimeoutError:
             # Soft-mount failure: release co-waiters; the entry stays
             # unacknowledged (and is re-sent if a commit ever runs).
             if entry.event is not None and not entry.event.triggered:
                 entry.event.succeed()
             raise
-        if not isinstance(reply, WriteReply):
-            raise TypeError(f"bad WRITE reply {reply!r}")
         self.stats.rpc_writes += 1
         if reply.verifier is not None:
             self._observe_verifier(reply.verifier)
@@ -631,20 +633,13 @@ class NfsMount:
         return None
 
     def getattr(self, nfile: NfsFile, span=None):
-        """GETATTR round trip (generator) — metadata traffic for mixed
-        workloads."""
-        from .protocol import GetattrReply, GetattrRequest
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_GETATTR, nfile.name)
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
-        request = GetattrRequest(fh=nfile.fh)
-        reply = yield from self._call(request, parent=span)
-        if not isinstance(reply, GetattrReply):
-            raise TypeError(f"bad GETATTR reply {reply!r}")
-        return reply.size
+        """GETATTR round trip (generator; returns the size) — metadata
+        traffic for mixed workloads.  Like every GETATTR reply, it
+        refreshes the attribute cache, and a non-ok status raises
+        (``ESTALE`` once the file is removed)."""
+        self._capture(OP_GETATTR, nfile.name)
+        attrs = yield from self._getattr_rpc(nfile.fh, span=span)
+        return attrs.size
 
     # ------------------------------------------------------------------
     # Namespace path: attr cache, name cache (dnlc), and the verbs
@@ -707,13 +702,7 @@ class NfsMount:
                     span=None):
         """One LOOKUP round trip; primes attr + name caches
         (generator; returns the reply)."""
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
-        request = LookupRequest(name, dir=dir_fh)
-        reply = yield from self._call(request, parent=span)
-        if not isinstance(reply, LookupReply):
-            raise TypeError(f"bad LOOKUP reply {reply!r}")
+        reply = yield from self._rpc(LookupRequest(name, dir=dir_fh), span)
         self.stats.lookup_rpcs += 1
         raise_for_status(reply.status, f"LOOKUP {name!r}")
         if reply.attributes is not None:
@@ -772,11 +761,7 @@ class NfsMount:
 
     def _getattr_rpc(self, fh: FileHandle, span=None):
         """GETATTR by handle; refreshes the attr cache (generator)."""
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
-        request = GetattrRequest(fh=fh)
-        reply = yield from self._call(request, parent=span)
+        reply = yield from self._rpc(GetattrRequest(fh=fh), span)
         raise_for_status(reply.status, "GETATTR")
         attrs = reply.attributes
         if attrs is None:
@@ -800,9 +785,7 @@ class NfsMount:
         attributes hide (the §8-style metadata trap the attr-cache
         detector looks for).
         """
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_STAT, path)
+        self._capture(OP_STAT, path)
         fh, _size, _cached = yield from self._walk(path, span=span)
         attrs = self._cached_attrs(fh)
         if attrs is not None:
@@ -821,9 +804,7 @@ class NfsMount:
         restarts the listing from scratch, like the real client.
         READDIRPLUS replies prime the attribute and name caches.
         """
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_READDIR, path)
+        self._capture(OP_READDIR, path)
         if plus is None:
             plus = self.config.readdirplus
         fh, _size, _cached = yield from self._walk(path, span=span)
@@ -834,13 +815,10 @@ class NfsMount:
             verf = 0
             restarted = False
             while True:
-                started = self.sim.now
-                yield from self.machine.execute(self.config.marshal_cpu)
-                self._m_cpu.observe(self.sim.now - started)
                 request = ReaddirRequest(
                     dir=fh, cookie=cookie, cookieverf=verf,
                     count=self.config.readdir_count, plus=plus)
-                reply = yield from self._call(request, parent=span)
+                reply = yield from self._rpc(request, span)
                 self.stats.readdir_rpcs += 1
                 if reply.status == "bad_cookie":
                     self.stats.readdir_restarts += 1
@@ -875,18 +853,13 @@ class NfsMount:
         UNCHECKED by default: an existing file is simply opened, which
         keeps replayed (and dupreq-missed retried) creates idempotent.
         """
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_CREATE, path, 0, size)
+        self._capture(OP_CREATE, path, 0, size)
         parent_path, leaf = self._parent_and_leaf(path)
         dir_fh, _size, _cached = yield from self._walk(parent_path,
                                                        span=span)
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
         request = CreateRequest(dir=dir_fh, name=leaf, size=size,
                                 exclusive=exclusive)
-        reply = yield from self._call(request, parent=span)
+        reply = yield from self._rpc(request, span)
         raise_for_status(reply.status, f"CREATE {path}")
         self.stats.creates += 1
         if reply.dir_wcc is not None and reply.dir_wcc.after is not None:
@@ -905,17 +878,12 @@ class NfsMount:
         An existing directory is tolerated (``mkdir -p`` semantics),
         which also makes retried/replayed mkdirs idempotent.
         """
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_MKDIR, path)
+        self._capture(OP_MKDIR, path)
         parent_path, leaf = self._parent_and_leaf(path)
         dir_fh, _size, _cached = yield from self._walk(parent_path,
                                                        span=span)
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
-        request = MkdirRequest(dir=dir_fh, name=leaf)
-        reply = yield from self._call(request, parent=span)
+        reply = yield from self._rpc(MkdirRequest(dir=dir_fh, name=leaf),
+                                     span)
         if not (reply.status == "exist" and reply.fh is not None):
             raise_for_status(reply.status, f"MKDIR {path}")
         self.stats.mkdirs += 1
@@ -931,17 +899,12 @@ class NfsMount:
         """REMOVE a file (generator).  Raises ``NfsNoEntryError`` when
         absent; a handle another process still holds goes stale server
         side — its reads start answering ``ESTALE``, not old data."""
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_REMOVE, path)
+        self._capture(OP_REMOVE, path)
         parent_path, leaf = self._parent_and_leaf(path)
         dir_fh, _size, _cached = yield from self._walk(parent_path,
                                                        span=span)
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
-        request = RemoveRequest(dir=dir_fh, name=leaf)
-        reply = yield from self._call(request, parent=span)
+        reply = yield from self._rpc(RemoveRequest(dir=dir_fh, name=leaf),
+                                     span)
         raise_for_status(reply.status, f"REMOVE {path}")
         self.stats.removes += 1
         cached = self._dnlc.pop((dir_fh.id, leaf), None)
@@ -955,19 +918,14 @@ class NfsMount:
     def rename(self, src: str, dst: str, span=None):
         """RENAME (generator).  RFC 1813 semantics: atomically replaces
         a same-type target; a non-empty target directory refuses."""
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_RENAME, src, path2=dst)
+        self._capture(OP_RENAME, src, path2=dst)
         src_parent, src_leaf = self._parent_and_leaf(src)
         dst_parent, dst_leaf = self._parent_and_leaf(dst)
         from_fh, _s, _c = yield from self._walk(src_parent, span=span)
         to_fh, _s, _c = yield from self._walk(dst_parent, span=span)
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
         request = RenameRequest(from_dir=from_fh, from_name=src_leaf,
                                 to_dir=to_fh, to_name=dst_leaf)
-        reply = yield from self._call(request, parent=span)
+        reply = yield from self._rpc(request, span)
         raise_for_status(reply.status, f"RENAME {src} -> {dst}")
         self.stats.renames += 1
         moved = self._dnlc.pop((from_fh.id, src_leaf), None)
@@ -989,15 +947,10 @@ class NfsMount:
         (utimes/truncate).  Refreshes this mount's attr cache from the
         reply; *other* mounts keep their cached attributes until they
         expire — the close-to-open staleness window."""
-        if self.capture is not None:
-            self.capture.record(self.sim.now, self.client_index,
-                                OP_SETATTR, path)
+        self._capture(OP_SETATTR, path)
         fh, _size, _cached = yield from self._walk(path, span=span)
-        started = self.sim.now
-        yield from self.machine.execute(self.config.marshal_cpu)
-        self._m_cpu.observe(self.sim.now - started)
-        request = SetattrRequest(fh=fh, size=size, mtime=mtime)
-        reply = yield from self._call(request, parent=span)
+        reply = yield from self._rpc(
+            SetattrRequest(fh=fh, size=size, mtime=mtime), span)
         raise_for_status(reply.status, f"SETATTR {path}")
         self.stats.setattrs += 1
         if reply.wcc is not None and reply.wcc.after is not None:
@@ -1082,34 +1035,16 @@ class NfsMount:
         bs = config.read_size
         offset = block * bs
         count = min(bs, nfile.size - offset)
-        seq = self._issue_seq.get(nfile.fh.id, 0)
-        self._issue_seq[nfile.fh.id] = seq + 1
         request = ReadRequest(fh=nfile.fh, offset=offset, count=count,
-                              seq=seq)
-
-        started = self.sim.now
-        if config.transport == "udp":
-            # Each daemon sends its own datagram: the race to the wire
-            # is real, so marshalling carries scheduling jitter.
-            yield from self.machine.execute(config.marshal_cpu,
-                                            jitter=True)
-        else:
-            # One ordered stream: the socket write happens promptly at
-            # dequeue and the stream preserves order end to end.
-            yield from self.machine.execute(
-                config.marshal_cpu + config.tcp_extra_cpu)
-        self._m_cpu.observe(self.sim.now - started)
-
+                              seq=self._next_seq(nfile))
         try:
-            reply = yield from self._call(request, parent=parent)
+            reply = yield from self._rpc(request, parent, data=True)
         except NfsTimeoutError as exc:
             # The block never arrived: evict the placeholder so a later
             # read retries it, and fail co-waiters parked on the event.
             self._cache.pop(key, None)
             done.fail(exc)
             raise
-        if not isinstance(reply, ReadReply):
-            raise TypeError(f"bad READ reply {reply!r}")
         extra = config.tcp_extra_cpu if config.transport == "tcp" else 0.0
         started = self.sim.now
         yield from self.machine.execute(config.receive_cpu + extra)

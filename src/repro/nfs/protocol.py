@@ -255,6 +255,10 @@ class SetattrRequest:
     size: Optional[int] = None
     mtime: Optional[float] = None
 
+    def __post_init__(self):
+        if self.size is not None and self.size < 0:
+            raise ValueError("SETATTR size cannot be negative")
+
     @property
     def payload_bytes(self) -> int:
         return GETATTR_ARGS_BYTES + 24
@@ -423,3 +427,16 @@ class RenameReply:
     @property
     def payload_bytes(self) -> int:
         return 2 * WCC_BYTES
+
+
+#: The reply type each request expects: every procedure has one entry,
+#: the client checks each reply against it, and the server's procedure
+#: table covers the same request types.
+REPLY_TYPES = {
+    ReadRequest: ReadReply, WriteRequest: WriteReply,
+    CommitRequest: CommitReply, LookupRequest: LookupReply,
+    GetattrRequest: GetattrReply, SetattrRequest: SetattrReply,
+    ReaddirRequest: ReaddirReply, CreateRequest: CreateReply,
+    MkdirRequest: MkdirReply, RemoveRequest: RemoveReply,
+    RenameRequest: RenameReply,
+}

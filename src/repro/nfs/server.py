@@ -36,18 +36,13 @@ from .protocol import (CommitReply, CommitRequest, CreateReply,
                        CreateRequest, DIRENT_REPLY_BYTES,
                        DIRENTPLUS_REPLY_BYTES, DirEntry, Fattr,
                        GetattrReply, GetattrRequest, LookupReply,
-                       LookupRequest, MkdirReply, MkdirRequest,
+                       LookupRequest, MkdirReply, MkdirRequest, NFS_OK,
                        NFS_READ_SIZE, READDIR_OVERHEAD_BYTES,
                        ReaddirReply, ReaddirRequest, ReadReply,
                        ReadRequest, RemoveReply, RemoveRequest,
                        RenameReply, RenameRequest, SetattrReply,
                        SetattrRequest, WccAttr, WccData, WriteReply,
                        WriteRequest)
-
-
-#: The non-idempotent namespace mutations the metadata journal covers.
-_META_REQUESTS = (CreateRequest, MkdirRequest, RemoveRequest,
-                  RenameRequest)
 
 
 @dataclass
@@ -116,7 +111,9 @@ class NfsServerStats:
 
 
 class NfsServer:
-    """Serves READ/LOOKUP/GETATTR for one exported file system."""
+    """Serves the 11 NFSv3 procedures in :attr:`PROCEDURES` — the data
+    path with its write verifier, and the namespace with its intent
+    log — for one exported file system."""
 
     def __init__(self, sim: Simulator, machine: Machine, fs: FileSystem,
                  rpc: RpcServer,
@@ -149,9 +146,6 @@ class NfsServer:
         #: While ``now < _stall_until`` new requests wait (nfsd wedge).
         self._stall_until = 0.0
         self.heuristic: Heuristic = heuristic or DefaultHeuristic()
-        import inspect
-        self._observe_takes_fh = "fh" in inspect.signature(
-            self.heuristic.observe).parameters
         self.nfsheur = NfsHeurTable(self.config.nfsheur_params)
         self.nfsds = Resource(sim, capacity=self.config.nfsd_count)
         self.stats = NfsServerStats()
@@ -368,15 +362,21 @@ class NfsServer:
     def handle(self, request, span=None, rpc_key=None):
         """RPC dispatch (generator; returns (reply, payload_bytes)).
 
-        Returns ``None`` — no reply at all — while the server is down;
-        the RPC layer treats that as a dropped request and the client's
+        Runs the request's procedure from :attr:`PROCEDURES` on an nfsd
+        daemon; a body with no procedure raises ``TypeError``.  Returns
+        ``None`` — no reply at all — while the server is down; the RPC
+        layer treats that as a dropped request and the client's
         retransmission timer does the rest.  ``span`` is the RPC serve
-        span (passed by the RPC layer when tracing is on); ``rpc_key``
-        is the request's ``(client, xid)`` identity, which the metadata
-        journal stores so a retried non-idempotent op that straddles a
-        reboot can be answered from the recovered log instead of
-        re-executed (the RAM dupreq cache died with the boot).
+        span (None when tracing is off); ``rpc_key`` is the request's
+        ``(client, xid)`` identity, which the metadata journal stores so
+        a retried non-idempotent op that straddles a reboot can be
+        answered from the recovered log instead of re-executed (the RAM
+        dupreq cache died with the boot).
         """
+        entry = self.PROCEDURES.get(type(request))
+        if entry is None:
+            raise TypeError(f"unsupported NFS request {request!r}")
+        procedure, journaled = entry
         if self.sim.now < self._down_until:
             self.stats.dropped_requests += 1
             return None
@@ -405,13 +405,12 @@ class NfsServer:
         else:
             nfsd_span = None
         started = self.sim.now
-        is_meta = isinstance(request, _META_REQUESTS)
         try:
             replayed = None
-            if is_meta and rpc_key is not None \
+            if journaled and rpc_key is not None \
                     and self.metajournal is not None:
                 replayed = self.metajournal.replay_reply(rpc_key)
-            if is_meta and self.boot_epoch != epoch:
+            if journaled and self.boot_epoch != epoch:
                 # The stall (or the nfsd queue) carried this request
                 # across a reboot.  A real server lost it with its RAM,
                 # so it must not execute now: a non-idempotent op would
@@ -428,30 +427,9 @@ class NfsServer:
                 yield from self.machine.execute(self.config.cpu_per_call)
                 self.stats.meta_replays += 1
                 reply = replayed
-            elif isinstance(request, ReadRequest):
-                reply = yield from self._read(request, span=nfsd_span)
-            elif isinstance(request, WriteRequest):
-                reply = yield from self._write(request)
-            elif isinstance(request, CommitRequest):
-                reply = yield from self._commit(request)
-            elif isinstance(request, LookupRequest):
-                reply = yield from self._lookup(request)
-            elif isinstance(request, GetattrRequest):
-                reply = yield from self._getattr(request)
-            elif isinstance(request, ReaddirRequest):
-                reply = yield from self._readdir(request)
-            elif isinstance(request, SetattrRequest):
-                reply = yield from self._setattr(request)
-            elif isinstance(request, CreateRequest):
-                reply = yield from self._create(request, rpc_key)
-            elif isinstance(request, RemoveRequest):
-                reply = yield from self._remove(request, rpc_key)
-            elif isinstance(request, MkdirRequest):
-                reply = yield from self._mkdir(request, rpc_key)
-            elif isinstance(request, RenameRequest):
-                reply = yield from self._rename(request, rpc_key)
             else:
-                raise TypeError(f"unsupported NFS request {request!r}")
+                reply = yield from procedure(self, request, nfsd_span,
+                                             rpc_key)
         finally:
             self.nfsds.release()
             service.observe(self.sim.now - started)
@@ -463,7 +441,7 @@ class NfsServer:
             # the client's retransmission executes afresh.
             self.stats.dropped_requests += 1
             return None
-        if is_meta and rpc_key is not None:
+        if journaled and rpc_key is not None:
             acked = self._meta_acked.get(rpc_key)
             ok = self._meta_reply_ok(reply)
             if acked is not None and acked < epoch and not ok:
@@ -476,7 +454,23 @@ class NfsServer:
                 self._meta_acked[rpc_key] = epoch
         return reply, reply.payload_bytes
 
-    def _read(self, request: ReadRequest, span=None):
+    def _live(self, fh: FileHandle, kind: Optional[str] = None):
+        """The node ``fh`` names and the status a procedure answers.
+
+        ``stale`` (counted) when the handle is dead; ``notdir`` or
+        ``isdir`` when ``kind`` (``"dir"`` or ``"reg"``) names the other
+        node type; ``ok`` otherwise.
+        """
+        node = self._by_fh.get(fh)
+        if node is None:
+            self.stats.stale_handles += 1
+            return None, "stale"
+        if kind is not None \
+                and isinstance(node, Directory) != (kind == "dir"):
+            return node, "notdir" if kind == "dir" else "isdir"
+        return node, NFS_OK
+
+    def _read(self, request: ReadRequest, span, rpc_key):
         config = self.config
         if config.record_trace:
             from ..trace import TraceRecord
@@ -486,23 +480,14 @@ class NfsServer:
         started = self.sim.now
         yield from self.machine.execute(config.cpu_per_call / 2)
         self._m_cpu.observe(self.sim.now - started)
-        node = self._by_fh.get(request.fh)
-        if node is None:
-            self.stats.stale_handles += 1
+        inode, status = self._live(request.fh, "reg")
+        if status != NFS_OK:
             return ReadReply(fh=request.fh, offset=request.offset,
-                             count=0, eof=True, status="stale")
-        if isinstance(node, Directory):
-            return ReadReply(fh=request.fh, offset=request.offset,
-                             count=0, eof=True, status="isdir")
-        inode = node
+                             count=0, eof=True, status=status)
         state = self.nfsheur.lookup(request.fh, request.offset)
-        if self._observe_takes_fh:
-            seq_count = self.heuristic.observe(
-                state, request.offset, request.count, self.sim.now,
-                fh=request.fh)
-        else:
-            seq_count = self.heuristic.observe(
-                state, request.offset, request.count, self.sim.now)
+        seq_count = self.heuristic.observe(
+            state, request.offset, request.count, self.sim.now,
+            fh=request.fh)
         self.stats.seqcount_total += seq_count
         tracer = self.sim.obs.tracer
         if tracer.enabled:
@@ -533,7 +518,7 @@ class NfsServer:
         return ReadReply(fh=request.fh, offset=request.offset,
                          count=got, eof=eof, data=data)
 
-    def _write(self, request: WriteRequest):
+    def _write(self, request: WriteRequest, span, rpc_key):
         """NFSv3 WRITE: data lands in the buffer cache (UNSTABLE) or is
         forced to the platter before replying (FILE_SYNC).
 
@@ -548,15 +533,10 @@ class NfsServer:
             config.cpu_per_call + request.count * config.cpu_per_byte)
         if self.boot_epoch != epoch:
             return None
-        node = self._by_fh.get(request.fh)
-        if node is None:
-            self.stats.stale_handles += 1
+        inode, status = self._live(request.fh, "reg")
+        if status != NFS_OK:
             return WriteReply(fh=request.fh, offset=request.offset,
-                              count=0, status="stale")
-        if isinstance(node, Directory):
-            return WriteReply(fh=request.fh, offset=request.offset,
-                              count=0, status="isdir")
-        inode = node
+                              count=0, status=status)
         got = yield from self.fs.write(inode, request.offset,
                                        request.count, stream=request.fh)
         if self.boot_epoch != epoch:
@@ -578,16 +558,16 @@ class NfsServer:
                           count=got, stable=request.stable,
                           verifier=self.write_verifier)
 
-    def _commit(self, request: CommitRequest):
+    def _commit(self, request: CommitRequest, span, rpc_key):
         """NFSv3 COMMIT: flush unstable writes to stable storage and
         report the write verifier the client must compare."""
         epoch = self.boot_epoch
         yield from self.machine.execute(self.config.cpu_per_call)
         if self.boot_epoch != epoch:
             return None
-        if request.fh not in self._by_fh:
-            self.stats.stale_handles += 1
-            return CommitReply(fh=request.fh, status="stale")
+        _node, status = self._live(request.fh)
+        if status != NFS_OK:
+            return CommitReply(fh=request.fh, status=status)
         ok = yield from self._sync_and_promote(epoch)
         if not ok:
             return None
@@ -608,17 +588,31 @@ class NfsServer:
         return (isinstance(reply, MkdirReply)
                 and reply.status == "exist" and reply.fh is not None)
 
-    def _commit_meta(self, record, epoch: int):
-        """Force ``record`` to the platter before the reply leaves
-        (generator; returns False when a crash interposed — the
-        mutation was already undone and no reply may be sent)."""
+    def _log_intent(self, kind: str, paths: Tuple[str, ...], rpc_key):
+        """Log a namespace mutation's intent before applying it (the
+        record, or None when the server runs without the journal)."""
+        if self.metajournal is None:
+            return None
+        self.stats.meta_intents += 1
+        return self.metajournal.append(kind, paths, rpc_key)
+
+    def _commit_meta(self, record, undo, reply, epoch: int):
+        """Mark ``record`` applied with its ``undo``, attach ``reply``
+        and force the record to the platter before the reply leaves
+        (generator; returns ``reply``, or None when a crash interposed —
+        the mutation was already undone and no reply may be sent)."""
+        if record is None:
+            return reply
+        journal = self.metajournal
+        journal.mark_applied(record, undo)
+        journal.set_reply(record, reply)
         if self.config.meta_ack_before_intent:
             # BUG-REINTRODUCTION HOOK: ack immediately; the intent
             # stays write-behind and races the next crash.
-            return True
+            return reply
         self.stats.meta_commits += 1
-        ok = yield from self.metajournal.commit(record)
-        return ok and self.boot_epoch == epoch
+        ok = yield from journal.commit(record)
+        return reply if ok and self.boot_epoch == epoch else None
 
     def _undo_create(self, directory: Directory, name: str,
                      inode: Inode, path: str):
@@ -703,7 +697,7 @@ class NfsServer:
     # Namespace procedures (RFC 1813)
     # ------------------------------------------------------------------
 
-    def _lookup(self, request: LookupRequest):
+    def _lookup(self, request: LookupRequest, span, rpc_key):
         """LOOKUP: walk ``name`` (one component, or a ``/`` path for
         the legacy flat-open) under ``dir``, charging one directory
         block read per component hit; a miss costs a full scan of the
@@ -713,13 +707,11 @@ class NfsServer:
         self.stats.lookups += 1
         bs = self.fs.params.block_size
         if request.dir is None:
-            node: Union[Inode, Directory] = self.fs.namespace.root
+            node = self.fs.namespace.root
         else:
-            got = self._by_fh.get(request.dir)
-            if got is None:
-                self.stats.stale_handles += 1
-                return LookupReply(fh=None, size=0, status="stale")
-            node = got
+            node, status = self._live(request.dir)
+            if status != NFS_OK:
+                return LookupReply(fh=None, size=0, status=status)
         searched: Optional[Directory] = \
             node if isinstance(node, Directory) else None
         for part in (p for p in request.name.split("/") if p):
@@ -743,23 +735,21 @@ class NfsServer:
             dir_attributes=(self._fattr(searched)
                             if searched is not None else None))
 
-    def _getattr(self, request: GetattrRequest):
+    def _getattr(self, request: GetattrRequest, span, rpc_key):
         yield from self.machine.execute(self.config.cpu_per_call)
         self.stats.getattrs += 1
-        node = self._by_fh.get(request.fh)
-        if node is None:
-            self.stats.stale_handles += 1
-            return GetattrReply(fh=request.fh, size=0, status="stale")
+        node, status = self._live(request.fh)
+        if status != NFS_OK:
+            return GetattrReply(fh=request.fh, size=0, status=status)
         return GetattrReply(fh=request.fh,
                             size=self._inode_of(node).size,
                             attributes=self._fattr(node))
 
-    def _setattr(self, request: SetattrRequest):
+    def _setattr(self, request: SetattrRequest, span, rpc_key):
         yield from self.machine.execute(self.config.cpu_per_call)
-        node = self._by_fh.get(request.fh)
-        if node is None:
-            self.stats.stale_handles += 1
-            return SetattrReply(fh=request.fh, status="stale")
+        node, status = self._live(request.fh)
+        if status != NFS_OK:
+            return SetattrReply(fh=request.fh, status=status)
         before = self._wcc_before(node)
         inode = self._inode_of(node)
         now = self.sim.now
@@ -775,19 +765,15 @@ class NfsServer:
                             wcc=WccData(before=before,
                                         after=self._fattr(node)))
 
-    def _readdir(self, request: ReaddirRequest):
+    def _readdir(self, request: ReaddirRequest, span, rpc_key):
         """READDIR(PLUS): slot-ordered entries, chunked to the
         request's ``count`` byte budget; cookies resume, and a stale
         cookie verifier (the directory mutated) answers
         ``bad_cookie``."""
         yield from self.machine.execute(self.config.cpu_per_call)
-        node = self._by_fh.get(request.dir)
-        if node is None:
-            self.stats.stale_handles += 1
-            return ReaddirReply(dir=request.dir, status="stale",
-                                plus=request.plus)
-        if not isinstance(node, Directory):
-            return ReaddirReply(dir=request.dir, status="notdir",
+        node, status = self._live(request.dir, "dir")
+        if status != NFS_OK:
+            return ReaddirReply(dir=request.dir, status=status,
                                 plus=request.plus)
         verf = node.mutations
         if request.cookie != 0 and request.cookieverf != verf:
@@ -829,16 +815,12 @@ class NfsServer:
         self.stats.readdir_entries += len(entries)
         return reply
 
-    def _create(self, request: CreateRequest, rpc_key=None):
+    def _create(self, request: CreateRequest, span, rpc_key):
         epoch = self.boot_epoch
         yield from self.machine.execute(self.config.cpu_per_call)
-        node = self._by_fh.get(request.dir)
-        if node is None:
-            self.stats.stale_handles += 1
-            return CreateReply(fh=None, status="stale")
-        if not isinstance(node, Directory):
-            return CreateReply(fh=None, status="notdir")
-        directory = node
+        directory, status = self._live(request.dir, "dir")
+        if status != NFS_OK:
+            return CreateReply(fh=None, status=status)
         before = self._wcc_before(directory)
         existing = directory.entries.get(request.name)
         if existing is not None:
@@ -858,12 +840,8 @@ class NfsServer:
             # never saw the request, so the mutation must not happen
             # (the dropped reply would leave it silent and durable).
             return None
-        journal = self.metajournal
-        record = None
-        if journal is not None:
-            path = self.fs.namespace.join(directory, request.name)
-            record = journal.append("create", (path,), rpc_key)
-            self.stats.meta_intents += 1
+        path = self.fs.namespace.join(directory, request.name)
+        record = self._log_intent("create", (path,), rpc_key)
         inode = self.fs.namespace.create_in(
             directory, request.name, request.size, now=self.sim.now)
         self._dir_write_slot(directory, directory.slots[request.name])
@@ -872,25 +850,16 @@ class NfsServer:
                             attributes=self._fattr(inode),
                             dir_wcc=WccData(before=before,
                                             after=self._fattr(directory)))
-        if record is not None:
-            journal.mark_applied(record, self._undo_create(
-                directory, request.name, inode, record.paths[0]))
-            journal.set_reply(record, reply)
-            ok = yield from self._commit_meta(record, epoch)
-            if not ok:
-                return None
-        return reply
+        return (yield from self._commit_meta(
+            record, self._undo_create(directory, request.name, inode,
+                                      path), reply, epoch))
 
-    def _mkdir(self, request: MkdirRequest, rpc_key=None):
+    def _mkdir(self, request: MkdirRequest, span, rpc_key):
         epoch = self.boot_epoch
         yield from self.machine.execute(self.config.cpu_per_call)
-        node = self._by_fh.get(request.dir)
-        if node is None:
-            self.stats.stale_handles += 1
-            return MkdirReply(fh=None, status="stale")
-        if not isinstance(node, Directory):
-            return MkdirReply(fh=None, status="notdir")
-        directory = node
+        directory, status = self._live(request.dir, "dir")
+        if status != NFS_OK:
+            return MkdirReply(fh=None, status=status)
         before = self._wcc_before(directory)
         existing = directory.entries.get(request.name)
         if existing is not None:
@@ -905,12 +874,8 @@ class NfsServer:
             return MkdirReply(fh=None, status="exist", dir_wcc=wcc)
         if self.boot_epoch != epoch:
             return None  # reboot interposed mid-handler (see _create)
-        journal = self.metajournal
-        record = None
-        if journal is not None:
-            path = self.fs.namespace.join(directory, request.name)
-            record = journal.append("mkdir", (path,), rpc_key)
-            self.stats.meta_intents += 1
+        path = self.fs.namespace.join(directory, request.name)
+        record = self._log_intent("mkdir", (path,), rpc_key)
         child = self.fs.namespace.mkdir_in(directory, request.name,
                                            now=self.sim.now)
         self._dir_write_slot(directory, directory.slots[request.name])
@@ -919,25 +884,16 @@ class NfsServer:
                            attributes=self._fattr(child),
                            dir_wcc=WccData(before=before,
                                            after=self._fattr(directory)))
-        if record is not None:
-            journal.mark_applied(record, self._undo_mkdir(
-                directory, request.name, child))
-            journal.set_reply(record, reply)
-            ok = yield from self._commit_meta(record, epoch)
-            if not ok:
-                return None
-        return reply
+        return (yield from self._commit_meta(
+            record, self._undo_mkdir(directory, request.name, child),
+            reply, epoch))
 
-    def _remove(self, request: RemoveRequest, rpc_key=None):
+    def _remove(self, request: RemoveRequest, span, rpc_key):
         epoch = self.boot_epoch
         yield from self.machine.execute(self.config.cpu_per_call)
-        node = self._by_fh.get(request.dir)
-        if node is None:
-            self.stats.stale_handles += 1
-            return RemoveReply(status="stale")
-        if not isinstance(node, Directory):
-            return RemoveReply(status="notdir")
-        directory = node
+        directory, status = self._live(request.dir, "dir")
+        if status != NFS_OK:
+            return RemoveReply(status=status)
         before = self._wcc_before(directory)
         child = directory.entries.get(request.name)
         if child is None:
@@ -956,12 +912,8 @@ class NfsServer:
         yield from self._dir_read_entry(directory, request.name)
         if self.boot_epoch != epoch:
             return None  # reboot interposed mid-handler (see _create)
-        journal = self.metajournal
-        record = None
-        if journal is not None:
-            path = self.fs.namespace.join(directory, request.name)
-            record = journal.append("remove", (path,), rpc_key)
-            self.stats.meta_intents += 1
+        path = self.fs.namespace.join(directory, request.name)
+        record = self._log_intent("remove", (path,), rpc_key)
         self.fs.namespace.remove_in(directory, request.name,
                                     now=self.sim.now)
         self._dir_write_slot(directory, slot)
@@ -970,26 +922,21 @@ class NfsServer:
         self.stats.removes += 1
         reply = RemoveReply(dir_wcc=WccData(before=before,
                                             after=self._fattr(directory)))
-        if record is not None:
-            journal.mark_applied(record, self._undo_remove(
-                directory, request.name, child, record.paths[0]))
-            journal.set_reply(record, reply)
-            ok = yield from self._commit_meta(record, epoch)
-            if not ok:
-                return None
-        return reply
+        return (yield from self._commit_meta(
+            record, self._undo_remove(directory, request.name, child,
+                                      path), reply, epoch))
 
-    def _rename(self, request: RenameRequest, rpc_key=None):
+    def _rename(self, request: RenameRequest, span, rpc_key):
         epoch = self.boot_epoch
         yield from self.machine.execute(self.config.cpu_per_call)
-        from_node = self._by_fh.get(request.from_dir)
-        to_node = self._by_fh.get(request.to_dir)
-        if from_node is None or to_node is None:
-            self.stats.stale_handles += 1
-            return RenameReply(status="stale")
-        if not isinstance(from_node, Directory) \
-                or not isinstance(to_node, Directory):
-            return RenameReply(status="notdir")
+        from_node, status = self._live(request.from_dir)
+        if status == NFS_OK:
+            to_node, status = self._live(request.to_dir)
+        if status == NFS_OK and not (isinstance(from_node, Directory)
+                                     and isinstance(to_node, Directory)):
+            status = "notdir"
+        if status != NFS_OK:
+            return RenameReply(status=status)
         from_before = self._wcc_before(from_node)
         to_before = self._wcc_before(to_node)
 
@@ -1010,13 +957,9 @@ class NfsServer:
         from_slot = from_node.slots[request.from_name]
         if self.boot_epoch != epoch:
             return None  # reboot interposed mid-handler (see _create)
-        journal = self.metajournal
-        record = None
-        if journal is not None:
-            src = self.fs.namespace.join(from_node, request.from_name)
-            dst = self.fs.namespace.join(to_node, request.to_name)
-            record = journal.append("rename", (src, dst), rpc_key)
-            self.stats.meta_intents += 1
+        src = self.fs.namespace.join(from_node, request.from_name)
+        dst = self.fs.namespace.join(to_node, request.to_name)
+        record = self._log_intent("rename", (src, dst), rpc_key)
         try:
             moved, replaced = self.fs.namespace.rename_in(
                 from_node, request.from_name, to_node, request.to_name,
@@ -1037,12 +980,20 @@ class NfsServer:
         self._dir_write_slot(from_node, from_slot)
         self._dir_write_slot(to_node, to_node.slots[request.to_name])
         self.stats.renames += 1
-        reply = RenameReply(**wccs())
-        if record is not None:
-            journal.mark_applied(record, self._undo_rename(
-                record.paths[0], record.paths[1], moved, replaced))
-            journal.set_reply(record, reply)
-            ok = yield from self._commit_meta(record, epoch)
-            if not ok:
-                return None
-        return reply
+        return (yield from self._commit_meta(
+            record, self._undo_rename(src, dst, moved, replaced),
+            RenameReply(**wccs()), epoch))
+
+    #: Request type -> (procedure, journaled).  Every procedure is a
+    #: generator taking ``(request, span, rpc_key)`` and returning its
+    #: reply, or None when a reboot interposed; the journaled ones are
+    #: the non-idempotent namespace mutations the intent log covers.
+    PROCEDURES = {
+        ReadRequest: (_read, False), WriteRequest: (_write, False),
+        CommitRequest: (_commit, False), LookupRequest: (_lookup, False),
+        GetattrRequest: (_getattr, False),
+        SetattrRequest: (_setattr, False),
+        ReaddirRequest: (_readdir, False),
+        CreateRequest: (_create, True), MkdirRequest: (_mkdir, True),
+        RemoveRequest: (_remove, True), RenameRequest: (_rename, True),
+    }

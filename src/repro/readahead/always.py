@@ -18,7 +18,7 @@ class AlwaysReadAheadHeuristic:
     name = "always"
 
     def observe(self, state: ReadState, offset: int, nbytes: int,
-                now: float = 0.0) -> int:
+                now: float = 0.0, fh: object = None) -> int:
         if nbytes <= 0:
             raise ValueError("access must cover at least one byte")
         state.next_offset = offset + nbytes

@@ -9,7 +9,7 @@ ways of maintaining it:
 * **SlowDown** — rise as usual, fall slowly (§6.2), and
 * the **cursor-based** method for stride patterns (§7).
 
-All four share this interface: ``observe(state, offset, nbytes)``
+All share this interface: ``observe(state, offset, nbytes, now, fh)``
 updates per-file state and returns the effective seqCount for the
 access.  ``seqCount`` never exceeds :data:`MAX_SEQCOUNT` (127), "due to
 the implementation of the lower levels of the operating system" (§6.2).
@@ -65,8 +65,12 @@ class Heuristic(Protocol):
     name: str
 
     def observe(self, state: ReadState, offset: int, nbytes: int,
-                now: float = 0.0) -> int:
-        """Update ``state`` for an access and return its seqCount."""
+                now: float = 0.0, fh: object = None) -> int:
+        """Update ``state`` for an access and return its seqCount.
+
+        ``fh`` names the file; only a heuristic whose state spans
+        files (the shared cursor pool) needs it.
+        """
         ...
 
 

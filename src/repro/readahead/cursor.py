@@ -46,7 +46,7 @@ class CursorHeuristic:
         self.divisor = divisor
 
     def observe(self, state: ReadState, offset: int, nbytes: int,
-                now: float = 0.0) -> int:
+                now: float = 0.0, fh: object = None) -> int:
         if nbytes <= 0:
             raise ValueError("access must cover at least one byte")
         cursor = self._find(state, offset)

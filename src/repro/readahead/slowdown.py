@@ -31,7 +31,7 @@ class SlowDownHeuristic:
         self.divisor = divisor
 
     def observe(self, state: ReadState, offset: int, nbytes: int,
-                now: float = 0.0) -> int:
+                now: float = 0.0, fh: object = None) -> int:
         if nbytes <= 0:
             raise ValueError("access must cover at least one byte")
         if offset == state.next_offset:

@@ -20,7 +20,8 @@ import json
 import pytest
 
 from repro.host import TestbedConfig, build_nfs_testbed
-from repro.nfs import (NfsNoEntryError, NfsNotEmptyError, NfsStaleError)
+from repro.nfs import (FileHandle, NfsNoEntryError, NfsNotEmptyError,
+                       NfsStaleError, SetattrRequest)
 from repro.workloads import (NamespaceTreeSpec, NamespaceWorkload,
                              PATTERNS, run_namespace_once)
 
@@ -154,6 +155,27 @@ class TestRemoveSemantics:
         testbed = build_nfs_testbed(TestbedConfig())
         with pytest.raises(NfsNoEntryError):
             run_ops(testbed, testbed.mount.remove("never-existed"))
+
+    def test_getattr_of_file_removed_by_another_client_is_stale(self):
+        testbed = build_nfs_testbed(TestbedConfig(num_clients=2))
+        testbed.server.export_file("data", 4096)
+        mine, theirs = testbed.mounts
+        nfile = run_ops(testbed, mine.open("data"))
+        run_ops(testbed, theirs.remove("data"))
+        with pytest.raises(NfsStaleError):
+            run_ops(testbed, mine.getattr(nfile))
+
+
+class TestSetattrValidation:
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            SetattrRequest(fh=FileHandle(1), size=-5)
+        testbed = build_nfs_testbed(TestbedConfig())
+        mount = testbed.mount
+        run_ops(testbed, mount.create("data", size=4096))
+        with pytest.raises(ValueError):
+            run_ops(testbed, mount.touch("data", size=-5))
+        assert run_ops(testbed, mount.stat("data")).size == 4096
 
 
 class TestReaddirCookies:

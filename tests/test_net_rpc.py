@@ -30,13 +30,13 @@ def tcp_channel(sim):
     return client, server
 
 
-def echo_handler(body):
+def echo_handler(body, span, rpc_key):
     yield
     return None
 
 
 def make_echo(sim, delay=0.0):
-    def handler(body):
+    def handler(body, span, rpc_key):
         if delay:
             yield sim.timeout(delay)
         else:
@@ -65,7 +65,7 @@ def test_concurrent_calls_matched_by_xid():
     sim = Simulator()
     client, server = udp_channel(sim)
 
-    def handler(body):
+    def handler(body, span, rpc_key):
         # Later requests finish *sooner*: replies come back reordered.
         yield sim.timeout(0.1 / (body + 1))
         return body * 10, 50
@@ -191,7 +191,7 @@ def lossy_reply_channel(sim, handler_delay):
                        track_duplicates=True)
     executions = []
 
-    def handler(body):
+    def handler(body, span, rpc_key):
         executions.append(body)
         yield sim.timeout(handler_delay)
         return f"ok:{body}", 10
@@ -246,7 +246,7 @@ def test_disabled_dupreq_cache_reexecutes():
     server = RpcServer(sim, server_ep, _DropFirstSend(server_ep),
                        dupreq_cache_size=0, track_duplicates=True)
 
-    def handler(body):
+    def handler(body, span, rpc_key):
         yield sim.timeout(0.001)
         return "ok", 10
 

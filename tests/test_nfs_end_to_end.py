@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.nfs.protocol as protocol
 from repro.bench.readers import ReaderResult, stride_reader
 from repro.host import TestbedConfig, build_nfs_testbed
-from repro.nfs import NFS_READ_SIZE
+from repro.nfs import (CreateRequest, NFS_READ_SIZE, NfsServer,
+                       RemoveReply)
 
 BLOCK = NFS_READ_SIZE
 MB = 1 << 20
@@ -135,3 +137,30 @@ class TestHeuristicPlumbing:
             server_heuristic="cursor",
             heuristic_options={"cursor_limit": 3}))
         assert testbed.server.heuristic.cursor_limit == 3
+
+
+class TestProcedureTables:
+    def test_server_and_client_tables_cover_every_request(self):
+        requests = {value for name, value in vars(protocol).items()
+                    if name.endswith("Request") and isinstance(value, type)}
+        assert set(NfsServer.PROCEDURES) == set(protocol.REPLY_TYPES) \
+            == requests
+
+    def test_unknown_request_raises_type_error(self):
+        testbed = build_nfs_testbed(TestbedConfig())
+        with pytest.raises(TypeError):
+            next(testbed.server.handle("not an NFS request"))
+
+    def test_reply_of_the_wrong_type_raises_type_error(self):
+        testbed = build_nfs_testbed(TestbedConfig())
+        server = testbed.server
+
+        def remove_reply(server, request, span, rpc_key):
+            yield from server.machine.execute(server.config.cpu_per_call)
+            return RemoveReply()
+
+        server.PROCEDURES = {**NfsServer.PROCEDURES,
+                             CreateRequest: (remove_reply, False)}
+        process = testbed.sim.spawn(testbed.mount.create("new"))
+        with pytest.raises(TypeError, match="CreateRequest"):
+            testbed.sim.run_until_complete(process)

@@ -2,13 +2,24 @@
 
 import pytest
 
+from repro.nfs import FileHandle
 from repro.readahead import (AlwaysReadAheadHeuristic, CursorHeuristic,
-                             DefaultHeuristic, INITIAL_SEQCOUNT,
-                             MAX_SEQCOUNT, ReadState, SLOWDOWN_WINDOW,
-                             SlowDownHeuristic, clamp_seqcount,
-                             make_heuristic, readahead_blocks)
+                             DefaultHeuristic, HEURISTICS,
+                             INITIAL_SEQCOUNT, MAX_SEQCOUNT, ReadState,
+                             SLOWDOWN_WINDOW, SlowDownHeuristic,
+                             clamp_seqcount, make_heuristic,
+                             readahead_blocks)
 
 BLOCK = 8 * 1024
+
+
+@pytest.mark.parametrize("name", HEURISTICS)
+def test_every_heuristic_takes_the_file_handle(name):
+    """The NFS server calls every heuristic the same way, handle
+    included; a per-file heuristic answers as if it were absent."""
+    with_fh = make_heuristic(name).observe(ReadState(), 0, BLOCK, 0.0,
+                                           fh=FileHandle(1))
+    assert with_fh == make_heuristic(name).observe(ReadState(), 0, BLOCK)
 
 
 def sequential_accesses(heuristic, state, nblocks, start=0):
