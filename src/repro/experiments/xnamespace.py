@@ -48,7 +48,7 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     workload = NamespaceWorkload(pattern="stat", ops=OPS)
     figure = SeriesSet(
         f"Extension X6: stat() over {files} files vs acregmax",
-        xlabel="acregmax (s)")
+        xlabel="acregmax (s)", ylabel="Throughput (stat() ops/s)")
     for transport in ("udp", "tcp"):
         series = figure.new_series(transport)
         base = TestbedConfig(drive="ide", partition=1,
