@@ -6,6 +6,8 @@ markedly higher over UDP than TCP ("we were unable to exceed 6 % on UDP
 and 2 % on TCP" on their well-behaved gigabit LAN).
 """
 
+from functools import partial
+
 from conftest import RESULTS_DIR, bench_scale, bench_seed
 
 from repro.bench.fileset import files_for_readers
@@ -29,22 +31,9 @@ def measure(transport, busy, readers):
     for spec in specs:
         testbed.server.export_file(spec.name, spec.size)
     for spec in specs:
-        def make(spec=spec):
-            def open_fn():
-                nfile = yield from testbed.mount.open(spec.name)
-                return nfile
-
-            def read_fn(handle, offset, nbytes):
-                got = yield from testbed.mount.read(handle, offset,
-                                                    nbytes)
-                return got
-
-            return open_fn, read_fn
-
-        open_fn, read_fn = make()
         testbed.sim.spawn(sequential_reader(
-            testbed.sim, open_fn, read_fn, spec.size,
-            ReaderResult(spec.name)))
+            testbed.sim, partial(testbed.mount.open, spec.name),
+            testbed.mount.read, spec.size, ReaderResult(spec.name)))
     testbed.sim.run()
     return reorder_fraction(testbed.server.trace)
 

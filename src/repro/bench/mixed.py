@@ -11,10 +11,9 @@ much the background traffic erodes the read-ahead gains.
 
 from __future__ import annotations
 
-from typing import List
+import functools
 
-from ..host.testbed import NfsTestbed, TestbedConfig, build_nfs_testbed
-from ..obs.session import active_session
+from ..host.testbed import TestbedConfig, build_nfs_testbed
 from .fileset import FileSpec, files_for_readers
 from .readers import ReaderResult, sequential_reader
 from .runner import MB, RunResult
@@ -39,24 +38,13 @@ def run_mixed_once(config: TestbedConfig, nreaders: int,
     results = [ReaderResult(spec.name) for spec in read_specs]
     reader_processes = []
     stop_flag = {"done": 0}
-
-    def make_io(spec):
-        def open_fn(span=None):
-            nfile = yield from testbed.mount.open(spec.name, span=span)
-            return nfile
-
-        def read_fn(handle, offset, nbytes, span=None):
-            got = yield from testbed.mount.read(handle, offset, nbytes,
-                                                span=span)
-            return got
-
-        return open_fn, read_fn
-
+    mount = testbed.mount
     for spec, result in zip(read_specs, results):
-        open_fn, read_fn = make_io(spec)
         process = testbed.sim.spawn(
-            sequential_reader(testbed.sim, open_fn, read_fn, spec.size,
-                              result, tracer=testbed.obs.tracer),
+            sequential_reader(testbed.sim,
+                              functools.partial(mount.open, spec.name),
+                              mount.read, spec.size, result,
+                              tracer=testbed.obs.tracer),
             name=f"reader:{spec.name}")
         process.add_callback(
             lambda _ev: stop_flag.__setitem__(
@@ -89,16 +77,7 @@ def run_mixed_once(config: TestbedConfig, nreaders: int,
         testbed.sim.spawn(statter(testbed.sim, target),
                           name=f"statter{index}")
 
-    testbed.sim.run()
-    for process in reader_processes:
-        if process.error is not None:
-            raise process.error
-    result = RunResult(readers=results,
-                       total_bytes=sum(r.bytes_read for r in results))
-    if testbed.obs.enabled:
-        if testbed.obs.registry.enabled:
-            result.metrics = testbed.obs.registry.snapshot()
-        session = active_session()
-        if session is not None:
-            session.record(testbed.obs)
-    return result
+    metrics = testbed.run(reader_processes)
+    return RunResult(readers=results,
+                     total_bytes=sum(r.bytes_read for r in results),
+                     metrics=metrics)

@@ -4,13 +4,19 @@ Each reader is a simulation process that opens its file, reads it
 according to its pattern, and records its completion time — the raw
 material for both the throughput figures and the fairness distributions
 of Figure 3.
+
+Every reader takes the same two functions: ``open_fn(span=)`` is a
+generator returning a handle, and ``read_fn(handle, offset, nbytes,
+span=)`` is a generator returning the bytes read.  Both receive the
+reader's root tracing span.  An NFS run passes
+``functools.partial(mount.open, name)`` and ``mount.read``, so the same
+reader body drives both the local FFS and an NFS mount.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from ..obs import NULL_SPAN, NULL_TRACER
 
@@ -21,6 +27,11 @@ SEQUENTIAL_READ_SIZE = 64 * 1024
 
 #: The stride benchmark reads single NFS-block-sized chunks (§7).
 STRIDE_READ_SIZE = 8 * 1024
+
+#: Consecutive failed read() calls after which the resilient reader
+#: abandons its file — no application retries forever on a mount that
+#: keeps timing out.
+GIVE_UP_AFTER = 5
 
 
 @dataclass
@@ -39,81 +50,48 @@ class ReaderResult:
         return self.finish_time - self.start_time
 
 
-def _accepts_span(fn) -> bool:
-    """True if ``fn`` takes a ``span`` keyword.
-
-    Pre-tracing open/read functions (plain 0- and 3-argument
-    callables) remain valid reader arguments; span-aware ones opt in
-    by naming the parameter.
-    """
-    try:
-        return "span" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
+def _root_span(tracer, result: ReaderResult, **args):
+    """The reader's root span (the null span when tracing is off)."""
+    tracer = tracer if tracer is not None else NULL_TRACER
+    return (tracer.start(f"reader:{result.name}", "bench", **args)
+            if tracer.enabled else NULL_SPAN)
 
 
 def sequential_reader(sim, open_fn, read_fn, size: int,
-                      result: ReaderResult,
-                      read_size: int = SEQUENTIAL_READ_SIZE,
-                      think_time: float = 0.0,
-                      tracer=None):
-    """Read a file from start to end (generator process).
-
-    ``open_fn()`` is a generator returning a handle; ``read_fn(handle,
-    offset, nbytes)`` is a generator returning bytes read.  The same
-    reader body therefore drives both the local FFS and an NFS mount.
-    Either function may also accept a ``span=`` keyword to receive the
-    reader's root tracing span.
-    """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    span = (tracer.start(f"reader:{result.name}", "bench")
-            if tracer.enabled else NULL_SPAN)
-    open_takes_span = _accepts_span(open_fn)
-    read_takes_span = _accepts_span(read_fn)
+                      result: ReaderResult, tracer=None):
+    """Read a file from start to end (generator process)."""
+    span = _root_span(tracer, result)
     result.start_time = sim.now
-    handle = yield from (open_fn(span=span) if open_takes_span
-                         else open_fn())
+    handle = yield from open_fn(span=span)
     offset = 0
     while offset < size:
-        nbytes = min(read_size, size - offset)
-        got = yield from (read_fn(handle, offset, nbytes, span=span)
-                          if read_takes_span
-                          else read_fn(handle, offset, nbytes))
+        got = yield from read_fn(handle, offset,
+                                 min(SEQUENTIAL_READ_SIZE, size - offset),
+                                 span=span)
         if got <= 0:
             break
         result.bytes_read += got
         offset += got
-        if think_time > 0:
-            yield sim.timeout(think_time)
     result.finish_time = sim.now
     span.finish(bytes=result.bytes_read)
     return result
 
 
 def resilient_sequential_reader(sim, open_fn, read_fn, size: int,
-                                result: ReaderResult,
-                                read_size: int = SEQUENTIAL_READ_SIZE,
-                                give_up_after: Optional[int] = 5,
-                                tracer=None):
+                                result: ReaderResult, tracer=None):
     """A sequential reader that survives I/O errors (generator process).
 
     On a soft mount a dead or badly degraded server surfaces as
     ``OSError`` (``ETIMEDOUT``) from read(); this reader counts the
     error and skips the chunk, like a bulk-transfer tool that logs and
-    presses on.  ``give_up_after`` consecutive failures abort the file —
-    no application retries forever on a mount that keeps timing out.
-    On hard mounts read() never raises, so this behaves exactly like
-    :func:`sequential_reader`.
+    presses on.  :data:`GIVE_UP_AFTER` consecutive failures abort the
+    file.  On hard mounts read() never raises, so this behaves exactly
+    like :func:`sequential_reader`.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    span = (tracer.start(f"reader:{result.name}", "bench")
-            if tracer.enabled else NULL_SPAN)
-    open_takes_span = _accepts_span(open_fn)
-    read_takes_span = _accepts_span(read_fn)
+    span = _root_span(tracer, result)
     result.start_time = sim.now
     try:
-        handle = yield from (open_fn(span=span) if open_takes_span
-                             else open_fn())
+        handle = yield from open_fn(span=span)
     except OSError:
         result.errors += 1
         result.read_attempts += 1
@@ -123,16 +101,14 @@ def resilient_sequential_reader(sim, open_fn, read_fn, size: int,
     offset = 0
     consecutive = 0
     while offset < size:
-        nbytes = min(read_size, size - offset)
+        nbytes = min(SEQUENTIAL_READ_SIZE, size - offset)
         result.read_attempts += 1
         try:
-            got = yield from (read_fn(handle, offset, nbytes, span=span)
-                              if read_takes_span
-                              else read_fn(handle, offset, nbytes))
+            got = yield from read_fn(handle, offset, nbytes, span=span)
         except OSError:
             result.errors += 1
             consecutive += 1
-            if give_up_after is not None and consecutive >= give_up_after:
+            if consecutive >= GIVE_UP_AFTER:
                 break
             offset += nbytes
             continue
@@ -166,23 +142,14 @@ def stride_offsets(size: int, strides: int,
 
 
 def stride_reader(sim, open_fn, read_fn, size: int, strides: int,
-                  result: ReaderResult,
-                  read_size: int = STRIDE_READ_SIZE,
-                  tracer=None):
+                  result: ReaderResult, tracer=None):
     """Read a file in a stride pattern (generator process)."""
-    tracer = tracer if tracer is not None else NULL_TRACER
-    span = (tracer.start(f"reader:{result.name}", "bench",
-                         strides=strides)
-            if tracer.enabled else NULL_SPAN)
-    open_takes_span = _accepts_span(open_fn)
-    read_takes_span = _accepts_span(read_fn)
+    span = _root_span(tracer, result, strides=strides)
     result.start_time = sim.now
-    handle = yield from (open_fn(span=span) if open_takes_span
-                         else open_fn())
-    for offset in stride_offsets(size, strides, read_size):
-        got = yield from (read_fn(handle, offset, read_size, span=span)
-                          if read_takes_span
-                          else read_fn(handle, offset, read_size))
+    handle = yield from open_fn(span=span)
+    for offset in stride_offsets(size, strides):
+        got = yield from read_fn(handle, offset, STRIDE_READ_SIZE,
+                                 span=span)
         result.bytes_read += got
     result.finish_time = sim.now
     span.finish(bytes=result.bytes_read)

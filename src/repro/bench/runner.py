@@ -13,13 +13,13 @@ represents the average of at least ten separate runs").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..host.testbed import (LocalTestbed, NfsTestbed, TestbedConfig,
+from ..host.testbed import (NfsTestbed, TestbedConfig,
                             build_local_testbed, build_nfs_testbed)
 from ..obs.session import active_session
-from ..sim import Simulator
 from ..stats import RunningSummary, Summary
 from .fileset import FileSpec, files_for_readers
 from .readers import (ReaderResult, resilient_sequential_reader,
@@ -95,31 +95,46 @@ class FaultRunResult(RunResult):
         return self.dupreq_hits / self.retransmits
 
 
-def _run_readers(testbed, spawn_reader, specs: Sequence[FileSpec]
+def _local_open(fs, inode, span=None):
+    """:meth:`FileSystem.open` as the generator the readers expect."""
+    return fs.open(inode)
+    yield  # pragma: no cover - makes _local_open a generator
+
+
+def _run_readers(testbed, reader, specs: Sequence[FileSpec], io
                  ) -> RunResult:
-    sim: Simulator = testbed.sim
+    """Run one ``reader`` per file to completion on ``testbed``.
+
+    ``io[i]`` is the ``(open_fn, read_fn)`` pair of ``specs[i]``.
+    """
     results = [ReaderResult(spec.name) for spec in specs]
-    processes = [spawn_reader(testbed, spec, result)
-                 for spec, result in zip(specs, results)]
-    sim.run()
-    for process in processes:
-        if process.error is not None:
-            raise process.error
-        if not process.finished:
-            raise RuntimeError(f"reader {process.name} never finished")
-    result = RunResult(readers=results,
-                       total_bytes=sum(r.bytes_read for r in results))
-    capture_file = getattr(testbed, "capture_trace_file", None)
-    if capture_file is not None:
-        result.trace = capture_file()
-    obs = getattr(testbed, "obs", None)
-    if obs is not None and obs.enabled:
-        if obs.registry.enabled:
-            result.metrics = obs.registry.snapshot()
-        session = active_session()
-        if session is not None:
-            session.record(obs)
-    return result
+    processes = [
+        testbed.sim.spawn(
+            reader(testbed.sim, open_fn, read_fn, size=spec.size,
+                   result=result, tracer=testbed.obs.tracer),
+            name=f"reader:{spec.name}")
+        for spec, result, (open_fn, read_fn) in zip(specs, results, io)]
+    metrics = testbed.run(processes)
+    return RunResult(readers=results,
+                     total_bytes=sum(r.bytes_read for r in results),
+                     metrics=metrics)
+
+
+def _run_nfs_readers(config: TestbedConfig, reader,
+                     specs: Sequence[FileSpec]
+                     ) -> Tuple[NfsTestbed, RunResult]:
+    """Export ``specs`` on a fresh NFS testbed and read each file with
+    its own ``reader``, round-robin over the client mounts."""
+    testbed = build_nfs_testbed(config)
+    for spec in specs:
+        testbed.server.export_file(spec.name, spec.size)
+    mounts = [testbed.mount_for(index) for index in range(len(specs))]
+    result = _run_readers(
+        testbed, reader, specs,
+        [(functools.partial(mount.open, spec.name), mount.read)
+         for spec, mount in zip(specs, mounts)])
+    result.trace = testbed.capture_trace_file()
+    return testbed, result
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +146,12 @@ def run_local_once(config: TestbedConfig, nreaders: int,
     """One local-FS run with ``nreaders`` concurrent sequential readers."""
     testbed = build_local_testbed(config)
     specs = files_for_readers(nreaders, scale)
-    inodes = {spec.name: testbed.fs.create_file(spec.name, spec.size)
-              for spec in specs}
-
-    def spawn(tb: LocalTestbed, spec: FileSpec, result: ReaderResult):
-        def open_fn():
-            return tb.fs.open(inodes[spec.name])
-            yield  # pragma: no cover - makes open_fn a generator
-
-        def read_fn(handle, offset, nbytes, span=None):
-            got = yield from tb.fs.read(handle, offset, nbytes, span=span)
-            return got
-
-        return tb.sim.spawn(
-            sequential_reader(tb.sim, open_fn, read_fn, spec.size, result,
-                              tracer=tb.obs.tracer),
-            name=f"reader:{spec.name}")
-
-    return _run_readers(testbed, spawn, specs)
+    fs = testbed.fs
+    inodes = [fs.create_file(spec.name, spec.size) for spec in specs]
+    return _run_readers(
+        testbed, sequential_reader, specs,
+        [(functools.partial(_local_open, fs, inode), fs.read)
+         for inode in inodes])
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +165,9 @@ def run_nfs_once(config: TestbedConfig, nreaders: int,
     Readers are distributed round-robin over the testbed's client
     machines (one, unless ``config.num_clients`` says otherwise).
     """
-    testbed = build_nfs_testbed(config)
-    specs = files_for_readers(nreaders, scale)
-    for spec in specs:
-        testbed.server.export_file(spec.name, spec.size)
-    counter = {"next": 0}
-
-    def spawn(tb: NfsTestbed, spec: FileSpec, result: ReaderResult):
-        mount = tb.mount_for(counter["next"])
-        counter["next"] += 1
-
-        def open_fn(span=None):
-            nfile = yield from mount.open(spec.name, span=span)
-            return nfile
-
-        def read_fn(handle, offset, nbytes, span=None):
-            got = yield from mount.read(handle, offset, nbytes, span=span)
-            return got
-
-        return tb.sim.spawn(
-            sequential_reader(tb.sim, open_fn, read_fn, spec.size, result,
-                              tracer=tb.obs.tracer),
-            name=f"reader:{spec.name}")
-
-    return _run_readers(testbed, spawn, specs)
+    _testbed, result = _run_nfs_readers(
+        config, sequential_reader, files_for_readers(nreaders, scale))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -202,31 +184,9 @@ def run_faulted_once(config: TestbedConfig, nreaders: int,
     carries the retransmission / dupreq / crash counters needed to
     judge graceful degradation.
     """
-    testbed = build_nfs_testbed(config)
-    specs = files_for_readers(nreaders, scale)
-    for spec in specs:
-        testbed.server.export_file(spec.name, spec.size)
-    counter = {"next": 0}
-
-    def spawn(tb: NfsTestbed, spec: FileSpec, result: ReaderResult):
-        mount = tb.mount_for(counter["next"])
-        counter["next"] += 1
-
-        def open_fn(span=None):
-            nfile = yield from mount.open(spec.name, span=span)
-            return nfile
-
-        def read_fn(handle, offset, nbytes, span=None):
-            got = yield from mount.read(handle, offset, nbytes, span=span)
-            return got
-
-        return tb.sim.spawn(
-            resilient_sequential_reader(tb.sim, open_fn, read_fn,
-                                        spec.size, result,
-                                        tracer=tb.obs.tracer),
-            name=f"reader:{spec.name}")
-
-    base = _run_readers(testbed, spawn, specs)
+    testbed, base = _run_nfs_readers(
+        config, resilient_sequential_reader,
+        files_for_readers(nreaders, scale))
     server_stats = testbed.server.stats
     return FaultRunResult(
         readers=base.readers,
@@ -260,27 +220,10 @@ def run_stride_once(config: TestbedConfig, strides: int,
                     scale: float = 1.0,
                     file_bytes: int = 256 * MB) -> RunResult:
     """One single-reader stride run over NFS (§7's benchmark)."""
-    testbed = build_nfs_testbed(config)
-    size = int(file_bytes * scale)
-    spec = FileSpec(name="stride-file", size=size)
-    testbed.server.export_file(spec.name, spec.size)
-
-    def spawn(tb: NfsTestbed, spec_: FileSpec, result: ReaderResult):
-        def open_fn(span=None):
-            nfile = yield from tb.mount.open(spec_.name, span=span)
-            return nfile
-
-        def read_fn(handle, offset, nbytes, span=None):
-            got = yield from tb.mount.read(handle, offset, nbytes,
-                                           span=span)
-            return got
-
-        return tb.sim.spawn(
-            stride_reader(tb.sim, open_fn, read_fn, spec_.size, strides,
-                          result, tracer=tb.obs.tracer),
-            name=f"stride:{spec_.name}")
-
-    return _run_readers(testbed, spawn, [spec])
+    _testbed, result = _run_nfs_readers(
+        config, functools.partial(stride_reader, strides=strides),
+        [FileSpec(name="stride-file", size=int(file_bytes * scale))])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +263,17 @@ def collect_metric(run_once: Callable[[TestbedConfig], object],
                                   metric=metric)
 
 
-def collect_throughputs(run_once: Callable[[TestbedConfig], RunResult],
-                        config: TestbedConfig, runs: int,
-                        jobs: int = 1) -> List[float]:
-    """Per-seed throughputs for ``runs`` repeats, in seed order."""
-    return collect_metric(run_once, config, runs, jobs,
-                          metric="throughput_mb_s")
-
-
 def repeat(run_once: Callable[[TestbedConfig], RunResult],
            config: TestbedConfig, runs: int = 10,
            jobs: int = 1) -> Summary:
     """Repeat a run with per-run seeds; summarise throughput (MB/s).
 
-    ``jobs`` parallelises the repeats (see :func:`collect_throughputs`);
+    ``jobs`` parallelises the repeats (see :func:`collect_metric`);
     the summary is byte-identical to a serial run because the per-seed
     throughputs come back in seed order and are folded into the
     accumulator in that same order.
     """
     acc = RunningSummary()
-    for throughput in collect_throughputs(run_once, config, runs, jobs):
+    for throughput in collect_metric(run_once, config, runs, jobs):
         acc.add(throughput)
     return acc.freeze()

@@ -15,8 +15,7 @@ See DESIGN.md §11.
 from .cells import (CampaignSpec, SPEC_VERSION, chaos_cell,
                     run_bench_cell, run_chaos_cell, run_spec_cell)
 from .drivers import (CampaignIncomplete, bench_spec, chaos_spec,
-                      collect_metric_sharded,
-                      collect_throughputs_sharded, fold_bench,
+                      collect_metric_sharded, fold_bench,
                       fold_chaos, run_bench_campaign,
                       run_chaos_campaign, run_spec_campaign,
                       shrink_and_bundle, shrink_failure)
@@ -32,8 +31,7 @@ __all__ = [
     "LoadedJournal", "Orchestrator", "SPEC_VERSION",
     "atomic_write_text", "bench_spec", "cells_csv", "chaos_cell",
     "chaos_spec",
-    "collect_metric_sharded", "collect_throughputs_sharded",
-    "fold_bench", "fold_chaos",
+    "collect_metric_sharded", "fold_bench", "fold_chaos",
     "fold_json", "fold_records", "report_html", "run_bench_campaign",
     "run_bench_cell", "run_chaos_campaign", "run_chaos_cell",
     "run_sharded", "run_spec_campaign", "run_spec_cell",

@@ -165,12 +165,6 @@ def collect_metric_sharded(run_once, config, runs: int, jobs: int,
     return [o.result[metric] for o in outcome.outcomes]
 
 
-def collect_throughputs_sharded(run_once, config, runs: int,
-                                jobs: int) -> List[float]:
-    return collect_metric_sharded(run_once, config, runs, jobs,
-                                  metric="throughput_mb_s")
-
-
 def _callable_cell(run_once, seeds, metric: str, index: int) -> dict:
     return {metric: getattr(run_once(seeds[index]), metric)}
 

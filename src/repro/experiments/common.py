@@ -1,23 +1,18 @@
-"""Shared sweep helpers for the experiment modules."""
+"""The experiments' sweep driver (§4.3's protocol, written once)."""
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Dict, List, Sequence, Tuple
-
 from contextlib import contextmanager
+from typing import Callable, Sequence, Tuple
 
-from ..bench.fileset import READER_COUNTS
-from ..bench.runner import (RunResult, collect_throughputs,
-                            run_local_once, run_nfs_once,
-                            run_stride_once)
+from ..bench.runner import run_local_once
 from ..host.testbed import TestbedConfig
 from ..obs.session import active_session
 from ..stats import RunningSummary, SeriesSet
 
 
 @contextmanager
-def _sweep_context(label: str, **extra):
+def _sweep_context(context: dict):
     """Stamp the active obs session (if any) with the sweep point.
 
     Metric snapshots recorded inside the block carry a ``_context``
@@ -30,62 +25,38 @@ def _sweep_context(label: str, **extra):
         yield
         return
     previous = session.run_context
-    session.run_context = {"series": label, **extra}
+    session.run_context = context
     try:
         yield
     finally:
         session.run_context = previous
 
 
-def sweep_readers(title: str,
-                  configs: Sequence[Tuple[str, TestbedConfig]],
-                  run_once: Callable[..., RunResult],
-                  reader_counts: Sequence[int] = READER_COUNTS,
-                  scale: float = 0.125, runs: int = 3,
-                  seed: int = 0, jobs: int = 1) -> SeriesSet:
-    """Throughput vs concurrent readers, one series per configuration.
+def sweep(figure: SeriesSet,
+          configs: Sequence[Tuple[str, TestbedConfig]],
+          xs: Sequence, point: Callable, runs: int, seed: int,
+          offset: Callable = int,
+          metric: str = "throughput_mb_s") -> SeriesSet:
+    """Fill ``figure``: one series per ``(label, config)``, one point
+    per x.
 
-    ``jobs`` parallelises the per-point repeats; the per-run seed
-    schedule (``seed + 1000*run + nreaders``) and the order throughputs
-    are folded into the summary are the same either way, so the figure
-    is byte-identical to a serial sweep.
+    Each point is the mean (σ) of ``runs`` repeats, every repeat on a
+    fresh testbed: repeat ``run`` of ``x`` calls
+    ``point(config.with_seed(seed + 1000*run + offset(x)), x)`` and
+    folds the result's ``metric`` attribute.  Metric snapshots recorded
+    meanwhile are stamped ``{"series": label, figure.xlabel: x}``.
     """
-    figure = SeriesSet(title=title, xlabel="readers")
     for label, config in configs:
         series = figure.new_series(label)
-        for nreaders in reader_counts:
-            point = functools.partial(run_once, nreaders=nreaders,
-                                      scale=scale)
+        for x in xs:
             acc = RunningSummary()
-            with _sweep_context(label, readers=nreaders):
-                throughputs = collect_throughputs(
-                    point, config.with_seed(seed + nreaders), runs, jobs)
-            for throughput in throughputs:
-                acc.add(throughput)
-            series.add(nreaders, acc.freeze())
-    return figure
-
-
-def sweep_strides(title: str,
-                  configs: Sequence[Tuple[str, TestbedConfig]],
-                  strides: Sequence[int] = (2, 4, 8),
-                  scale: float = 0.125, runs: int = 3,
-                  seed: int = 0, jobs: int = 1) -> SeriesSet:
-    """Stride-read throughput vs stride count (§7's benchmark)."""
-    figure = SeriesSet(title=title, xlabel="strides")
-    for label, config in configs:
-        series = figure.new_series(label)
-        for stride_count in strides:
-            point = functools.partial(run_stride_once,
-                                      strides=stride_count, scale=scale)
-            acc = RunningSummary()
-            with _sweep_context(label, strides=stride_count):
-                throughputs = collect_throughputs(
-                    point, config.with_seed(seed + stride_count),
-                    runs, jobs)
-            for throughput in throughputs:
-                acc.add(throughput)
-            series.add(stride_count, acc.freeze())
+            with _sweep_context({"series": label, figure.xlabel: x}):
+                for run in range(runs):
+                    result = point(
+                        config.with_seed(seed + 1000 * run + offset(x)),
+                        x)
+                    acc.add(getattr(result, metric))
+            series.add(x, acc.freeze())
     return figure
 
 
@@ -97,13 +68,14 @@ def completion_distribution(title: str,
     """Mean time for the k-th of ``nreaders`` processes to finish.
 
     This is Figure 3: per-process completion times under different disk
-    schedulers, eight concurrent readers of 32 MB each.
+    schedulers, eight concurrent readers of 32 MB each.  One run yields
+    every x, so this is its own loop rather than a :func:`sweep`.
     """
     figure = SeriesSet(title=title, xlabel="processes completed",
                        ylabel="Time to completion (s)")
     for label, config in configs:
         accumulators = [RunningSummary() for _ in range(nreaders)]
-        with _sweep_context(label, readers=nreaders):
+        with _sweep_context({"series": label, "readers": nreaders}):
             for run_index in range(runs):
                 run_config = config.with_seed(seed + 1000 * run_index)
                 result = run_local_once(run_config, nreaders, scale=scale)

@@ -11,10 +11,13 @@ can obscure another.
 
 from __future__ import annotations
 
+import functools
+
+from ..bench.fileset import READER_COUNTS
 from ..bench.runner import run_local_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
-from .common import sweep_readers
+from .common import sweep
 from .registry import register
 
 
@@ -31,6 +34,8 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
         ("scsi1", TestbedConfig(drive="scsi", partition=1)),
         ("scsi4", TestbedConfig(drive="scsi", partition=4)),
     ]
-    return sweep_readers("Figure 1: The ZCAV effect (local reads)",
-                         configs, run_local_once,
-                         scale=scale, runs=runs, seed=seed)
+    return sweep(
+        SeriesSet("Figure 1: The ZCAV effect (local reads)",
+                  xlabel="readers"),
+        configs, READER_COUNTS,
+        functools.partial(run_local_once, scale=scale), runs, seed)

@@ -9,10 +9,13 @@ barely dips below 27 MB/s when tagged command queues are disabled").
 
 from __future__ import annotations
 
+import functools
+
+from ..bench.fileset import READER_COUNTS
 from ..bench.runner import run_local_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
-from .common import sweep_readers
+from .common import sweep
 from .registry import register
 
 
@@ -34,6 +37,8 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
         ("scsi4/tags", TestbedConfig(drive="scsi", partition=4,
                                      tagged_queueing=True)),
     ]
-    return sweep_readers("Figure 2: Tagged queues and ZCAV (local SCSI)",
-                         configs, run_local_once,
-                         scale=scale, runs=runs, seed=seed)
+    return sweep(
+        SeriesSet("Figure 2: Tagged queues and ZCAV (local SCSI)",
+                  xlabel="readers"),
+        configs, READER_COUNTS,
+        functools.partial(run_local_once, scale=scale), runs, seed)

@@ -8,10 +8,13 @@ helps scsi1 relative to ide1 at higher reader counts.
 
 from __future__ import annotations
 
+import functools
+
+from ..bench.fileset import READER_COUNTS
 from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
-from .common import sweep_readers
+from .common import sweep
 from .registry import register
 
 
@@ -35,6 +38,6 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
                                         transport="udp",
                                         tagged_queueing=False)),
     ]
-    return sweep_readers("Figure 4: NFS over UDP",
-                         configs, run_nfs_once,
-                         scale=scale, runs=runs, seed=seed)
+    return sweep(SeriesSet("Figure 4: NFS over UDP", xlabel="readers"),
+                 configs, READER_COUNTS,
+                 functools.partial(run_nfs_once, scale=scale), runs, seed)

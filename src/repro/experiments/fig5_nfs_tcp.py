@@ -9,10 +9,13 @@ paper declines to explain is *not* modelled; see EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import functools
+
+from ..bench.fileset import READER_COUNTS
 from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
-from .common import sweep_readers
+from .common import sweep
 from .registry import register
 
 
@@ -36,6 +39,6 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
                                         transport="tcp",
                                         tagged_queueing=False)),
     ]
-    return sweep_readers("Figure 5: NFS over TCP",
-                         configs, run_nfs_once,
-                         scale=scale, runs=runs, seed=seed)
+    return sweep(SeriesSet("Figure 5: NFS over TCP", xlabel="readers"),
+                 configs, READER_COUNTS,
+                 functools.partial(run_nfs_once, scale=scale), runs, seed)

@@ -12,10 +12,13 @@ a client running four infinite-loop processes.  Expected shapes:
 
 from __future__ import annotations
 
+import functools
+
+from ..bench.fileset import READER_COUNTS
 from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
-from .common import sweep_readers
+from .common import sweep
 from .registry import register
 
 
@@ -36,6 +39,8 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
         ("default/busy", TestbedConfig(server_heuristic="default",
                                        client_busy_loops=4, **base)),
     ]
-    return sweep_readers(
-        "Figure 6: read-ahead potential (ide1 via NFS/UDP)",
-        configs, run_nfs_once, scale=scale, runs=runs, seed=seed)
+    return sweep(
+        SeriesSet("Figure 6: read-ahead potential (ide1 via NFS/UDP)",
+                  xlabel="readers"),
+        configs, READER_COUNTS,
+        functools.partial(run_nfs_once, scale=scale), runs, seed)

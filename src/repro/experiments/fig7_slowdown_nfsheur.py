@@ -15,10 +15,13 @@ further improvement; the stock table is the real bottleneck.
 
 from __future__ import annotations
 
+import functools
+
+from ..bench.fileset import READER_COUNTS
 from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
-from .common import sweep_readers
+from .common import sweep
 from .registry import register
 
 
@@ -41,6 +44,8 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
         ("default/default-nfsheur", TestbedConfig(
             server_heuristic="default", nfsheur="default", **base)),
     ]
-    return sweep_readers(
-        "Figure 7: SlowDown and nfsheur (ide1 via NFS/UDP, busy client)",
-        configs, run_nfs_once, scale=scale, runs=runs, seed=seed)
+    return sweep(
+        SeriesSet("Figure 7: SlowDown and nfsheur (ide1 via NFS/UDP, "
+                  "busy client)", xlabel="readers"),
+        configs, READER_COUNTS,
+        functools.partial(run_nfs_once, scale=scale), runs, seed)

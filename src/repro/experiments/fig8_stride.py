@@ -9,11 +9,15 @@ making the cursor gain largest there (~140 % in the paper).
 
 from __future__ import annotations
 
+import functools
+
 from ..bench.runner import run_stride_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
-from .common import sweep_strides
+from .common import sweep
 from .registry import register
+
+STRIDES = (2, 4, 8)
 
 
 def stride_configs():
@@ -42,7 +46,8 @@ def stride_configs():
                  "scsi1 60-70% faster throughout; ide1 gains most at "
                  "s=8 (~140%) because its default curve dips there."))
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
-    return sweep_strides(
-        "Figure 8: stride readers, cursor vs default read-ahead",
-        stride_configs(), strides=(2, 4, 8),
-        scale=scale, runs=runs, seed=seed)
+    return sweep(
+        SeriesSet("Figure 8: stride readers, cursor vs default read-ahead",
+                  xlabel="strides"),
+        stride_configs(), STRIDES,
+        functools.partial(run_stride_once, scale=scale), runs, seed)

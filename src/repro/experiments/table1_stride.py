@@ -18,9 +18,12 @@ We reproduce the *relationships*: cursor > default in every cell by
 
 from __future__ import annotations
 
+import functools
+
+from ..bench.runner import run_stride_once
 from ..stats import SeriesSet
-from .common import sweep_strides
-from .fig8_stride import stride_configs
+from .common import sweep
+from .fig8_stride import STRIDES, stride_configs
 from .registry import register
 
 
@@ -31,8 +34,8 @@ from .registry import register
                  "ide1 default dips at s=8 while scsi1 default stays "
                  "~8-9 MB/s."))
 def run(scale: float = 0.125, runs: int = 10, seed: int = 0) -> SeriesSet:
-    figure = sweep_strides(
-        "Table 1: stride-read throughput, mean (std) over runs",
-        stride_configs(), strides=(2, 4, 8),
-        scale=scale, runs=runs, seed=seed)
-    return figure
+    return sweep(
+        SeriesSet("Table 1: stride-read throughput, mean (std) over runs",
+                  xlabel="strides"),
+        stride_configs(), STRIDES,
+        functools.partial(run_stride_once, scale=scale), runs, seed)

@@ -19,7 +19,8 @@ from dataclasses import replace
 
 from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
-from ..stats import RunningSummary, SeriesSet
+from ..stats import SeriesSet
+from .common import sweep
 from .registry import register
 
 READERS = 8
@@ -50,16 +51,10 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
                                        server_heuristic="none",
                                        nfsheur="improved")),
     ]
-    for label, config in configs:
-        series = figure.new_series(label)
-        for fragmentation in FRAGMENTATION:
-            acc = RunningSummary()
-            for run_index in range(runs):
-                run_config = replace(
-                    config, fragmentation=fragmentation,
-                    seed=seed + 1000 * run_index + int(
-                        fragmentation * 100))
-                result = run_nfs_once(run_config, READERS, scale=scale)
-                acc.add(result.throughput_mb_s)
-            series.add(fragmentation, acc.freeze())
-    return figure
+
+    def point(config, fragmentation):
+        return run_nfs_once(replace(config, fragmentation=fragmentation),
+                            READERS, scale=scale)
+
+    return sweep(figure, configs, FRAGMENTATION, point, runs, seed,
+                 offset=lambda fragmentation: int(fragmentation * 100))

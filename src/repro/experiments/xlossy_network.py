@@ -20,7 +20,8 @@ from dataclasses import replace
 
 from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
-from ..stats import RunningSummary, SeriesSet
+from ..stats import SeriesSet
+from .common import sweep
 from .registry import register
 
 READERS = 4
@@ -37,18 +38,13 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     figure = SeriesSet(
         "Extension X3: frame loss (4 readers, ide1)",
         xlabel="frame loss rate")
-    for transport in ("udp", "tcp"):
-        series = figure.new_series(transport)
-        base = TestbedConfig(drive="ide", partition=1,
-                             transport=transport)
-        for loss_rate in LOSS_RATES:
-            acc = RunningSummary()
-            for run_index in range(runs):
-                config = replace(
-                    base, loss_rate=loss_rate,
-                    seed=seed + 1000 * run_index
-                    + int(loss_rate * 10_000))
-                result = run_nfs_once(config, READERS, scale=scale)
-                acc.add(result.throughput_mb_s)
-            series.add(loss_rate, acc.freeze())
-    return figure
+    configs = [(transport, TestbedConfig(drive="ide", partition=1,
+                                         transport=transport))
+               for transport in ("udp", "tcp")]
+
+    def point(config, loss_rate):
+        return run_nfs_once(replace(config, loss_rate=loss_rate),
+                            READERS, scale=scale)
+
+    return sweep(figure, configs, LOSS_RATES, point, runs, seed,
+                 offset=lambda loss_rate: int(loss_rate * 10_000))

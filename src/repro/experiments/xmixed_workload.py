@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from ..bench.mixed import run_mixed_once
 from ..host.testbed import TestbedConfig
-from ..stats import RunningSummary, SeriesSet
+from ..stats import SeriesSet
+from .common import sweep
 from .registry import register
 
 READERS = 8
@@ -44,15 +45,9 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
             drive="ide", partition=1, transport="udp",
             server_heuristic="default", nfsheur="default")),
     ]
-    for label, config in configs:
-        series = figure.new_series(label)
-        for nwriters in WRITER_COUNTS:
-            acc = RunningSummary()
-            for run_index in range(runs):
-                result = run_mixed_once(
-                    config.with_seed(seed + 1000 * run_index + nwriters),
-                    READERS, nwriters=nwriters, nstatters=2,
-                    scale=scale)
-                acc.add(result.throughput_mb_s)
-            series.add(nwriters, acc.freeze())
-    return figure
+
+    def point(config, nwriters):
+        return run_mixed_once(config, READERS, nwriters=nwriters,
+                              nstatters=2, scale=scale)
+
+    return sweep(figure, configs, WRITER_COUNTS, point, runs, seed)

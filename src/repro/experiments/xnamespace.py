@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..host.testbed import TestbedConfig
-from ..stats import RunningSummary, SeriesSet
+from ..stats import SeriesSet
 from ..workloads import (NamespaceTreeSpec, NamespaceWorkload,
                          run_namespace_once)
+from .common import sweep
 from .registry import register
 
 FILES = 10_000
@@ -49,18 +50,15 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     figure = SeriesSet(
         f"Extension X6: stat() over {files} files vs acregmax",
         xlabel="acregmax (s)", ylabel="Throughput (stat() ops/s)")
-    for transport in ("udp", "tcp"):
-        series = figure.new_series(transport)
-        base = TestbedConfig(drive="ide", partition=1,
-                             transport=transport)
-        for acregmax in ACREGMAX_POINTS:
-            acc = RunningSummary()
-            for run_index in range(runs):
-                config = replace(
-                    base, acregmax=acregmax,
-                    acregmin=min(base.acregmin, acregmax),
-                    seed=seed + 1000 * run_index + int(acregmax))
-                result = run_namespace_once(config, tree, workload)
-                acc.add(result.ops_per_s)
-            series.add(acregmax, acc.freeze())
-    return figure
+    configs = [(transport, TestbedConfig(drive="ide", partition=1,
+                                         transport=transport))
+               for transport in ("udp", "tcp")]
+
+    def point(config, acregmax):
+        return run_namespace_once(
+            replace(config, acregmax=acregmax,
+                    acregmin=min(config.acregmin, acregmax)),
+            tree, workload)
+
+    return sweep(figure, configs, ACREGMAX_POINTS, point, runs, seed,
+                 metric="ops_per_s")

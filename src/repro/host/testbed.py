@@ -259,6 +259,30 @@ class LocalTestbed:
         self.cache.flush()
         self.drive.flush_cache()
 
+    def run(self, processes) -> Optional[dict]:
+        """Run the simulator until its queue is empty; return the metrics.
+
+        Every one of ``processes`` must have finished: a process error
+        is re-raised, and a process still waiting when the queue drained
+        is an error.  The run's metrics-registry snapshot is returned
+        (``None`` with metrics off), and the testbed's observability is
+        folded into the active obs session, if any.
+        """
+        self.sim.run()
+        for process in processes:
+            if process.error is not None:
+                raise process.error
+            if not process.finished:
+                raise RuntimeError(f"{process.name} never finished")
+        if not self.obs.enabled:
+            return None
+        metrics = (self.obs.registry.snapshot()
+                   if self.obs.registry.enabled else None)
+        session = active_session()
+        if session is not None:
+            session.record(self.obs)
+        return metrics
+
 
 class NfsTestbed(LocalTestbed):
     """The full path: client machine(s), gigabit switch, NFS server.

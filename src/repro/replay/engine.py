@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from ..obs.session import active_session
 from .clients import (ClientReplayResult, closed_loop_client,
                       open_loop_client)
 from .records import TraceFile, group_by_client
@@ -182,25 +181,11 @@ def replay_trace(trace: TraceFile, target, mode: str = CLOSED_LOOP,
             "replay.lateness_s",
             lambda: float(sum(c.lateness_s for c in results)))
 
-    testbed.sim.run()
-    for process in processes:
-        if process.error is not None:
-            raise process.error
-        if not process.finished:
-            raise RuntimeError(
-                f"replay client {process.name} never finished")
-
-    run = ReplayRunResult(clients=results, mode=mode,
-                          time_scale=time_scale,
-                          offered_ops=offered_ops,
-                          offered_bytes=offered_bytes)
-    if testbed.obs.enabled:
-        if registry.enabled:
-            run.metrics = registry.snapshot()
-        session = active_session()
-        if session is not None:
-            session.record(testbed.obs)
-    return run
+    metrics = testbed.run(processes)
+    return ReplayRunResult(clients=results, mode=mode,
+                           time_scale=time_scale,
+                           offered_ops=offered_ops,
+                           offered_bytes=offered_bytes, metrics=metrics)
 
 
 def replay_summaries_identical(a: ReplayRunResult,

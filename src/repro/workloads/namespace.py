@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..host.testbed import TestbedConfig, build_nfs_testbed
-from ..obs.session import active_session
 from ..sim.rand import derive_seed
 
 #: Access patterns a workload may name.
@@ -253,26 +252,12 @@ def run_namespace_once(config: TestbedConfig,
             _driver(testbed.sim, mount, tree, workload, ops, rng,
                     result, client),
             name=f"namespace:{workload.pattern}:{client}"))
-    testbed.sim.run()
-    for process in processes:
-        if process.error is not None:
-            raise process.error
-        if not process.finished:
-            raise RuntimeError(
-                f"namespace driver {process.name} never finished")
+    result.metrics = testbed.run(processes)
     result.elapsed = testbed.sim.now
     for name in _MOUNT_STATS:
         result.mount_stats[name] = sum(
             getattr(mount.stats, name) for mount in testbed.mounts)
     for name in _SERVER_STATS:
         result.server_stats[name] = getattr(testbed.server.stats, name)
-    capture_file = getattr(testbed, "capture_trace_file", None)
-    if capture_file is not None:
-        result.trace = capture_file()
-    if testbed.obs.enabled:
-        if testbed.obs.registry.enabled:
-            result.metrics = testbed.obs.registry.snapshot()
-        session = active_session()
-        if session is not None:
-            session.record(testbed.obs)
+    result.trace = testbed.capture_trace_file()
     return result

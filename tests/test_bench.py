@@ -1,12 +1,16 @@
 """Unit tests for the benchmark harness."""
 
+import errno
+
 import pytest
 
 from repro.bench import (FileSpec, ITERATION_BYTES, READER_COUNTS,
+                         ReaderResult, SEQUENTIAL_READ_SIZE,
                          files_for_readers, full_fileset, repeat,
-                         run_local_once, run_nfs_once, run_stride_once,
-                         stride_offsets)
+                         resilient_sequential_reader, run_local_once,
+                         run_nfs_once, run_stride_once, stride_offsets)
 from repro.host import TestbedConfig
+from repro.sim import Simulator
 
 MB = 1 << 20
 SCALE = 1 / 64  # tiny files: tests must be fast
@@ -58,6 +62,41 @@ class TestStrideOffsets:
     def test_single_arm_is_sequential(self):
         offsets = stride_offsets(4 * 8192, strides=1, read_size=8192)
         assert offsets == [0, 8192, 16384, 24576]
+
+
+def _timed_out(*_args, span=None):
+    """An open or read function whose call fails with ETIMEDOUT."""
+    raise OSError(errno.ETIMEDOUT, "timed out")
+    yield  # pragma: no cover - makes _timed_out a generator
+
+
+def _opened(span=None):
+    return "handle"
+    yield  # pragma: no cover - makes _opened a generator
+
+
+class TestResilientReader:
+    """Soft-mount failures are counted, and never abort the run."""
+
+    @staticmethod
+    def read(open_fn, read_fn):
+        sim = Simulator()
+        result = ReaderResult("f")
+        process = sim.spawn(resilient_sequential_reader(
+            sim, open_fn, read_fn, 16 * SEQUENTIAL_READ_SIZE, result))
+        sim.run()
+        assert process.finished and process.error is None
+        return result
+
+    def test_failed_open_is_one_failed_attempt(self):
+        result = self.read(_timed_out, _timed_out)
+        assert result.errors == result.read_attempts == 1
+        assert result.bytes_read == 0
+
+    def test_gives_up_after_five_consecutive_failures(self):
+        result = self.read(_opened, _timed_out)
+        assert result.errors == result.read_attempts == 5
+        assert result.bytes_read == 0
 
 
 class TestRunners:
@@ -121,11 +160,11 @@ class TestParallelRepeat:
 
     def test_parallel_summary_matches_serial(self):
         import functools
-        from repro.bench.runner import collect_throughputs
+        from repro.bench.runner import collect_metric
         point = functools.partial(run_nfs_once, nreaders=2, scale=SCALE)
         config = TestbedConfig(seed=11)
-        serial = collect_throughputs(point, config, runs=3, jobs=1)
-        parallel = collect_throughputs(point, config, runs=3, jobs=3)
+        serial = collect_metric(point, config, runs=3, jobs=1)
+        parallel = collect_metric(point, config, runs=3, jobs=3)
         assert parallel == serial           # bit-identical floats
         assert repeat(point, config, runs=3, jobs=3) == \
             repeat(point, config, runs=3, jobs=1)

@@ -19,7 +19,7 @@ import pytest
 from repro.campaign import (CampaignIncomplete, CampaignJournal,
                             CampaignOptions, CampaignSpec, JournalError,
                             atomic_write_text, bench_spec, cells_csv,
-                            chaos_spec, collect_throughputs_sharded,
+                            chaos_spec, collect_metric_sharded,
                             fold_bench, fold_chaos, fold_json,
                             fold_records, run_bench_cell,
                             run_chaos_cell, run_chaos_campaign,
@@ -549,7 +549,7 @@ SMALL = dict(readers=2, scale=0.03)
 
 class TestDrivers:
     def test_bench_campaign_fold_matches_serial_bytes(self, tmp_path):
-        from repro.bench.runner import (collect_throughputs, repeat,
+        from repro.bench.runner import (collect_metric, repeat,
                                         run_nfs_once)
         import functools
         spec = bench_spec(4, seed=0, **SMALL)
@@ -558,9 +558,8 @@ class TestDrivers:
         record, throughputs = fold_bench(spec, outcome)
         run_once = functools.partial(run_nfs_once, nreaders=2,
                                      scale=0.03)
-        serial_list = collect_throughputs(run_once,
-                                          TestbedConfig(seed=0),
-                                          runs=4, jobs=1)
+        serial_list = collect_metric(run_once, TestbedConfig(seed=0),
+                                     runs=4, jobs=1)
         serial = repeat(run_once, TestbedConfig(seed=0), runs=4)
         assert json.dumps(throughputs) == json.dumps(serial_list)
         assert record["mean_mb_s"] == serial.mean
@@ -579,14 +578,14 @@ class TestDrivers:
         assert "cells done" in str(info.value)
 
     def test_collect_throughputs_sharded_matches_serial(self):
-        from repro.bench.runner import collect_throughputs, run_nfs_once
+        from repro.bench.runner import collect_metric, run_nfs_once
         import functools
         run_once = functools.partial(run_nfs_once, nreaders=2,
                                      scale=0.03)
         config = TestbedConfig(seed=11)
-        serial = collect_throughputs(run_once, config, runs=3, jobs=1)
-        sharded = collect_throughputs_sharded(run_once, config, runs=3,
-                                              jobs=2)
+        serial = collect_metric(run_once, config, runs=3, jobs=1)
+        sharded = collect_metric_sharded(run_once, config, runs=3,
+                                         jobs=2)
         assert json.dumps(serial) == json.dumps(sharded)
 
     def test_chaos_campaign_dedupes_by_fingerprint(self, tmp_path):

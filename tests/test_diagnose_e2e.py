@@ -19,7 +19,8 @@ from repro.cli import main
 
 #: (experiment, scale): small enough to keep the suite fast, large
 #: enough that every detector's minimum-evidence guard is satisfied.
-RUNS = [("fig1", "0.03125"), ("fig2", "0.03125"), ("fig6", "0.015625")]
+RUNS = [("fig1", "0.03125"), ("fig2", "0.03125"), ("fig6", "0.015625"),
+        ("xnamespace", "0.0078125")]
 
 
 def run_cli(argv):
@@ -111,6 +112,12 @@ class TestAttribution:
         assert set(by_config) == {"ide1", "ide4", "scsi1", "scsi4"}
         assert by_config["scsi1"] == "disk.tcq"
         assert by_config["ide1"] == "kernel.bufq"
+
+    def test_xnamespace_bottleneck_splits_by_transport(self, reports):
+        # Every sweep stamps its snapshots with the series, so the
+        # per-configuration election covers the extensions too.
+        by_config = reports["xnamespace"]["dominant_by_config"]
+        assert set(by_config) == {"udp", "tcp"}
 
 
 class TestCliContract:

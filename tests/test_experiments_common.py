@@ -1,10 +1,10 @@
-"""Unit tests for the experiment sweep helpers (with a stub runner)."""
+"""Unit tests for the experiment sweep driver (with a stub runner)."""
 
 from repro.bench.readers import ReaderResult
 from repro.bench.runner import RunResult
-from repro.experiments.common import (completion_distribution,
-                                      sweep_readers, sweep_strides)
+from repro.experiments.common import completion_distribution, sweep
 from repro.host import TestbedConfig
+from repro.stats import SeriesSet
 
 MB = 1 << 20
 
@@ -24,42 +24,40 @@ class TestSweepReaders:
     def test_structure(self):
         calls = []
 
-        def run_once(config, nreaders, scale):
-            calls.append((config.seed, nreaders, scale))
+        def run_once(config, nreaders):
+            calls.append((config.seed, nreaders))
             return stub_result(10.0)
 
-        figure = sweep_readers(
-            "t", [("a", TestbedConfig()), ("b", TestbedConfig())],
-            run_once, reader_counts=(1, 4), scale=0.5, runs=2, seed=7)
+        figure = sweep(
+            SeriesSet("t", xlabel="readers"),
+            [("a", TestbedConfig()), ("b", TestbedConfig())],
+            (1, 4), run_once, runs=2, seed=7)
         assert figure.labels == ["a", "b"]
         assert figure.get("a").xs == [1, 4]
         assert figure.get("a").at(1).count == 2
         # 2 configs x 2 points x 2 runs.
         assert len(calls) == 8
-        assert all(scale == 0.5 for _seed, _n, scale in calls)
 
     def test_seeds_vary_per_run_and_point(self):
         seeds = []
 
-        def run_once(config, nreaders, scale):
+        def run_once(config, nreaders):
             seeds.append(config.seed)
             return stub_result(1.0)
 
-        sweep_readers("t", [("a", TestbedConfig())], run_once,
-                      reader_counts=(1, 2), scale=1.0, runs=2, seed=0)
+        sweep(SeriesSet("t", xlabel="readers"), [("a", TestbedConfig())],
+              (1, 2), run_once, runs=2, seed=0)
         assert len(set(seeds)) == len(seeds)
 
 
 class TestSweepStrides:
-    def test_structure(self, monkeypatch):
-        import repro.experiments.common as common
-
-        def fake_stride(config, strides, scale):
+    def test_structure(self):
+        def fake_stride(config, strides):
             return stub_result(float(strides))
 
-        monkeypatch.setattr(common, "run_stride_once", fake_stride)
-        figure = sweep_strides("t", [("x", TestbedConfig())],
-                               strides=(2, 8), scale=1.0, runs=1)
+        figure = sweep(SeriesSet("t", xlabel="strides"),
+                       [("x", TestbedConfig())], (2, 8), fake_stride,
+                       runs=1, seed=0)
         assert figure.get("x").at(2).mean == 2.0
         assert figure.get("x").at(8).mean == 8.0
 

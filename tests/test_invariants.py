@@ -6,6 +6,8 @@ disk command was serviced exactly once, the drive was never busy for
 longer than the run, and the whole thing is bit-for-bit repeatable.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.bench.fileset import files_for_readers
@@ -24,22 +26,9 @@ def run_instrumented(config, nreaders=4):
     for spec in specs:
         result = ReaderResult(spec.name)
         results.append(result)
-
-        def make(spec=spec):
-            def open_fn():
-                nfile = yield from testbed.mount.open(spec.name)
-                return nfile
-
-            def read_fn(handle, offset, nbytes):
-                got = yield from testbed.mount.read(handle, offset,
-                                                    nbytes)
-                return got
-
-            return open_fn, read_fn
-
-        open_fn, read_fn = make()
         testbed.sim.spawn(sequential_reader(
-            testbed.sim, open_fn, read_fn, spec.size, result))
+            testbed.sim, partial(testbed.mount.open, spec.name),
+            testbed.mount.read, spec.size, result))
     testbed.sim.run()
     return testbed, results
 

@@ -1,5 +1,7 @@
 """Integration tests: the full NFS client/server path."""
 
+from functools import partial
+
 import pytest
 
 import repro.nfs.protocol as protocol
@@ -90,17 +92,9 @@ class TestReadPath:
         testbed = build_nfs_testbed(TestbedConfig())
         testbed.server.export_file("data", MB)
         result = ReaderResult("data")
-
-        def open_fn():
-            nfile = yield from testbed.mount.open("data")
-            return nfile
-
-        def read_fn(handle, offset, nbytes):
-            got = yield from testbed.mount.read(handle, offset, nbytes)
-            return got
-
         process = testbed.sim.spawn(stride_reader(
-            testbed.sim, open_fn, read_fn, MB, 8, result))
+            testbed.sim, partial(testbed.mount.open, "data"),
+            testbed.mount.read, MB, 8, result))
         testbed.sim.run_until_complete(process)
         # A fresh handle's first access looks sequential (warmup), so a
         # couple of read-aheads may fire before the stride is detected.
