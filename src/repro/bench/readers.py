@@ -65,9 +65,8 @@ def sequential_reader(sim, open_fn, read_fn, size: int,
     handle = yield from open_fn(span=span)
     offset = 0
     while offset < size:
-        got = yield from read_fn(handle, offset,
-                                 min(SEQUENTIAL_READ_SIZE, size - offset),
-                                 span=span)
+        nbytes = min(SEQUENTIAL_READ_SIZE, size - offset)
+        got = yield from read_fn(handle, offset, nbytes, span=span)
         if got <= 0:
             break
         result.bytes_read += got
