@@ -1,4 +1,4 @@
-"""The experiments' sweep driver (§4.3's protocol, written once)."""
+"""One sweep for the experiments: §4.3's repeat protocol, written once."""
 
 from __future__ import annotations
 

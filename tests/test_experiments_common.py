@@ -1,4 +1,4 @@
-"""Unit tests for the experiment sweep driver (with a stub runner)."""
+"""Unit tests for the experiment sweep (with a stub runner)."""
 
 from repro.bench.readers import ReaderResult
 from repro.bench.runner import RunResult
