@@ -27,7 +27,10 @@ LSN order** and the volatile records form a suffix.  A crash therefore
 recovers by undoing that suffix in reverse — perfectly nested, which is
 what makes RENAME atomic across a crash: one record, so the tree is
 exactly the old one (intent lost) or exactly the new one (intent
-durable), never half of each.
+durable), never half of each.  The journal keeps a watermark at the
+first volatile record, so a commit reads only that suffix, and it drops
+durable records once the ring has rolled past them: a commit costs
+O(records it covers) however long the boot has run.
 
 Durable records double as a **stable-storage duplicate-request cache**:
 each carries its ``(client, xid)`` and the reply that acknowledged it,
@@ -102,9 +105,13 @@ class MetaJournal:
         self.inode = fs.allocator.allocate_journal(
             "<metajournal>", nblocks)
         self.capacity = nblocks * RECORDS_PER_BLOCK
-        #: Every record of the current boot plus the durable prefix of
-        #: earlier boots, in LSN order.
+        #: The durable records of the last ring (older ones can no
+        #: longer answer a retransmission, see :meth:`crash`) followed by
+        #: the volatile suffix, in LSN order.
         self._records: List[IntentRecord] = []
+        #: Index in ``_records`` of the first volatile record: everything
+        #: before it is durable, everything from it on is volatile.
+        self._volatile = 0
         self._next_lsn = 0
         #: Bumped by :meth:`crash`; an in-flight commit whose flush
         #: completes under a newer generation must not claim durability
@@ -158,15 +165,39 @@ class MetaJournal:
         durability claim would be a lie.
         """
         generation = self._generation
-        pending = [r for r in self._records
-                   if not r.durable and r.lsn <= record.lsn]
+        records = self._records
+        start = self._volatile
+        # A crash drops the whole volatile suffix, so the suffix holds
+        # consecutive LSNs and ``record`` sits at a fixed offset from
+        # the watermark.  It covers nothing if it is already durable or
+        # was dropped by a crash (every later LSN is higher).
+        covered = 0
+        if start < len(records):
+            covered = max(0, record.lsn - records[start].lsn + 1)
+        pending = records[start:start + covered]
         blocks = sorted({r.blkno for r in pending})
         yield self.fs.cache.sync_blocks(blocks)
         if self._generation != generation:
             return False
         for entry in pending:
             entry.durable = True
+        self._advance()
         return True
+
+    def _advance(self) -> None:
+        """Move the watermark past newly durable records, then drop the
+        durable records a full ring behind the log head (no crash can
+        read them again: its replay floor only grows)."""
+        records = self._records
+        volatile = self._volatile
+        while volatile < len(records) and records[volatile].durable:
+            volatile += 1
+        floor = self._next_lsn - self.capacity
+        stale = 0
+        while stale < volatile and records[stale].lsn < floor:
+            stale += 1
+        del records[:stale]
+        self._volatile = volatile - stale
 
     # ------------------------------------------------------------------
 
@@ -190,8 +221,8 @@ class MetaJournal:
         self._generation += 1
         undone = 0
         failures: List[str] = []
-        for record in reversed(self._records):
-            if record.durable or not record.applied:
+        for record in reversed(self._records[self._volatile:]):
+            if not record.applied:
                 continue
             try:
                 if record.undo is not None:
@@ -201,25 +232,16 @@ class MetaJournal:
                 failures.append(
                     f"undo of #{record.lsn} {record.kind} "
                     f"{'/'.join(record.paths)} failed: {error!r}")
-        survivors = [r for r in self._records if r.durable]
-        self._records = survivors
+        del self._records[self._volatile:]
         # Ring overwrite: records older than one full ring have been
         # physically overwritten on disk; their mutations stand (they
         # were durable) but their replies are no longer answerable.
         floor = self._next_lsn - self.capacity
         self._replay = {
-            r.rpc_key: r.reply for r in survivors
+            r.rpc_key: r.reply for r in self._records
             if r.lsn >= floor and r.rpc_key is not None
             and r.reply is not None}
         return undone, failures
-
-    @property
-    def volatile_records(self) -> int:
-        return sum(1 for r in self._records if not r.durable)
-
-    @property
-    def durable_records(self) -> int:
-        return sum(1 for r in self._records if r.durable)
 
 
 # ----------------------------------------------------------------------

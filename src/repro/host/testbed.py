@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Union
 from ..disk import (DiskDrive, DriveSpec, IBM_DDYS_T36950N, Partition,
                     WDC_WD200BB, make_partitions)
 from ..faults import FaultPlan, FaultSpec
-from ..ffs import FfsParams, FileSystem, SequentialAllocator
+from ..ffs import Directory, FfsParams, FileSystem, SequentialAllocator
 from ..kernel import BufferCache, DiskIoScheduler
 from ..net import (GIGABIT, Link, RpcClient, RpcServer, SERVER_PCI_DMA,
                    TcpConnection, UdpEndpoint)
@@ -473,7 +473,6 @@ class NfsTestbed(LocalTestbed):
         only (no events, no RNG), preserving the no-perturbation
         invariant.
         """
-        from ..ffs import Directory
         node = self.server._by_fh.get(fh)
         if node is None:
             return True     # the file is gone; any cached attrs lie

@@ -394,6 +394,8 @@ class BufferCache:
                 if blkno is not None:
                     run_start = blkno
                     previous = blkno
+            self._writebacks = [event for event in self._writebacks
+                                if not event.processed]
         if len(dirty_targets) != len(targets):
             issued = {id(event) for event in waits}
             waits.extend(event for event in self._writebacks

@@ -24,6 +24,8 @@ scaled record stays a valid request against the original fileset.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from ..sim.rand import derive_seed
@@ -40,16 +42,17 @@ def zipf_weights(n: int, s: float = 1.1) -> List[float]:
     return [1.0 / (rank ** s) for rank in range(1, n + 1)]
 
 
-def _zipf_pick(weights: Sequence[float], total: float,
+def _zipf_pick(cumulative: Sequence[float], total: float,
                rng: random.Random) -> int:
-    """Sample a rank index (0-based) from the weight table."""
+    """Sample a rank index (0-based) from the running sums of the
+    weight table (``list(accumulate(weights))``; ``total`` is
+    ``sum(weights)``).
+
+    The first index whose running sum exceeds the drawn point, or the
+    last index when rounding leaves the point at or past the last sum.
+    """
     point = rng.random() * total
-    cumulative = 0.0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if point < cumulative:
-            return index
-    return len(weights) - 1
+    return min(bisect_right(cumulative, point), len(cumulative) - 1)
 
 
 def _remap_record(record: TraceRecord, path: str, size: int,
@@ -91,6 +94,7 @@ def multiplex_trace(trace: TraceFile, clients: int, seed: int,
     ranked = sorted(fileset, key=lambda entry: (-entry[1], entry[0]))
     weights = zipf_weights(len(ranked), zipf_s)
     total_weight = sum(weights)
+    cumulative = list(accumulate(weights))
     sizes = trace.header.file_sizes()
     block = trace.header.block_size
 
@@ -117,7 +121,7 @@ def multiplex_trace(trace: TraceFile, clients: int, seed: int,
         for seq, record in enumerate(source):
             target = remap.get(record.path)
             if target is None:
-                rank = _zipf_pick(weights, total_weight, rng)
+                rank = _zipf_pick(cumulative, total_weight, rng)
                 target = ranked[rank]
                 remap[record.path] = target
             path, _ = target

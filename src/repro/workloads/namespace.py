@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..host.testbed import TestbedConfig, build_nfs_testbed
+from ..replay.scale import _zipf_pick, zipf_weights
 from ..sim.rand import derive_seed
 
 #: Access patterns a workload may name.
@@ -149,16 +151,15 @@ class _Zipf:
 
     def __init__(self, population: Sequence[str], s: float,
                  rng: random.Random):
-        from ..replay.scale import zipf_weights
         self._population = list(population)
-        self._weights = zipf_weights(len(self._population), s)
-        self._total = sum(self._weights)
+        weights = zipf_weights(len(self._population), s)
+        self._total = sum(weights)
+        self._cumulative = list(accumulate(weights))
         self._rng = rng
 
     def pick(self) -> str:
-        from ..replay.scale import _zipf_pick
         return self._population[
-            _zipf_pick(self._weights, self._total, self._rng)]
+            _zipf_pick(self._cumulative, self._total, self._rng)]
 
 
 def _driver(sim, mount, tree: NamespaceTreeSpec,

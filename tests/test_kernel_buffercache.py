@@ -3,6 +3,7 @@
 import pytest
 
 from repro.disk import WDC_WD200BB
+from repro.host.testbed import TestbedConfig, build_nfs_testbed
 from repro.kernel import BufferCache, DiskIoScheduler
 from repro.sim import Simulator
 
@@ -101,3 +102,35 @@ class TestEvictionAndFlush:
         iosched = DiskIoScheduler(sim, drive)
         with pytest.raises(ValueError):
             BufferCache(sim, iosched, capacity_bytes=100)
+
+
+class TestTargetedFlush:
+    def test_settled_writebacks_are_not_kept(self):
+        """Every journal commit forces its block with ``sync_blocks``;
+        the write-backs the cache keeps must be just those in flight,
+        or each later sync scans every commit since boot."""
+        testbed = build_nfs_testbed(TestbedConfig(seed=5))
+        cache = testbed.server.fs.cache
+        kept = []   # (write-backs kept, of which in flight) per call
+        real_sync = cache.sync_blocks
+
+        def sync_blocks(blknos):
+            done = real_sync(blknos)
+            kept.append((len(cache._writebacks),
+                         sum(1 for event in cache._writebacks
+                             if not event.processed)))
+            return done
+
+        cache.sync_blocks = sync_blocks
+        size = testbed.mount.config.read_size
+        testbed.server.export_file("d/seed", size)
+
+        def creates(sim):
+            for index in range(200):
+                yield from testbed.mount.create(f"d/f{index}", size)
+
+        process = testbed.sim.spawn(creates(testbed.sim))
+        testbed.sim.run()
+        assert process.finished and process.error is None
+        assert testbed.server.stats.meta_commits == len(kept) == 200
+        assert all(total == in_flight for total, in_flight in kept)

@@ -1,8 +1,13 @@
 """Tests for the trace capture & replay subsystem (repro.replay)."""
 
 import json
+import math
+import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import run_nfs_once
 from repro.faults import FaultSpec, ServerFaults
@@ -12,6 +17,7 @@ from repro.replay import (FORMAT_VERSION, TraceFormatError, TraceHeader,
                           multiplex_trace, read_trace_file, replay_trace,
                           write_trace_file, zipf_weights)
 from repro.replay.engine import CLOSED_LOOP, OPEN_LOOP
+from repro.replay.scale import _zipf_pick
 from repro.trace import OP_OPEN, OP_READ
 
 SCALE = 1 / 64  # tiny files: tests must be fast
@@ -210,6 +216,61 @@ class TestScaling:
         assert weights == sorted(weights, reverse=True)
         with pytest.raises(ValueError):
             zipf_weights(0)
+
+
+def _loop_pick(weights, total, rng):
+    """The linear scan that ``_zipf_pick`` replaced, kept as the
+    reference: the first index whose running sum exceeds the point."""
+    point = rng.random() * total
+    cumulative = 0.0
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if point < cumulative:
+            return index
+    return len(weights) - 1
+
+
+class _FixedDraw:
+    """An rng whose every draw is ``value`` (with ``total=1.0`` the
+    point is ``value`` exactly)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+weight_tables = st.lists(
+    st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+    min_size=1, max_size=40)
+
+
+class TestZipfPick:
+    @given(weight_tables, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bisect_matches_the_loop_at_any_point(self, weights, data):
+        cumulative = list(accumulate(weights))
+        last = cumulative[-1]
+        point = data.draw(st.one_of(
+            st.sampled_from(cumulative),    # exactly on a running sum
+            st.just(0.0),
+            st.sampled_from([last, math.nextafter(last, math.inf),
+                             2 * last]),    # at or past the last sum
+            st.floats(min_value=0.0, max_value=last)))
+        assert _zipf_pick(cumulative, 1.0, _FixedDraw(point)) == \
+            _loop_pick(weights, 1.0, _FixedDraw(point))
+
+    @given(st.integers(1, 2000), st.floats(0.0, 3.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_seeded_draws_match_the_loop(self, n, s, seed):
+        weights = zipf_weights(n, s)
+        total = sum(weights)
+        cumulative = list(accumulate(weights))
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert [_zipf_pick(cumulative, total, fast) for _ in range(50)] \
+            == [_loop_pick(weights, total, slow) for _ in range(50)]
 
 
 class TestHeaderValidation:
