@@ -74,7 +74,8 @@ steps = st.lists(
         st.tuples(st.just("apply"), st.integers(0, 10_000)),
         st.tuples(st.just("commit"), st.integers(0, 10_000)),
         st.tuples(st.just("edit"), st.integers(1, 40)),
-        st.tuples(st.just("run"), st.sampled_from([0.0, 0.002, 0.02, 1.0])),
+        st.tuples(st.just("run"),
+                  st.sampled_from([0.0, 0.002, 0.02, 1.0])),
         st.tuples(st.just("crash"), st.just(0)),
     ),
     min_size=1, max_size=60)
@@ -86,8 +87,8 @@ steps = st.lists(
 # A commit starts only after a crash dropped its record.
 @example(1, [("append", 1), ("commit", 0), ("append", 1), ("crash", 0),
              ("append", 2)])
-# A later commit lands first and moves the watermark past an earlier
-# one's records.
+# The watermark stops at the first record a finished commit did not
+# cover.
 @example(1, [("edit", 1), ("append", 1), ("run", 0.02), ("commit", 1),
              ("run", 1.0)])
 # The ring rolls: durable records are dropped, then a crash.
