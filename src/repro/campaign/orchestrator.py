@@ -8,7 +8,7 @@ worker processes and survives every failure mode a fleet run meets:
   re-dispatched to a fresh worker;
 * **cell timeout / straggler** — a cell that exceeds its wall-clock
   budget gets its worker killed and the cell retried with exponential
-  backoff; a cell merely *slow* (beyond ``straggler_factor`` × the
+  backoff; a cell merely *slow* (beyond :data:`STRAGGLER_FACTOR` × the
   median completed-cell time) is counted and surfaced but left to
   finish or time out;
 * **retry exhaustion** — after ``max_attempts`` failed attempts the
@@ -39,6 +39,12 @@ from ..obs.metrics import MetricsRegistry
 from .journal import CampaignJournal, JournalError, fold_records
 from .workers import worker_main
 
+#: Result-queue poll granularity, in wall-clock seconds.
+POLL_INTERVAL = 0.05
+#: An in-flight cell slower than this multiple of the median
+#: completed-cell time is counted as a straggler.
+STRAGGLER_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class CampaignOptions:
@@ -54,11 +60,6 @@ class CampaignOptions:
     #: Stop dispatching after this many wall-clock seconds and emit a
     #: partial, resumable result (None = run to completion).
     wall_budget: Optional[float] = None
-    #: Result-queue poll granularity.
-    poll_interval: float = 0.05
-    #: An in-flight cell slower than this multiple of the median
-    #: completed-cell time is counted as a straggler.
-    straggler_factor: float = 4.0
 
     def __post_init__(self):
         if self.workers < 1:
@@ -302,7 +303,7 @@ class Orchestrator:
         while True:
             try:
                 message = self._result_queue.get(
-                    timeout=self.options.poll_interval)
+                    timeout=POLL_INTERVAL)
             except queue_module.Empty:
                 return
             status, worker_id, cell, attempt, payload, detail = message
@@ -353,7 +354,7 @@ class Orchestrator:
         typical = median(self._durations)
         if typical <= 0:
             return
-        if now - worker.started > self.options.straggler_factor * typical:
+        if now - worker.started > STRAGGLER_FACTOR * typical:
             worker.straggling = True
             self.counters["stragglers"] += 1
             self.progress({"event": "straggler", "cell": worker.cell,

@@ -50,6 +50,7 @@ import sys
 import time
 from typing import List, Optional
 
+from .bench.fileset import READER_COUNTS, files_for_readers
 from .experiments import all_experiments, get
 from .host.testbed import PARTITIONS
 from .obs import observe
@@ -76,12 +77,36 @@ _non_negative_int = _checked(int, lambda value: value >= 0,
                              "non-negative")
 _non_negative_float = _checked(float, lambda value: value >= 0,
                                "non-negative")
+#: A file-size scale: the paper's working set times a factor in (0, 1].
+_scale = _checked(_positive_float, lambda value: value <= 1, "at most 1")
+#: The experiments sweep up to 32 readers, and each reads its own file.
+_figure_scale = _checked(
+    _scale, lambda value: _fileset_error(max(READER_COUNTS), value) is None,
+    f"large enough for {max(READER_COUNTS)} readers")
 # Output files are written after the run, so a path that cannot be
 # opened is refused before the run starts.
 _output_file = _checked(
     str, lambda path: (os.path.isdir(os.path.dirname(path) or ".")
                        and not os.path.isdir(path)),
     "a file in an existing directory")
+
+
+def _fileset_error(readers: int, scale: float) -> Optional[str]:
+    """Why ``readers`` readers get no files at ``scale``, or None."""
+    try:
+        files_for_readers(readers, scale)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def _check_fileset(parser: argparse.ArgumentParser, readers: int,
+                   scale: float) -> None:
+    """Refuse, before the first run, a scale that leaves a reader
+    without a file."""
+    error = _fileset_error(readers, scale)
+    if error is not None:
+        parser.error(f"{readers} readers at scale {scale:g}: {error}")
 
 
 def _leaf(commands, name: str, handler, help: str,
@@ -115,10 +140,11 @@ def _obs_flags(parser: argparse.ArgumentParser) -> None:
                              "print a report after the run")
 
 
-def _point_flags(parser: argparse.ArgumentParser, runs: int) -> None:
+def _point_flags(parser: argparse.ArgumentParser, runs: int,
+                 scale=_scale) -> None:
     """File-size scale and runs per point: the experiments, ``bench``
     and ``campaign bench``."""
-    parser.add_argument("--scale", type=_positive_float, default=0.125,
+    parser.add_argument("--scale", type=scale, default=0.125,
                         help="file-size scale factor; 1.0 is the paper's "
                              "256 MB working set (default: 0.125)")
     parser.add_argument("--runs", type=_positive_int, default=runs,
@@ -128,7 +154,7 @@ def _point_flags(parser: argparse.ArgumentParser, runs: int) -> None:
 
 def _figure_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of every experiment id and of ``all``."""
-    _point_flags(parser, runs=3)
+    _point_flags(parser, runs=3, scale=_figure_scale)
     parser.add_argument("--seed", type=int, default=0,
                         help="master random seed (default: 0)")
     parser.add_argument("--no-std", action="store_true",
@@ -317,13 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     _json_flag(bench)
 
     replay = _leaf(
-        commands, "replay", _main_replay,
+        commands, "replay", None,
         "capture the benchmark's vnode-boundary trace and/or replay a "
         "trace file against any testbed",
         "Capture the benchmark's vnode-boundary trace and/or replay a "
         "trace file against any testbed. Passing both --capture and "
         "--replay with the same file does capture-then-replay in one "
         "invocation.")
+    replay.set_defaults(handler=functools.partial(_main_replay, replay))
     replay.add_argument("--capture", metavar="FILE", type=_output_file,
                         help="run the benchmark on the source testbed "
                              "(the plain flags) with capture on; write "
@@ -347,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _testbed_flags(replay)
     replay.add_argument("--readers", type=_positive_int, default=2,
                         help="readers in the captured benchmark run")
-    replay.add_argument("--bench-scale", type=_positive_float,
+    replay.add_argument("--bench-scale", type=_scale,
                         default=0.125,
                         help="file-size scale of the captured run")
     replay.add_argument("--capture-clients", type=_positive_int,
@@ -402,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="history store (JSONL) to gate against; "
                                "without --bench, its newest record is "
                                "gated against its own past")
-    diagnose.add_argument("--floor", type=float, default=None,
+    diagnose.add_argument("--floor", type=_non_negative_float,
+                          default=None,
                           help="minimum relative regression that gates "
                                "(default: 0.05, the paper's noise "
                                "criterion)")
@@ -439,9 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "chaos failures; 3: campaign error; 4: partial "
                     "(resumable with --resume).")
     kinds = campaign.add_subparsers(dest="kind", required=True)
-    campaign_bench = _leaf(kinds, "bench", _main_campaign,
+    campaign_bench = _leaf(kinds, "bench", None,
                            "shard seeded benchmark repeats; the fold is "
                            "byte-identical to a serial `bench` run")
+    campaign_bench.set_defaults(handler=functools.partial(
+        _main_campaign, parser=campaign_bench))
     _bench_flags(campaign_bench, runs=10)
     _orchestrator_flags(campaign_bench, jobs=2)
     _chaos_flags(_leaf(kinds, "chaos", _main_campaign,
@@ -563,6 +593,7 @@ def _main_bench(parser: argparse.ArgumentParser, args) -> int:
                                   workload=workload)
         metric, unit = "ops_per_s", "ops/s"
     else:
+        _check_fileset(parser, args.readers, args.scale)
         point = functools.partial(run_nfs_once, nreaders=args.readers,
                                   scale=args.scale)
         metric, unit = "throughput_mb_s", "MB/s"
@@ -615,7 +646,7 @@ def _main_bench(parser: argparse.ArgumentParser, args) -> int:
     return 0
 
 
-def _main_replay(args) -> int:
+def _main_replay(parser: argparse.ArgumentParser, args) -> int:
     from dataclasses import replace
     from .replay import (capture_nfs_run, read_trace_file, replay_trace,
                          write_trace_file)
@@ -627,6 +658,7 @@ def _main_replay(args) -> int:
     source = replace(_bench_config(args),
                      num_clients=args.capture_clients)
     if args.capture is not None:
+        _check_fileset(parser, args.readers, args.bench_scale)
         trace = capture_nfs_run(source, nreaders=args.readers,
                                 scale=args.bench_scale)
         write_trace_file(args.capture, trace)
@@ -782,13 +814,17 @@ def _chaos_spec(args):
                       ack_before_intent=args.ack_before_intent)
 
 
-def _main_campaign(args) -> int:
+def _main_campaign(args, parser=None) -> int:
+    """`campaign bench` or `campaign chaos`.  ``parser`` is the
+    `campaign bench` leaf, which reports a scale that leaves a reader
+    without a file as a usage error."""
     import tempfile
     from .campaign import (CampaignIncomplete, CampaignOptions,
                            JournalError, bench_spec, run_bench_campaign,
                            run_chaos_campaign, write_report)
     from .diagnose import DEFAULT_HISTORY_PATH
     if args.kind == "bench":
+        _check_fileset(parser, args.readers, args.scale)
         spec = bench_spec(args.runs, drive=args.drive,
                           partition=args.partition,
                           transport=args.transport,

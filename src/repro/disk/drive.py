@@ -26,12 +26,10 @@ rotational-gap forgiveness from the prefetch cache.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional
 
 from ..faults.disk import DiskFaultInjector
-from ..obs.provenance import (EDGE_DISPATCHED_AFTER, EDGE_ISSUED,
-                              EDGE_QUEUED_BEHIND, QUEUED_BEHIND_FANOUT)
+from ..obs.provenance import OvertakeLog
 from ..sim import Event, Simulator
 from .cache import SegmentedCache
 from .geometry import DiskGeometry
@@ -102,17 +100,11 @@ class DiskDrive:
         self._m_service = sim.obs.registry.histogram("disk.service_s")
         #: request id -> TCQ span while queued at the drive.
         self._tcq_obs = {}
-        # Provenance bookkeeping for the firmware queue (same shape as
-        # the kernel bufq's): per-request arrival counts, a bounded
-        # ring of recent selections, the previous selection for the
-        # dispatched-after chain, and the last service-time breakdown
-        # (the ZCAV zone/seek/rotation/transfer evidence).
+        # Provenance of the firmware queue: overtakes in it, and the
+        # last service-time breakdown (the ZCAV zone/seek/rotation/
+        # transfer evidence).
         self._prov = sim.obs.prov
-        self._prov_ins = {}
-        self._recent = deque(maxlen=QUEUED_BEHIND_FANOUT)
-        self._selections = 0
-        self._write_selections = 0
-        self._last_selection: Optional[int] = None
+        self._overtakes = OvertakeLog(self._prov)
         self._breakdown: Optional[dict] = None
 
         self.current_cylinder = 0
@@ -147,11 +139,7 @@ class DiskDrive:
                     lba=request.lba)
                 self._tcq_obs[request.id] = span
                 if self._prov.enabled:
-                    if request.trace_ctx is not None:
-                        self._prov.edge(EDGE_ISSUED, request.trace_ctx,
-                                        span)
-                    self._prov_ins[request.id] = (
-                        self._selections, self._write_selections)
+                    self._overtakes.arrive(request, span)
         self.stats.arrival_order.append(request.id)
         self._queue.append(request)
         if self._wakeup is not None and not self._wakeup.triggered:
@@ -206,7 +194,7 @@ class DiskDrive:
                 tcq_span = self._tcq_obs.pop(request.id, None)
                 if tcq_span is not None:
                     if self._prov.enabled:
-                        self._prov_select(request, tcq_span)
+                        self._overtakes.depart(request, tcq_span)
                     tcq_span.finish()
                 tracer = self.sim.obs.tracer
                 if tracer.enabled:
@@ -255,35 +243,6 @@ class DiskDrive:
                     mech_span.finish(
                         cache_hit=request.serviced_from_cache)
             request.done.succeed(request)
-
-    def _prov_select(self, request: DiskRequest, span) -> None:
-        """Record a firmware selection's causal context (provenance).
-
-        Mirrors the kernel bufq's bookkeeping: ``dispatched-after``
-        chains firmware selections, ``queued-behind`` names the
-        commands the firmware serviced ahead of this one while it sat
-        tagged in the drive, with exact counts as a note.
-        """
-        prov = self._prov
-        ins = self._prov_ins.pop(request.id, None)
-        if self._last_selection is not None:
-            prov.edge(EDGE_DISPATCHED_AFTER, span, self._last_selection)
-        if ins is not None:
-            behind = self._selections - ins[0]
-            if behind:
-                for index, span_id, is_write, lba in self._recent:
-                    if index >= ins[0]:
-                        prov.edge(EDGE_QUEUED_BEHIND, span, span_id,
-                                  write=is_write, lba=lba)
-                prov.note(span, behind=behind,
-                          behind_writes=(self._write_selections
-                                         - ins[1]))
-        self._recent.append((self._selections, span.id,
-                             request.is_write, request.lba))
-        self._last_selection = span.id
-        self._selections += 1
-        if request.is_write:
-            self._write_selections += 1
 
     def _service(self, request: DiskRequest) -> float:
         """Compute the service time and update drive state."""

@@ -151,11 +151,3 @@ class NetworkFaultInjector:
             self.datagrams_duplicated += 1
             return DUPLICATE
         return DELIVER
-
-
-def maybe_injector(spec: Optional[NetworkFaults], rng: random.Random,
-                   name: str) -> Optional[NetworkFaultInjector]:
-    """Convenience: ``None`` spec → ``None`` injector."""
-    if spec is None:
-        return None
-    return NetworkFaultInjector(spec, rng, name=name)

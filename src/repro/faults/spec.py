@@ -13,7 +13,7 @@ All specs are frozen dataclasses so they can sit inside the (frozen)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -181,9 +181,6 @@ class FaultSpec:
     network: Optional[NetworkFaults] = None
     disk: Optional[DiskFaults] = None
     server: Optional[ServerFaults] = None
-
-    def with_network(self, network: Optional[NetworkFaults]) -> "FaultSpec":
-        return replace(self, network=network)
 
     @property
     def any_faults(self) -> bool:

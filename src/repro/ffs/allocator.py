@@ -119,28 +119,6 @@ class SequentialAllocator:
         return Inode(name=name, size=size, extents=extents,
                      number=next(self._inode_numbers))
 
-    def extend(self, inode: Inode, nblocks: int = 1) -> None:
-        """Grow ``inode`` by ``nblocks`` freshly allocated blocks.
-
-        Used by growing directories: a directory that overflows its
-        data blocks gets another one appended at the current allocation
-        frontier (first-fit, like every other allocation here), which
-        is also how a real aging FFS ends up with directory blocks
-        scattered away from the inode.
-        """
-        if nblocks < 1:
-            raise ValueError("must extend by at least one block")
-        if nblocks > self.free_blocks:
-            raise AllocationError(
-                f"partition {self.partition.name} full extending "
-                f"{inode.name} ({nblocks} blocks, "
-                f"{self.free_blocks} free)")
-        extent = Extent(file_block=inode.nblocks,
-                        disk_block=self._next_block, nblocks=nblocks)
-        self._next_block += nblocks
-        inode.extents.append(extent)
-        inode.size += nblocks * self.block_size
-
     # ------------------------------------------------------------------
     # Directory metadata (the region at the end of the partition)
     # ------------------------------------------------------------------

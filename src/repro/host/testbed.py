@@ -46,6 +46,15 @@ NFSHEUR_PARAMS: Dict[str, NfsHeurParams] = {
 #: The drive's four partitions, 1 (outermost) .. 4 (innermost).
 PARTITIONS = (1, 2, 3, 4)
 
+#: Capacity of the server's buffer cache.
+SERVER_CACHE_BYTES = 160 * 1024 * 1024
+#: Initial RPC retransmit timeout in seconds (the ``timeo`` mount
+#: option); doubles per retry, capped.
+MOUNT_TIMEO = 0.9
+#: Retransmissions before a soft mount reports failure (``retrans``,
+#: mount_nfs's classic default).
+MOUNT_RETRANS = 4
+
 
 @dataclass(frozen=True)
 class TestbedConfig:
@@ -67,7 +76,6 @@ class TestbedConfig:
     heuristic_options: dict = field(default_factory=dict)
     nfsheur: Union[str, NfsHeurParams] = "default"
     client_busy_loops: int = 0
-    server_cache_bytes: int = 160 * 1024 * 1024
     loss_rate: float = 0.0
     fragmentation: float = 0.0
     #: Number of client machines sharing the mount (readers are
@@ -82,14 +90,10 @@ class TestbedConfig:
     #: TCP — the RPC-level retry timer that recovers from server
     #: crashes.
     faults: Optional[FaultSpec] = None
-    #: Soft mount: a major timeout surfaces as ETIMEDOUT.  The default
-    #: (hard, as in the paper's testbed) retries forever.
+    #: Soft mount: a major timeout surfaces as ETIMEDOUT after
+    #: :data:`MOUNT_RETRANS` retransmissions.  The default (hard, as in
+    #: the paper's testbed) retries forever.
     mount_soft: bool = False
-    #: Initial retransmit timeout in seconds (``timeo``).
-    mount_timeo: float = 0.9
-    #: Soft-mount retransmission budget (``retrans``; mount_nfs's
-    #: classic default).
-    mount_retrans: int = 4
     #: Enable span tracing / the metrics registry for this testbed.
     #: Both default off; an active CLI observability session
     #: (:func:`repro.obs.observe`) turns them on without touching the
@@ -137,9 +141,8 @@ class TestbedConfig:
     acdirmax: float = 60.0
     #: Close-to-open consistency (off = the ``nocto`` mount flag).
     close_to_open: bool = True
-    #: READDIR byte budget per RPC and READDIRPLUS selection.
+    #: READDIR byte budget per RPC.
     readdir_count: int = 8 * 1024
-    readdirplus: bool = False
     seed: int = 0
 
     def fs_label(self) -> str:
@@ -200,7 +203,7 @@ class LocalTestbed:
         self.iosched = DiskIoScheduler(self.sim, self.drive,
                                        policy=config.bufq_policy)
         self.cache = BufferCache(self.sim, self.iosched,
-                                 capacity_bytes=config.server_cache_bytes)
+                                 capacity_bytes=SERVER_CACHE_BYTES)
         allocator = SequentialAllocator(
             self.partition,
             fragmentation=config.fragmentation,
@@ -356,17 +359,13 @@ class NfsTestbed(LocalTestbed):
                 config=NfsMountConfig(
                     transport=config.transport,
                     read_size=config.rsize,
-                    soft=config.mount_soft,
-                    timeo=config.mount_timeo,
-                    retrans=config.mount_retrans,
                     verifier_recovery=config.mount_verifier_recovery,
                     acregmin=config.acregmin,
                     acregmax=config.acregmax,
                     acdirmin=config.acdirmin,
                     acdirmax=config.acdirmax,
                     close_to_open=config.close_to_open,
-                    readdir_count=config.readdir_count,
-                    readdirplus=config.readdirplus),
+                    readdir_count=config.readdir_count),
                 name=f"mnt{index}",
                 capture=self.capture, client_index=index)
             #: Staleness ground truth for the attr-cache trap detector:
@@ -491,9 +490,8 @@ class NfsTestbed(LocalTestbed):
         if not needs_timer:
             return {}
         policy = {
-            "retransmit_timeout": config.mount_timeo,
-            "max_retransmits": (config.mount_retrans
-                                if config.mount_soft else None),
+            "retransmit_timeout": MOUNT_TIMEO,
+            "max_retransmits": MOUNT_RETRANS if config.mount_soft else None,
         }
         if self.fault_plan is not None:
             policy["jitter"] = 0.1

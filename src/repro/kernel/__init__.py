@@ -1,17 +1,14 @@
 """Kernel-side I/O path: disk queues, dispatch, and the buffer cache."""
 
-from .bufq import (BufQueue, ElevatorQueue, FcfsQueue, NStepCscanQueue,
-                   ScanQueue, SstfQueue, available_policies, make_bufq)
+from .bufq import (BufQueue, ElevatorQueue, NStepCscanQueue,
+                   available_policies, make_bufq)
 from .buffercache import BLOCK_SIZE, BufferCache, CacheStats
 from .iosched import DiskIoScheduler
 
 __all__ = [
     "BufQueue",
-    "FcfsQueue",
     "ElevatorQueue",
     "NStepCscanQueue",
-    "SstfQueue",
-    "ScanQueue",
     "make_bufq",
     "available_policies",
     "DiskIoScheduler",

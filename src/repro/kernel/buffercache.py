@@ -333,9 +333,14 @@ class BufferCache:
             return
         dirty = sorted(self._dirty)
         self._dirty.clear()
-        run_start = dirty[0]
-        previous = dirty[0]
-        for blkno in dirty[1:] + [None]:
+        self._write_runs(dirty)
+
+    def _write_runs(self, blknos: List[int]) -> List[Event]:
+        """Write sorted ``blknos`` back, one disk write per contiguous
+        run, in block order; returns the writes' completion events."""
+        issued = []
+        run_start = previous = blknos[0]
+        for blkno in blknos[1:] + [None]:
             if blkno is not None and blkno == previous + 1:
                 previous = blkno
                 continue
@@ -349,11 +354,11 @@ class BufferCache:
             done = self.iosched.submit(request)
             self._writebacks.append(done)
             self.stats.disk_writes_issued += 1
-            if blkno is not None:
-                run_start = blkno
-                previous = blkno
+            issued.append(done)
+            run_start = previous = blkno
         self._writebacks = [event for event in self._writebacks
                             if not event.processed]
+        return issued
 
     def sync_blocks(self, blknos) -> Event:
         """Force just the given blocks to the platter (targeted flush).
@@ -372,30 +377,8 @@ class BufferCache:
         dirty_targets = [b for b in targets if b in self._dirty]
         waits: List[Event] = []
         if dirty_targets:
-            for blkno in dirty_targets:
-                self._dirty.discard(blkno)
-            run_start = dirty_targets[0]
-            previous = dirty_targets[0]
-            for blkno in dirty_targets[1:] + [None]:
-                if blkno is not None and blkno == previous + 1:
-                    previous = blkno
-                    continue
-                nblocks = previous - run_start + 1
-                request = DiskRequest(
-                    lba=run_start * self.sectors_per_block,
-                    nsectors=nblocks * self.sectors_per_block,
-                    is_write=True)
-                if self._obs_on:
-                    self._observe_io(request, "writeback")
-                done = self.iosched.submit(request)
-                self._writebacks.append(done)
-                self.stats.disk_writes_issued += 1
-                waits.append(done)
-                if blkno is not None:
-                    run_start = blkno
-                    previous = blkno
-            self._writebacks = [event for event in self._writebacks
-                                if not event.processed]
+            self._dirty.difference_update(dirty_targets)
+            waits = self._write_runs(dirty_targets)
         if len(dirty_targets) != len(targets):
             issued = {id(event) for event in waits}
             waits.extend(event for event in self._writebacks

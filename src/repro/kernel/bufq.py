@@ -39,24 +39,6 @@ class BufQueue(Protocol):
     def __len__(self) -> int: ...
 
 
-class FcfsQueue:
-    """First-come first-served (for contrast and testing)."""
-
-    name = "fcfs"
-
-    def __init__(self):
-        self._queue: Deque[DiskRequest] = deque()
-
-    def insert(self, request: DiskRequest) -> None:
-        self._queue.append(request)
-
-    def next(self) -> Optional[DiskRequest]:
-        return self._queue.popleft() if self._queue else None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
 class _SortedList:
     """A list of requests kept sorted by (lba, id)."""
 
@@ -146,94 +128,14 @@ class NStepCscanQueue:
         return len(self._sweep) + len(self._accumulating)
 
 
-class SstfQueue:
-    """Shortest seek time first (greedy positional scheduling).
-
-    Not in FreeBSD's shipping kernel, but the canonical comparison
-    point in the disk-scheduling literature the paper cites (§5.3's
-    "tradeoffs ... have been well studied"): maximum locality, no
-    fairness guarantee whatsoever.
-    """
-
-    name = "sstf"
-
-    def __init__(self):
-        self._items: List[DiskRequest] = []
-        self._head_pos = 0
-
-    def insert(self, request: DiskRequest) -> None:
-        self._items.append(request)
-
-    def next(self) -> Optional[DiskRequest]:
-        if not self._items:
-            return None
-        index = min(range(len(self._items)),
-                    key=lambda i: (abs(self._items[i].lba
-                                       - self._head_pos),
-                                   self._items[i].id))
-        request = self._items.pop(index)
-        self._head_pos = request.lba
-        return request
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class ScanQueue:
-    """Classic bidirectional SCAN (the true "elevator").
-
-    Sweeps up, then down, servicing whatever lies in the current
-    direction; requests landing ahead of the head join the sweep in
-    progress (same admission rule as ``bufqdisksort``, so it shares the
-    same unfairness to late-position readers, minus the wrap seek).
-    """
-
-    name = "scan"
-
-    def __init__(self):
-        self._items: List[DiskRequest] = []
-        self._head_pos = 0
-        self._ascending = True
-
-    def insert(self, request: DiskRequest) -> None:
-        self._items.append(request)
-
-    def next(self) -> Optional[DiskRequest]:
-        if not self._items:
-            return None
-        for _attempt in (0, 1):
-            if self._ascending:
-                ahead = [r for r in self._items
-                         if r.lba >= self._head_pos]
-                if ahead:
-                    request = min(ahead, key=lambda r: (r.lba, r.id))
-                    break
-            else:
-                behind = [r for r in self._items
-                          if r.lba <= self._head_pos]
-                if behind:
-                    request = max(behind, key=lambda r: (r.lba, -r.id))
-                    break
-            self._ascending = not self._ascending
-        self._items.remove(request)
-        self._head_pos = request.lba
-        return request
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 _POLICIES = {
-    "fcfs": FcfsQueue,
     "elevator": ElevatorQueue,
     "n-cscan": NStepCscanQueue,
-    "sstf": SstfQueue,
-    "scan": ScanQueue,
 }
 
 
 def make_bufq(policy: str) -> BufQueue:
-    """Instantiate a queue by policy name (the paper's runtime switch)."""
+    """Instantiate a queue by policy name (``TestbedConfig.bufq_policy``)."""
     try:
         return _POLICIES[policy]()
     except KeyError:

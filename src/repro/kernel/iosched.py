@@ -16,23 +16,18 @@ A small per-dispatch CPU cost models the driver/interrupt path.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
-
 from ..disk.drive import DiskDrive
 from ..disk.request import DiskRequest
-from ..obs.provenance import (EDGE_DISPATCHED_AFTER, EDGE_ISSUED,
-                              EDGE_QUEUED_BEHIND, QUEUED_BEHIND_FANOUT)
+from ..obs.provenance import OvertakeLog
 from ..sim import Event, Simulator
 from .bufq import BufQueue, make_bufq
 
 
 class DiskIoScheduler:
-    """Feeds a drive from a switchable kernel queue.
+    """Feeds a drive from a kernel queue (elevator or N-CSCAN).
 
-    The ``policy`` property can be reassigned at runtime — mirroring the
-    paper's sysctl-style switch between the elevator and N-CSCAN —
-    as long as the queue is momentarily empty.
+    The queue is fixed for the scheduler's life; the paper's policy
+    comparison (Figure 3) builds one testbed per ``bufq_policy``.
     """
 
     def __init__(self, sim: Simulator, drive: DiskDrive,
@@ -44,33 +39,15 @@ class DiskIoScheduler:
         self.dispatch_overhead = dispatch_overhead
         self._in_flight = 0
         self.dispatched = 0
-        self._pump_scheduled = False
         self._obs_on = sim.obs.enabled
         #: Queue residency, insert-to-dispatch.
         self._m_wait = sim.obs.registry.histogram("kernel.bufq.wait_s")
         #: request id -> (span, insert time) while queued.
         self._pending_obs = {}
-        # Provenance bookkeeping (pure reads/appends, no events):
-        # request id -> (dispatches, write dispatches) at insert time,
-        # a bounded ring of recent dispatches for queued-behind edges,
-        # and the previous dispatch for the dispatched-after chain.
-        self._prov_ins = {}
-        self._recent = deque(maxlen=QUEUED_BEHIND_FANOUT)
-        self._write_dispatches = 0
-        self._last_dispatch: Optional[int] = None
+        #: Overtakes in the queue (provenance runs only).
+        self._overtakes = OvertakeLog(sim.obs.prov)
 
     # ------------------------------------------------------------------
-
-    @property
-    def policy(self) -> str:
-        return self._bufq.name
-
-    def set_policy(self, policy: str) -> None:
-        """Switch scheduling algorithm (queue must be idle)."""
-        if len(self._bufq):
-            raise RuntimeError(
-                "cannot switch disk scheduling policy with requests queued")
-        self._bufq = make_bufq(policy)
 
     @property
     def queued(self) -> int:
@@ -88,12 +65,8 @@ class DiskIoScheduler:
                 span = tracer.start("bufq", "kernel.bufq",
                                     parent=request.trace_ctx,
                                     lba=request.lba)
-                prov = self.sim.obs.prov
-                if prov.enabled:
-                    if request.trace_ctx is not None:
-                        prov.edge(EDGE_ISSUED, request.trace_ctx, span)
-                    self._prov_ins[request.id] = (
-                        self.dispatched, self._write_dispatches)
+                if self.sim.obs.prov.enabled:
+                    self._overtakes.arrive(request, span)
             else:
                 span = None
             self._pending_obs[request.id] = (span, self.sim.now)
@@ -113,9 +86,8 @@ class DiskIoScheduler:
                 if inserted is not None:
                     self._m_wait.observe(self.sim.now - inserted)
                 if span is not None:
-                    prov = self.sim.obs.prov
-                    if prov.enabled:
-                        self._prov_dispatch(request, span)
+                    if self.sim.obs.prov.enabled:
+                        self._overtakes.depart(request, span)
                     span.finish()
             self._in_flight += 1
             self.dispatched += 1
@@ -125,34 +97,6 @@ class DiskIoScheduler:
                                name="iosched.dispatch")
             else:
                 self.drive.submit(request)
-
-    def _prov_dispatch(self, request: DiskRequest, span) -> None:
-        """Record this dispatch's causal context (provenance runs only).
-
-        ``dispatched-after`` chains every dispatch to its predecessor;
-        ``queued-behind`` names the (bounded ring of) requests the
-        elevator sent ahead of this one while it sat queued, with the
-        exact overtake counts carried as a note.
-        """
-        prov = self.sim.obs.prov
-        ins = self._prov_ins.pop(request.id, None)
-        if self._last_dispatch is not None:
-            prov.edge(EDGE_DISPATCHED_AFTER, span, self._last_dispatch)
-        if ins is not None:
-            behind = self.dispatched - ins[0]
-            if behind:
-                for index, span_id, is_write, lba in self._recent:
-                    if index >= ins[0]:
-                        prov.edge(EDGE_QUEUED_BEHIND, span, span_id,
-                                  write=is_write, lba=lba)
-                prov.note(span, behind=behind,
-                          behind_writes=(self._write_dispatches
-                                         - ins[1]))
-        self._recent.append((self.dispatched, span.id,
-                             request.is_write, request.lba))
-        self._last_dispatch = span.id
-        if request.is_write:
-            self._write_dispatches += 1
 
     def _dispatch_later(self, request: DiskRequest):
         yield self.sim.timeout(self.dispatch_overhead)

@@ -56,16 +56,6 @@ class NfsMountConfig:
     read_size: int = NFS_READ_SIZE
     readahead_blocks: int = 4
     nfsiod_count: int = 8
-    #: Soft mount (``mount_nfs -s``): a major timeout surfaces to the
-    #: application as ``ETIMEDOUT``.  Hard mounts (the default, and the
-    #: paper's configuration) retry forever.
-    soft: bool = False
-    #: Initial RPC retransmit timeout in seconds (``timeo``; the real
-    #: knob is in tenths of a second).  Doubles per retry, capped.
-    timeo: float = 0.9
-    #: Retransmissions before a *soft* mount reports failure
-    #: (``retrans``, classic default 4); ignored on hard mounts.
-    retrans: int = 4
     #: NFSv3 write-verifier recovery: track every unstable write until
     #: COMMIT confirms it under an unchanged verifier, re-sending when
     #: the verifier rolls (a server reboot discarded the data).  This is
@@ -96,10 +86,8 @@ class NfsMountConfig:
     #: changed.  This is the real client's default; turning it off
     #: trades correctness for fewer GETATTRs (the ``nocto`` mount flag).
     close_to_open: bool = True
-    #: READDIR reply byte budget per RPC (the chunking knob) and
-    #: whether to use READDIRPLUS (entries carry attrs + handles).
+    #: READDIR reply byte budget per RPC (the chunking knob).
     readdir_count: int = READDIR_DEFAULT_COUNT
-    readdirplus: bool = False
 
 
 @dataclass
@@ -204,10 +192,8 @@ class NfsMount:
         #: Vnode-boundary capture sink (:mod:`repro.replay`): records
         #: each application-level op at issue time.  ``None`` (the
         #: default) keeps the hooks to a single ``is None`` test — the
-        #: obs-style zero-cost-when-disabled discipline, without even a
-        #: null-object attribute chase on the hot path.
-        self.capture = capture if (capture is not None
-                                   and capture.enabled) else None
+        #: obs-style zero-cost-when-disabled discipline.
+        self.capture = capture
         #: This mount's index among the testbed's client machines (the
         #: ``client`` field stamped on captured records).
         self.client_index = client_index
@@ -795,18 +781,14 @@ class NfsMount:
         attrs = yield from self._getattr_rpc(fh, span=span)
         return attrs
 
-    def readdir(self, path: str, span=None,
-                plus: Optional[bool] = None):
+    def readdir(self, path: str, span=None):
         """List a directory (generator; returns names in slot order).
 
         Chunked by ``config.readdir_count`` bytes per RPC; a
         ``bad_cookie`` reply (the directory mutated under the listing)
         restarts the listing from scratch, like the real client.
-        READDIRPLUS replies prime the attribute and name caches.
         """
         self._capture(OP_READDIR, path)
-        if plus is None:
-            plus = self.config.readdirplus
         fh, _size, _cached = yield from self._walk(path, span=span)
         restarts = 0
         while True:
@@ -817,7 +799,7 @@ class NfsMount:
             while True:
                 request = ReaddirRequest(
                     dir=fh, cookie=cookie, cookieverf=verf,
-                    count=self.config.readdir_count, plus=plus)
+                    count=self.config.readdir_count)
                 reply = yield from self._rpc(request, span)
                 self.stats.readdir_rpcs += 1
                 if reply.status == "bad_cookie":
@@ -833,11 +815,6 @@ class NfsMount:
                 for entry in reply.entries:
                     names.append(entry.name)
                     cookie = entry.cookie
-                    if plus and entry.fh is not None \
-                            and entry.attributes is not None:
-                        self._store_attrs(entry.fh, entry.attributes)
-                        self._store_dnlc(fh.id, entry.name, entry.fh,
-                                         reply.dir_attributes)
                 if reply.eof:
                     break
             if not restarted:

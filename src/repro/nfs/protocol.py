@@ -6,7 +6,7 @@ the full NFSv3 stability contract — UNSTABLE replies and COMMIT replies
 both bear the server's per-boot **write verifier**, the token a client
 compares to detect that a reboot discarded its uncommitted writes.
 
-The namespace procedures (SETATTR, READDIR/READDIRPLUS, CREATE, MKDIR,
+The namespace procedures (SETATTR, READDIR, CREATE, MKDIR,
 REMOVE, RENAME) follow RFC 1813: replies carry **post-op attributes**
 (:class:`Fattr`) so clients can refresh their attribute caches without
 extra GETATTRs, mutations carry **weak cache consistency** data
@@ -49,8 +49,6 @@ FH_BYTES = 32
 WCC_BYTES = 32
 #: One READDIR entry on the wire (fileid + cookie + mean name).
 DIRENT_REPLY_BYTES = 32
-#: One READDIRPLUS entry (adds post-op attributes and the handle).
-DIRENTPLUS_REPLY_BYTES = DIRENT_REPLY_BYTES + ATTR_REPLY_BYTES + FH_BYTES
 #: Fixed READDIR reply framing (dir attributes, verifier, eof flag).
 READDIR_OVERHEAD_BYTES = ATTR_REPLY_BYTES + 16
 #: Default READDIR reply byte budget (the client's ``count`` argument).
@@ -277,21 +275,18 @@ class SetattrReply:
 
 @dataclass(frozen=True)
 class DirEntry:
-    """One entry of a READDIR(PLUS) reply."""
+    """One entry of a READDIR reply."""
 
     fileid: int
     name: str
     #: Resume token: pass as the next request's ``cookie`` to continue
     #: the listing after this entry.
     cookie: int
-    #: READDIRPLUS only: the entry's attributes and handle.
-    attributes: Optional[Fattr] = None
-    fh: Optional[FileHandle] = None
 
 
 @dataclass(frozen=True)
 class ReaddirRequest:
-    """READDIR (``plus=False``) or READDIRPLUS (``plus=True``).
+    """READDIR: list a directory in chunks.
 
     ``count`` bounds the reply's encoded size in bytes — the chunking
     knob.  ``cookie``/``cookieverf`` resume a listing; cookie 0 starts
@@ -302,7 +297,6 @@ class ReaddirRequest:
     cookie: int = 0
     cookieverf: int = 0
     count: int = READDIR_DEFAULT_COUNT
-    plus: bool = False
 
     def __post_init__(self):
         if self.cookie < 0 or self.count <= 0:
@@ -320,14 +314,11 @@ class ReaddirReply:
     eof: bool = True
     cookieverf: int = 0
     status: str = NFS_OK
-    plus: bool = False
-    dir_attributes: Optional[Fattr] = None
 
     @property
     def payload_bytes(self) -> int:
-        per_entry = DIRENTPLUS_REPLY_BYTES if self.plus \
-            else DIRENT_REPLY_BYTES
-        return READDIR_OVERHEAD_BYTES + per_entry * len(self.entries)
+        return (READDIR_OVERHEAD_BYTES
+                + DIRENT_REPLY_BYTES * len(self.entries))
 
 
 @dataclass(frozen=True)

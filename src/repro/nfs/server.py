@@ -33,9 +33,8 @@ from ..sim import Resource, Simulator
 from .fhandle import FileHandle
 from .nfsheur import DEFAULT_NFSHEUR, NfsHeurParams, NfsHeurTable
 from .protocol import (CommitReply, CommitRequest, CreateReply,
-                       CreateRequest, DIRENT_REPLY_BYTES,
-                       DIRENTPLUS_REPLY_BYTES, DirEntry, Fattr,
-                       GetattrReply, GetattrRequest, LookupReply,
+                       CreateRequest, DIRENT_REPLY_BYTES, DirEntry,
+                       Fattr, GetattrReply, GetattrRequest, LookupReply,
                        LookupRequest, MkdirReply, MkdirRequest, NFS_OK,
                        NFS_READ_SIZE, READDIR_OVERHEAD_BYTES,
                        ReaddirReply, ReaddirRequest, ReadReply,
@@ -766,25 +765,21 @@ class NfsServer:
                                         after=self._fattr(node)))
 
     def _readdir(self, request: ReaddirRequest, span, rpc_key):
-        """READDIR(PLUS): slot-ordered entries, chunked to the
+        """READDIR: slot-ordered entries, chunked to the
         request's ``count`` byte budget; cookies resume, and a stale
         cookie verifier (the directory mutated) answers
         ``bad_cookie``."""
         yield from self.machine.execute(self.config.cpu_per_call)
         node, status = self._live(request.dir, "dir")
         if status != NFS_OK:
-            return ReaddirReply(dir=request.dir, status=status,
-                                plus=request.plus)
+            return ReaddirReply(dir=request.dir, status=status)
         verf = node.mutations
         if request.cookie != 0 and request.cookieverf != verf:
             self.stats.bad_cookies += 1
             return ReaddirReply(dir=request.dir, status="bad_cookie",
-                                cookieverf=verf, plus=request.plus,
-                                dir_attributes=self._fattr(node))
-        per_entry = DIRENTPLUS_REPLY_BYTES if request.plus \
-            else DIRENT_REPLY_BYTES
+                                cookieverf=verf)
         budget = max(1, (request.count - READDIR_OVERHEAD_BYTES)
-                     // per_entry)
+                     // DIRENT_REPLY_BYTES)
         pending = [pair for pair in node.sorted_slots()
                    if pair[0] >= request.cookie]
         selected = pending[:budget]
@@ -793,22 +788,12 @@ class NfsServer:
             first, last = selected[0][0], selected[-1][0]
             yield from self._dir_read(node.slot_blocks(
                 first, last - first + 1, self.fs.params.block_size))
-        entries = []
-        for slot, name in selected:
-            child = node.entries[name]
-            inode = self._inode_of(child)
-            if request.plus:
-                entries.append(DirEntry(
-                    fileid=inode.number, name=name, cookie=slot + 1,
-                    attributes=self._fattr(child),
-                    fh=self._export_node(child)))
-            else:
-                entries.append(DirEntry(fileid=inode.number, name=name,
-                                        cookie=slot + 1))
-        reply = ReaddirReply(dir=request.dir, entries=tuple(entries),
-                             eof=eof, cookieverf=verf,
-                             plus=request.plus,
-                             dir_attributes=self._fattr(node))
+        entries = tuple(
+            DirEntry(fileid=self._inode_of(node.entries[name]).number,
+                     name=name, cookie=slot + 1)
+            for slot, name in selected)
+        reply = ReaddirReply(dir=request.dir, entries=entries,
+                             eof=eof, cookieverf=verf)
         yield from self.machine.execute(
             reply.payload_bytes * self.config.cpu_per_byte)
         self.stats.readdirs += 1

@@ -51,8 +51,9 @@ trace-event export of the same run.
 from __future__ import annotations
 
 import json
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
-                    Union)
+from collections import deque
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Tuple, Union)
 
 from .span import Span, _NullSpan
 
@@ -207,6 +208,59 @@ class NullProvenanceGraph:
 
 #: Shared disabled graph: safe to hand to any number of simulators.
 NULL_PROVENANCE = NullProvenanceGraph()
+
+
+class OvertakeLog:
+    """Who left a request queue ahead of whom, as provenance.
+
+    The kernel bufq and the drive's tagged queue each hold one, and
+    call it only on provenance runs.  :meth:`arrive` links the request
+    to its issuer and snapshots how many requests (and writes) had
+    already left; :meth:`depart` chains the request to the previous
+    departure (``dispatched-after``), names the most recent requests
+    that left while it waited (``queued-behind``, a bounded ring), and
+    notes the exact overtake counts.
+    """
+
+    __slots__ = ("_prov", "_arrivals", "_recent", "_departed",
+                 "_writes_departed", "_last")
+
+    def __init__(self, prov: ProvenanceGraph):
+        self._prov = prov
+        #: request id -> (departures, write departures) at arrival.
+        self._arrivals: Dict[int, Tuple[int, int]] = {}
+        self._recent: Deque[tuple] = deque(maxlen=QUEUED_BEHIND_FANOUT)
+        self._departed = 0
+        self._writes_departed = 0
+        self._last: Optional[int] = None
+
+    def arrive(self, request, span: Span) -> None:
+        if request.trace_ctx is not None:
+            self._prov.edge(EDGE_ISSUED, request.trace_ctx, span)
+        self._arrivals[request.id] = (self._departed,
+                                      self._writes_departed)
+
+    def depart(self, request, span: Span) -> None:
+        prov = self._prov
+        arrival = self._arrivals.pop(request.id, None)
+        if self._last is not None:
+            prov.edge(EDGE_DISPATCHED_AFTER, span, self._last)
+        if arrival is not None:
+            behind = self._departed - arrival[0]
+            if behind:
+                for index, span_id, is_write, lba in self._recent:
+                    if index >= arrival[0]:
+                        prov.edge(EDGE_QUEUED_BEHIND, span, span_id,
+                                  write=is_write, lba=lba)
+                prov.note(span, behind=behind,
+                          behind_writes=(self._writes_departed
+                                         - arrival[1]))
+        self._recent.append((self._departed, span.id,
+                             request.is_write, request.lba))
+        self._last = span.id
+        self._departed += 1
+        if request.is_write:
+            self._writes_departed += 1
 
 
 # --------------------------------------------------------------------

@@ -22,7 +22,7 @@ that stream a first-class, persistent artifact:
   reader loop.
 """
 
-from .capture import NULL_CAPTURE, TraceCapture
+from .capture import TraceCapture
 from .format import (FORMAT_NAME, FORMAT_VERSION, TraceFormatError,
                      dumps_trace, loads_trace, read_trace_file,
                      write_trace_file)
@@ -30,7 +30,6 @@ from .records import TraceFile, TraceHeader, group_by_client
 
 __all__ = [
     "TraceCapture",
-    "NULL_CAPTURE",
     "TraceHeader",
     "TraceFile",
     "group_by_client",

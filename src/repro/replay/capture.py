@@ -12,9 +12,6 @@ obeys the two :mod:`repro.obs` rules:
 * **Zero cost when disabled.**  The mount holds ``None`` (no capture
   object at all) unless capture is on, and guards every hook with a
   single attribute test — the disabled path costs one ``is None``.
-
-:data:`NULL_CAPTURE` exists for call sites that prefer the null-object
-idiom over the ``None`` guard.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ from .records import TraceFile, TraceHeader
 
 class TraceCapture:
     """Accumulates vnode-boundary operations into a trace."""
-
-    enabled = True
 
     def __init__(self, block_size: int, seed: int, clients: int,
                  config: Optional[Dict[str, object]] = None):
@@ -65,20 +60,3 @@ class TraceCapture:
             block_size=self.block_size, fileset=fileset, seed=self.seed,
             clients=self.clients, config=self.config)
         return TraceFile(header=header, records=list(self.records))
-
-
-class NullCapture:
-    """The disabled capture: free to call, records nothing."""
-
-    enabled = False
-    records: List[TraceRecord] = []
-    ops = 0
-
-    def record(self, time: float, client: int, op: str, path: str,
-               offset: int = 0, count: int = 0,
-               path2: str = "") -> None:
-        pass
-
-
-#: Shared disabled capture, safe to hand to any number of mounts.
-NULL_CAPTURE = NullCapture()

@@ -188,13 +188,6 @@ def replay_trace(trace: TraceFile, target, mode: str = CLOSED_LOOP,
                            offered_bytes=offered_bytes, metrics=metrics)
 
 
-def replay_summaries_identical(a: ReplayRunResult,
-                               b: ReplayRunResult) -> bool:
-    """Bit-identity check between two replay summaries."""
-    return a.summary() == b.summary()
-
-
 # Re-exported for convenience alongside the engine entry points.
 __all__ = ["ReplayRunResult", "ClientReplayResult", "capture_nfs_run",
-           "replay_trace", "replay_summaries_identical",
-           "OPEN_LOOP", "CLOSED_LOOP", "MODES"]
+           "replay_trace", "OPEN_LOOP", "CLOSED_LOOP", "MODES"]

@@ -7,8 +7,8 @@ binary-heap scheduler runs everything (see :mod:`repro.sim.core`).
 """
 
 from .core import Simulator
-from .errors import Interrupt, ProcessError, SchedulingError, SimulationError
-from .events import AllOf, AnyOf, Event, EventQueue, Timeout
+from .errors import ProcessError, SchedulingError, SimulationError
+from .events import AllOf, Event, EventQueue, Timeout
 from .process import Process
 from .rand import RandomStreams, derive_seed
 from .resources import RateLimiter, Resource, Store
@@ -18,7 +18,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "Timeout",
-    "AnyOf",
     "AllOf",
     "Process",
     "Resource",
@@ -29,5 +28,4 @@ __all__ = [
     "SimulationError",
     "SchedulingError",
     "ProcessError",
-    "Interrupt",
 ]

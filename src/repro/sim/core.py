@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from ..obs import NULL_OBS, Observability
 from .errors import SchedulingError, SimulationError
-from .events import AllOf, AnyOf, Event, EventQueue, Timeout
+from .events import AllOf, Event, EventQueue, Timeout
 from .process import Process
 
 
@@ -71,9 +71,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

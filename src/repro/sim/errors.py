@@ -11,15 +11,3 @@ class SchedulingError(SimulationError):
 
 class ProcessError(SimulationError):
     """A simulated process misbehaved (bad yield, double start, ...)."""
-
-
-class Interrupt(SimulationError):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries whatever object the interrupter
-    supplied; processes may catch :class:`Interrupt` to clean up.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause

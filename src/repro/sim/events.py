@@ -148,28 +148,6 @@ class Timeout(Event):
         return f"timeout({self.delay:g})"
 
 
-class AnyOf(Event):
-    """Fires as soon as any of the given events has been processed.
-
-    The value is the first event that fired.  If several fire at the same
-    instant, scheduler order (FIFO among equal timestamps) decides.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim, events):
-        super().__init__(sim, name="any_of")
-        events = list(events)
-        if not events:
-            raise ValueError("AnyOf needs at least one event")
-        for event in events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.state == PENDING:
-            self.succeed(event)
-
-
 class AllOf(Event):
     """Fires once every one of the given events has been processed.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from .errors import Interrupt, ProcessError
+from .errors import ProcessError
 from .events import Event, PENDING, PROCESSED, TRIGGERED
 
 
@@ -30,8 +30,7 @@ class Process(Event):
     raises (catchable), mirroring :meth:`Event.fail`.
     """
 
-    __slots__ = ("generator", "_waiting_on", "_send", "_throw",
-                 "_resume_cb")
+    __slots__ = ("generator", "_send", "_throw", "_resume_cb")
 
     def __init__(self, sim, generator, name: Optional[str] = None):
         if not hasattr(generator, "send"):
@@ -47,7 +46,6 @@ class Process(Event):
         self.generator = generator
         self._send = generator.send
         self._throw = generator.throw
-        self._waiting_on: Optional[Event] = None
         self._resume_cb = self._resume
         # Kick off on the next scheduler step at the current time: the
         # bootstrap consumes one queue slot, exactly as the old
@@ -60,26 +58,9 @@ class Process(Event):
     def finished(self) -> bool:
         return self.state != PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if self.state != PENDING:
-            raise ProcessError(f"cannot interrupt finished {self!r}")
-        target = self._waiting_on
-        if target is not None and target.state != PROCESSED:
-            # Detach from whatever we were waiting on.
-            callbacks = target.callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(self._resume_cb)
-                except ValueError:
-                    pass
-        self._waiting_on = None
-        self._step(Interrupt(cause), throw=True)
-
     # ------------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         error = event.error
         if error is not None:
             # The awaited event failed: the exception surfaces at the
@@ -101,11 +82,6 @@ class Process(Event):
             sim = self.sim
             sim._push(sim.now, self)
             return
-        except Interrupt as exc:
-            # An uncaught interrupt terminates the process with an error.
-            self.error = exc
-            self.succeed(None)
-            return
         except Exception as exc:  # propagate at run_until_complete()
             self.error = exc
             self.succeed(None)
@@ -115,7 +91,6 @@ class Process(Event):
                 f"{self!r} yielded {yielded!r}; processes must yield Events")
             self.succeed(None)
             return
-        self._waiting_on = yielded
         # Inlined yielded.add_callback(self._resume): one line per wait
         # on the hottest path in the kernel.
         state = yielded.state

@@ -137,7 +137,3 @@ class RateLimiter:
     def transfer(self, nbytes: int) -> Event:
         finish = self.reserve(nbytes)
         return self.sim.timeout(finish - self.sim.now)
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until

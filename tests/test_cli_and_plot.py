@@ -86,6 +86,25 @@ BAD_ARGV = [
     ("campaign bench --runs 0", "argument --runs: must be positive, got 0"),
     ("campaign bench --readers 0",
      "argument --readers: must be positive, got 0"),
+    ("bench --scale 2 --runs 1", "argument --scale: must be at most 1, got 2"),
+    ("fig4 --scale 1.5 --runs 1",
+     "argument --scale: must be at most 1, got 1.5"),
+    ("all --scale 3 --runs 1", "argument --scale: must be at most 1, got 3"),
+    ("replay --capture t.jsonl --bench-scale 2",
+     "argument --bench-scale: must be at most 1, got 2"),
+    ("campaign bench --runs 1 --scale 2 --readers 2",
+     "argument --scale: must be at most 1, got 2"),
+    ("fig4 --runs 1 --scale 1e-9",
+     "argument --scale: must be large enough for 32 readers, got 1e-9"),
+    ("bench --scale 1e-9",
+     "4 readers at scale 1e-09: scale too small for this reader count"),
+    ("campaign bench --runs 1 --readers 2 --scale 1e-9",
+     "2 readers at scale 1e-09: scale too small for this reader count"),
+    ("replay --capture t.jsonl --bench-scale 1e-9",
+     "2 readers at scale 1e-09: scale too small for this reader count"),
+    ("diagnose --floor -1", "argument --floor: must be non-negative, got -1"),
+    ("diagnose --floor nan",
+     "argument --floor: must be non-negative, got nan"),
     ("bench --partition 9", f"argument --partition: {_PARTITION_CHOICE}"),
     ("bench --heuristic bogus",
      "argument --heuristic: " + _HEURISTIC_CHOICE.format("bogus")),

@@ -9,6 +9,7 @@ import pytest
 
 from repro.host import (DRIVE_SPECS, Machine, TestbedConfig,
                         build_local_testbed, build_nfs_testbed)
+from repro.kernel import ElevatorQueue
 from repro.sim import Simulator
 
 
@@ -105,7 +106,7 @@ class TestBuilders:
                                                     partition=2))
         assert testbed.drive.geometry.name == DRIVE_SPECS["ide"].name
         assert testbed.partition.name == "ide2"
-        assert testbed.iosched.policy == "elevator"
+        assert isinstance(testbed.iosched._bufq, ElevatorQueue)
 
     def test_partition_selects_lba_range(self):
         outer = build_local_testbed(TestbedConfig(partition=1))

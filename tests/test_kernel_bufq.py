@@ -1,9 +1,9 @@
-"""Unit tests for the kernel disk queues (elevator, N-CSCAN, FCFS)."""
+"""Unit tests for the kernel disk queues (elevator, N-CSCAN)."""
 
 import pytest
 
 from repro.disk import DiskRequest
-from repro.kernel import (ElevatorQueue, FcfsQueue, NStepCscanQueue,
+from repro.kernel import (ElevatorQueue, NStepCscanQueue,
                           available_policies, make_bufq)
 
 
@@ -18,17 +18,6 @@ def drain(queue):
         if item is None:
             return order
         order.append(item.lba)
-
-
-class TestFcfs:
-    def test_fifo_order(self):
-        queue = FcfsQueue()
-        for lba in (30, 10, 20):
-            queue.insert(request(lba))
-        assert drain(queue) == [30, 10, 20]
-
-    def test_empty_returns_none(self):
-        assert FcfsQueue().next() is None
 
 
 class TestElevator:
@@ -107,67 +96,13 @@ class TestFactory:
     def test_make_by_name(self):
         assert make_bufq("elevator").name == "elevator"
         assert make_bufq("n-cscan").name == "n-cscan"
-        assert make_bufq("fcfs").name == "fcfs"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             make_bufq("deadline")
 
     def test_available_policies(self):
-        assert available_policies() == [
-            "elevator", "fcfs", "n-cscan", "scan", "sstf"]
-
-
-class TestSstf:
-    def test_picks_nearest_to_head(self):
-        queue = make_bufq("sstf")
-        for lba in (100, 900, 120):
-            queue.insert(request(lba))
-        assert queue.next().lba == 100   # head starts at 0
-        assert queue.next().lba == 120   # nearest to 100
-        assert queue.next().lba == 900
-
-    def test_starvation_is_possible(self):
-        """SSTF's defining flaw: a stream near the head starves a
-        distant request indefinitely."""
-        queue = make_bufq("sstf")
-        queue.insert(request(10_000))
-        for lba in (10, 20, 30, 40):
-            queue.insert(request(lba))
-        served = [queue.next().lba for _ in range(4)]
-        assert served == [10, 20, 30, 40]
-        assert queue.next().lba == 10_000
-
-    def test_empty_returns_none(self):
-        assert make_bufq("sstf").next() is None
-
-
-class TestScan:
-    def test_sweeps_up_then_down(self):
-        queue = make_bufq("scan")
-        for lba in (300, 100, 200):
-            queue.insert(request(lba))
-        assert [queue.next().lba for _ in range(3)] == [100, 200, 300]
-        # Head now at 300; new lower requests are served descending.
-        for lba in (250, 150):
-            queue.insert(request(lba))
-        assert [queue.next().lba for _ in range(2)] == [250, 150]
-
-    def test_direction_reverses_when_exhausted(self):
-        queue = make_bufq("scan")
-        queue.insert(request(500))
-        assert queue.next().lba == 500
-        queue.insert(request(100))  # nothing above 500: must turn
-        assert queue.next().lba == 100
-
-    def test_all_requests_served_once(self):
-        queue = make_bufq("scan")
-        lbas = [500, 100, 900, 300, 700]
-        for lba in lbas:
-            queue.insert(request(lba))
-        served = [queue.next().lba for _ in range(len(lbas))]
-        assert sorted(served) == sorted(lbas)
-        assert queue.next() is None
+        assert available_policies() == ["elevator", "n-cscan"]
 
 
 class TestQueueProperties:

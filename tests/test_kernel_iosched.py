@@ -1,7 +1,5 @@
 """Unit tests for the kernel dispatch layer."""
 
-import pytest
-
 from repro.disk import DiskRequest, IBM_DDYS_T36950N, WDC_WD200BB
 from repro.kernel import DiskIoScheduler
 from repro.sim import Simulator
@@ -62,20 +60,3 @@ class TestDispatch:
             iosched.submit(DiskRequest(lba=i * 64, nsectors=16))
         sim.run()
         assert iosched.dispatched == 4
-
-
-class TestPolicySwitch:
-    def test_switch_when_idle(self):
-        sim, drive, iosched = build(policy="elevator")
-        iosched.set_policy("n-cscan")
-        assert iosched.policy == "n-cscan"
-
-    def test_switch_with_queued_requests_rejected(self):
-        sim, drive, iosched = build(policy="elevator", tags=None)
-        # Fill beyond the drive's queue limit so something stays queued.
-        for i in range(10):
-            iosched.submit(DiskRequest(lba=i * 640_000, nsectors=16))
-        if iosched.queued:
-            with pytest.raises(RuntimeError):
-                iosched.set_policy("n-cscan")
-        sim.run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim import AllOf, Event, Simulator, Timeout
 from repro.sim.events import EventQueue
 
 
@@ -167,16 +167,6 @@ class TestCallLater:
 
 
 class TestAnyOfAllOf:
-    def test_any_of_fires_on_first(self):
-        sim = Simulator()
-        slow = sim.timeout(5.0)
-        fast = sim.timeout(1.0)
-        gate = sim.any_of([slow, fast])
-        winners = []
-        gate.add_callback(lambda ev: winners.append((sim.now, ev.value)))
-        sim.run()
-        assert winners == [(1.0, fast)]
-
     def test_all_of_waits_for_all(self):
         sim = Simulator()
         events = [sim.timeout(t) for t in (3.0, 1.0, 2.0)]
@@ -191,11 +181,6 @@ class TestAnyOfAllOf:
         gate = sim.all_of([])
         sim.run()
         assert gate.processed
-
-    def test_any_of_empty_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.any_of([])
 
 
 class TestEventQueue:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import (Interrupt, Process, ProcessError, SimulationError,
-                       Simulator)
+from repro.sim import Process, ProcessError, SimulationError, Simulator
 
 
 def test_process_runs_and_returns_value():
@@ -61,42 +60,6 @@ def test_exception_propagates_via_run_until_complete():
     process = sim.spawn(boom(sim))
     with pytest.raises(ValueError, match="kaboom"):
         sim.run_until_complete(process)
-
-
-def test_interrupt_is_catchable():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append(interrupt.cause)
-            yield sim.timeout(1.0)
-        return "recovered"
-
-    def interrupter(sim, victim):
-        yield sim.timeout(2.0)
-        victim.interrupt("wake up")
-        return None
-
-    victim = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, victim))
-    assert sim.run_until_complete(victim) == "recovered"
-    assert log == ["wake up"]
-    assert sim.now == 3.0
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(0.1)
-
-    process = sim.spawn(quick(sim))
-    sim.run()
-    with pytest.raises(ProcessError):
-        process.interrupt()
 
 
 def test_deadlock_detected():
