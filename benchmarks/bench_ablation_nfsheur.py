@@ -20,9 +20,7 @@ READERS = 32
 def sweep():
     rows = []
     for size in TABLE_SIZES:
-        params = NfsHeurParams(table_size=size,
-                               max_probes=min(4, size),
-                               scrambled_hash=True)
+        params = NfsHeurParams(table_size=size, max_probes=min(4, size))
         config = TestbedConfig(drive="ide", partition=1, transport="udp",
                                nfsheur=params, seed=bench_seed())
         result = run_nfs_once(config, READERS, scale=bench_scale())

@@ -1,7 +1,8 @@
-"""Ablation A1: SlowDown's near-match window and decay divisor.
+"""Ablation A1: SlowDown's near-match window.
 
 §6.2 fixes the window at 64 KiB ("eight 8k NFS blocks") and the decay
-at halving.  This ablation sweeps both, two ways:
+at halving (``SLOWDOWN_DIVISOR``, a constant).  This ablation sweeps
+the window, two ways:
 
 * analytically, on synthetic reordered traces (mean sustained
   seqCount), and

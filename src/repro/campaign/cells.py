@@ -31,7 +31,7 @@ _TESTBED_KEYS = ("drive", "partition", "transport", "server_heuristic",
                  "nfsheur", "num_clients", "mount_verifier_recovery",
                  "metadata_journal", "meta_ack_before_intent",
                  "acregmin", "acregmax", "acdirmin", "acdirmax",
-                 "close_to_open", "readdir_count", "seed")
+                 "readdir_count", "seed")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ the coverage accounting, never in the fold.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Dict, List, Optional
 

@@ -151,17 +151,12 @@ class ScheduleFuzzer:
     """
 
     def __init__(self, seed: int, horizon: float = 20.0,
-                 max_events: int = 4,
-                 kinds: Tuple[str, ...] = FAULT_KINDS):
+                 max_events: int = 4):
         if max_events < 1:
             raise ValueError("max_events must be at least 1")
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
         self.seed = seed
         self.horizon = horizon
         self.max_events = max_events
-        self.kinds = tuple(kinds)
 
     def schedule(self, index: int) -> ChaosSchedule:
         """Schedule ``index`` — a pure function of ``(seed, index)``."""
@@ -170,7 +165,7 @@ class ScheduleFuzzer:
         count = rng.randint(1, self.max_events)
         events = []
         for _ in range(count):
-            kind = rng.choice(self.kinds)
+            kind = rng.choice(FAULT_KINDS)
             start = round(rng.uniform(0.5, self.horizon * 0.8), 3)
             rate = 0.0
             if kind == "crash":

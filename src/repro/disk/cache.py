@@ -25,7 +25,7 @@ actually captured by that instant.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 class Segment:

@@ -32,10 +32,13 @@ from ..faults.disk import DiskFaultInjector
 from ..obs.provenance import OvertakeLog
 from ..sim import Event, Simulator
 from .cache import SegmentedCache
-from .geometry import DiskGeometry
+from .geometry import SECTOR_SIZE, DiskGeometry
 from .mechanics import RotationModel, SeekModel
 from .request import DiskRequest, DriveStats
-from .scheduler import AgedSptfFirmware, FifoFirmware, FirmwareScheduler
+from .scheduler import AgedSptfFirmware, FifoFirmware
+
+#: Size of one firmware prefetch-cache segment (both presets).
+CACHE_SEGMENT_BYTES = 256 * 1024
 
 
 class DiskDrive:
@@ -50,13 +53,12 @@ class DiskDrive:
     interface_rate:
         Host-interface bandwidth in bytes/s (Ultra160 SCSI, ATA/66...).
         Cache hits stream at this rate; media reads are media-bound.
-    cache_segments, cache_segment_bytes:
-        Firmware prefetch buffer shape.
+    cache_segments:
+        Firmware prefetch buffer shape, in segments of
+        :data:`CACHE_SEGMENT_BYTES`.
     tcq_depth:
         Commands the host may keep outstanding when tagged queueing is
-        on.
-    firmware:
-        Scheduler used when tagged queueing is on.
+        on; the firmware then orders them by aged SPTF.
     command_overhead:
         Fixed per-command firmware/protocol time.
     """
@@ -64,9 +66,7 @@ class DiskDrive:
     def __init__(self, sim: Simulator, geometry: DiskGeometry,
                  seek_model: SeekModel, interface_rate: float,
                  cache_segments: int = 8,
-                 cache_segment_bytes: int = 256 * 1024,
                  tcq_depth: int = 64,
-                 firmware: Optional[FirmwareScheduler] = None,
                  command_overhead: float = 0.0002,
                  tagged_queueing: bool = True,
                  bus=None,
@@ -81,7 +81,7 @@ class DiskDrive:
         self.name = name
         self.tcq_depth = tcq_depth
         self.tagged_queueing = tagged_queueing
-        self.firmware: FirmwareScheduler = firmware or AgedSptfFirmware()
+        self.firmware = AgedSptfFirmware()
         self._fifo = FifoFirmware()
         #: Optional host-bus limiter (the server's PCI/DMA ceiling):
         #: every byte read from the drive is DMAed across it, so disk
@@ -90,7 +90,7 @@ class DiskDrive:
         #: Optional :class:`~repro.faults.DiskFaultInjector` consulted
         #: once per command (media-error retries, lost commands, resets).
         self.faults = faults
-        segment_sectors = max(1, cache_segment_bytes // geometry.sector_size)
+        segment_sectors = max(1, CACHE_SEGMENT_BYTES // SECTOR_SIZE)
         self.cache = SegmentedCache(cache_segments, segment_sectors)
         self.stats = DriveStats()
         self._obs_on = sim.obs.enabled
@@ -224,7 +224,7 @@ class DiskDrive:
                 # The data must also cross the host bus; completion is
                 # whichever finishes later (DMA overlaps the media read).
                 bus_done = self.bus.transfer(
-                    request.nsectors * self.geometry.sector_size)
+                    request.nsectors * SECTOR_SIZE)
                 if duration > 0:
                     yield self.sim.all_of(
                         [self.sim.timeout(duration), bus_done])
@@ -248,7 +248,7 @@ class DiskDrive:
         """Compute the service time and update drive state."""
         now = self.sim.now
         geometry = self.geometry
-        nbytes = request.nsectors * geometry.sector_size
+        nbytes = request.nsectors * SECTOR_SIZE
         self.stats.requests += 1
         self.stats.bytes_read += nbytes
         zone = geometry.zone_index_of_lba(request.lba)
@@ -283,7 +283,7 @@ class DiskDrive:
                 self.stats.media_reads += 1
                 remainder = request.nsectors - lookup.covered_sectors
                 rate = geometry.media_rate(request.lba)
-                media_time = remainder * geometry.sector_size / rate
+                media_time = remainder * SECTOR_SIZE / rate
                 # The buffered prefix ships over the interface while the
                 # remainder comes off the media, but every byte still
                 # crosses the interface: the command cannot complete
@@ -313,7 +313,7 @@ class DiskDrive:
         rot = self.rotation.latency_to(
             now + seek + overhead, geometry.angle_of_lba(request.lba))
         rate = geometry.media_rate(request.lba)
-        media_time = request.nsectors * geometry.sector_size / rate
+        media_time = request.nsectors * SECTOR_SIZE / rate
         duration = overhead + seek + rot + media_time
         if self._prov.enabled:
             self._breakdown = {
@@ -334,6 +334,6 @@ class DiskDrive:
         self.current_cylinder = self.geometry.cylinder_of_lba(end)
         if request.is_write:
             return
-        fill_rate_sectors = rate / self.geometry.sector_size
+        fill_rate_sectors = rate / SECTOR_SIZE
         self.cache.begin_fill(request.lba, request.nsectors,
                               fill_rate_sectors, completion)

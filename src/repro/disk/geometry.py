@@ -54,7 +54,7 @@ class DiskGeometry:
     """
 
     def __init__(self, name: str, rpm: float, heads: int,
-                 zones: Sequence[Zone], sector_size: int = SECTOR_SIZE):
+                 zones: Sequence[Zone]):
         if rpm <= 0:
             raise ValueError("rpm must be positive")
         if heads <= 0:
@@ -65,7 +65,6 @@ class DiskGeometry:
         self.rpm = rpm
         self.heads = heads
         self.zones: Tuple[Zone, ...] = tuple(zones)
-        self.sector_size = sector_size
         self.revolution_time = 60.0 / rpm
 
         # Cumulative boundaries for fast lookup.
@@ -80,7 +79,7 @@ class DiskGeometry:
             lba += zone.cylinders * heads * zone.sectors_per_track
         self.cylinders = cyl
         self.total_sectors = lba
-        self.capacity_bytes = lba * sector_size
+        self.capacity_bytes = lba * SECTOR_SIZE
 
     # ------------------------------------------------------------------
 
@@ -135,10 +134,10 @@ class DiskGeometry:
     def media_rate(self, lba: int) -> float:
         """Sustained media transfer rate (bytes/s) at ``lba``.
 
-        One track per revolution: rate = spt * sector_size / rev_time.
+        One track per revolution: rate = spt * SECTOR_SIZE / rev_time.
         """
         zone = self.zone_of_lba(lba)
-        return (zone.sectors_per_track * self.sector_size
+        return (zone.sectors_per_track * SECTOR_SIZE
                 / self.revolution_time)
 
     def angle_of_lba(self, lba: int) -> float:

@@ -18,6 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: Boundary between the sqrt and linear seek regimes, as a fraction of
+#: the cylinder count.
+KNEE_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class SeekModel:
@@ -31,8 +35,6 @@ class SeekModel:
     average: float
     full_stroke: float
     cylinders: int
-    #: Boundary (in cylinders) between the sqrt and linear regimes.
-    knee_fraction: float = 0.25
 
     def __post_init__(self):
         if not (0 < self.track_to_track <= self.average <= self.full_stroke):
@@ -40,7 +42,7 @@ class SeekModel:
         if self.cylinders < 2:
             raise ValueError("need at least two cylinders")
 
-        knee = max(2, int(self.cylinders * self.knee_fraction))
+        knee = max(2, int(self.cylinders * KNEE_FRACTION))
         # Short regime: a + b*sqrt(d), anchored at d=1 (track-to-track)
         # and d = cylinders/3 (the distance whose seek is, for a uniform
         # random workload, approximately the average seek).

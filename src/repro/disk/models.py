@@ -16,9 +16,8 @@ from typing import List, Optional
 
 from ..sim import Simulator
 from .drive import DiskDrive
-from .geometry import DiskGeometry, Zone, make_linear_zcav_zones
+from .geometry import SECTOR_SIZE, DiskGeometry, make_linear_zcav_zones
 from .mechanics import SeekModel
-from .scheduler import AgedSptfFirmware
 
 MB = 1024 * 1024
 
@@ -39,7 +38,6 @@ class DriveSpec:
     seek_full_stroke: float
     interface_rate: float          # bytes/s
     cache_segments: int
-    cache_segment_bytes: int
     cache_replacement: str
     supports_tagged_queueing: bool
     tcq_depth: int
@@ -74,9 +72,7 @@ class DriveSpec:
             sim, geometry, self.seek_model(),
             interface_rate=self.interface_rate,
             cache_segments=self.cache_segments,
-            cache_segment_bytes=self.cache_segment_bytes,
             tcq_depth=self.tcq_depth,
-            firmware=AgedSptfFirmware(),
             command_overhead=self.command_overhead,
             tagged_queueing=tagged_queueing,
             bus=bus,
@@ -105,7 +101,6 @@ IBM_DDYS_T36950N = DriveSpec(
     seek_full_stroke=0.0105,
     interface_rate=160 * MB,      # Ultra160 SCSI
     cache_segments=16,
-    cache_segment_bytes=256 * 1024,
     cache_replacement="lru",
     supports_tagged_queueing=True,
     tcq_depth=64,
@@ -127,7 +122,6 @@ WDC_WD200BB = DriveSpec(
     seek_full_stroke=0.021,
     interface_rate=66 * MB,       # ATA/66
     cache_segments=8,
-    cache_segment_bytes=256 * 1024,
     cache_replacement="mru",
     supports_tagged_queueing=False,
     tcq_depth=1,
@@ -157,10 +151,7 @@ class Partition:
 
     @property
     def capacity_bytes(self) -> int:
-        return self.sectors * 512
-
-    def contains(self, lba: int) -> bool:
-        return self.first_lba <= lba < self.end_lba
+        return self.sectors * SECTOR_SIZE
 
 
 def make_partitions(geometry: DiskGeometry, count: int = 4,

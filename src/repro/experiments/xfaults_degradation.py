@@ -23,8 +23,6 @@ the worst of the delay into visible errors.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..bench.runner import run_faulted_once
 from ..faults import FaultSpec, NetworkFaults
 from ..host.testbed import TestbedConfig

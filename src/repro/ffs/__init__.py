@@ -1,12 +1,12 @@
 """An FFS-like file system: allocation, inodes, namespace, read path."""
 
-from .allocator import (AllocationError, DEFAULT_BLOCK_SIZE,
-                        SequentialAllocator)
-from .filesystem import FfsParams, FileHandle, FileSystem
+from .allocator import AllocationError, SequentialAllocator
+from .filesystem import FileHandle, FileSystem
 from .inode import Extent, Inode
 from .metajournal import (FsckReport, IntentRecord, MetaJournal,
                           scan_and_heal, verify_namespace)
-from .namespace import DIRENT_BYTES, Directory, Namespace, split_path
+from .namespace import (DIRENT_BYTES, ENTRIES_PER_BLOCK, Directory,
+                        Namespace, split_path)
 
 __all__ = [
     "MetaJournal",
@@ -16,14 +16,13 @@ __all__ = [
     "verify_namespace",
     "FileSystem",
     "FileHandle",
-    "FfsParams",
     "Inode",
     "Extent",
     "SequentialAllocator",
     "AllocationError",
-    "DEFAULT_BLOCK_SIZE",
     "Namespace",
     "Directory",
     "DIRENT_BYTES",
+    "ENTRIES_PER_BLOCK",
     "split_path",
 ]

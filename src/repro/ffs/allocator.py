@@ -19,9 +19,14 @@ import random
 from typing import List, Optional
 
 from ..disk.models import Partition
+from ..kernel.buffercache import BLOCK_SIZE, SECTORS_PER_BLOCK
 from .inode import Extent, Inode
 
-DEFAULT_BLOCK_SIZE = 8 * 1024
+#: With ``fragmentation``, a file is cut into pieces of 1 to
+#: ``CHUNK_BLOCKS`` blocks, each followed by a gap of 0 to
+#: ``MAX_GAP_BLOCKS`` blocks.
+CHUNK_BLOCKS = 64
+MAX_GAP_BLOCKS = 128
 
 #: Directory inodes number from here; regular files keep the dense
 #: 2, 3, 4, … sequence.  The nfsheur table hashes the handle id, so
@@ -39,24 +44,12 @@ class SequentialAllocator:
     """First-fit contiguous allocation from the front of a partition."""
 
     def __init__(self, partition: Partition,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 sector_size: int = 512,
                  fragmentation: float = 0.0,
-                 chunk_blocks: int = 64,
-                 max_gap_blocks: int = 128,
                  rng: Optional[random.Random] = None):
-        if block_size % sector_size:
-            raise ValueError("block size must be a sector multiple")
         if not 0.0 <= fragmentation <= 1.0:
             raise ValueError("fragmentation must be within [0, 1]")
-        if chunk_blocks < 1 or max_gap_blocks < 0:
-            raise ValueError("bad chunk/gap configuration")
         self.partition = partition
-        self.block_size = block_size
-        self.sectors_per_block = block_size // sector_size
         self.fragmentation = fragmentation
-        self.chunk_blocks = chunk_blocks
-        self.max_gap_blocks = max_gap_blocks
         self._rng = rng or random.Random(0xA110C)
         #: Per-file-system inode numbering (0/1 reserved).  A local
         #: counter — not the module-global ``Inode`` default — so a
@@ -75,8 +68,8 @@ class SequentialAllocator:
         #: relocates anyone's data.
         self._dir_inode_numbers = itertools.count(DIR_INODE_BASE)
 
-        first = -(-partition.first_lba // self.sectors_per_block)
-        last = partition.end_lba // self.sectors_per_block
+        first = -(-partition.first_lba // SECTORS_PER_BLOCK)
+        last = partition.end_lba // SECTORS_PER_BLOCK
         self._next_block = first
         self._end_block = last
 
@@ -90,7 +83,7 @@ class SequentialAllocator:
         """Allocate ``size`` bytes and return the resulting inode."""
         if size <= 0:
             raise ValueError("cannot allocate an empty file")
-        nblocks = -(-size // self.block_size)
+        nblocks = -(-size // BLOCK_SIZE)
         extents: List[Extent] = []
         file_block = 0
         remaining = nblocks
@@ -98,8 +91,7 @@ class SequentialAllocator:
             if self.fragmentation > 0 and \
                     self._rng.random() < self.fragmentation:
                 take = min(remaining,
-                           max(1, self._rng.randint(
-                               1, self.chunk_blocks)))
+                           max(1, self._rng.randint(1, CHUNK_BLOCKS)))
             else:
                 take = remaining
             if take > self.free_blocks:
@@ -112,8 +104,8 @@ class SequentialAllocator:
             self._next_block += take
             file_block += take
             remaining -= take
-            if remaining > 0 and self.max_gap_blocks > 0:
-                gap = self._rng.randint(0, self.max_gap_blocks)
+            if remaining > 0:
+                gap = self._rng.randint(0, MAX_GAP_BLOCKS)
                 self._next_block = min(self._next_block + gap,
                                        self._end_block)
         return Inode(name=name, size=size, extents=extents,
@@ -136,7 +128,7 @@ class SequentialAllocator:
         """Allocate a one-block directory inode in the metadata region."""
         disk_block = self._take_meta_blocks(1, name)
         extent = Extent(file_block=0, disk_block=disk_block, nblocks=1)
-        return Inode(name=name, size=self.block_size, extents=[extent],
+        return Inode(name=name, size=BLOCK_SIZE, extents=[extent],
                      number=next(self._dir_inode_numbers))
 
     def allocate_journal(self, name: str, nblocks: int) -> Inode:
@@ -153,7 +145,7 @@ class SequentialAllocator:
         disk_block = self._take_meta_blocks(nblocks, name)
         extent = Extent(file_block=0, disk_block=disk_block,
                         nblocks=nblocks)
-        return Inode(name=name, size=nblocks * self.block_size,
+        return Inode(name=name, size=nblocks * BLOCK_SIZE,
                      extents=[extent],
                      number=next(self._dir_inode_numbers))
 
@@ -165,4 +157,4 @@ class SequentialAllocator:
         inode.extents.append(Extent(file_block=inode.nblocks,
                                     disk_block=disk_block,
                                     nblocks=nblocks))
-        inode.size += nblocks * self.block_size
+        inode.size += nblocks * BLOCK_SIZE

@@ -21,36 +21,24 @@ simulation process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any
 
-from ..kernel.buffercache import BufferCache
-from ..readahead import (DefaultHeuristic, Heuristic, ReadState,
-                         readahead_blocks)
+from ..kernel.buffercache import BLOCK_SIZE, BufferCache
+from ..readahead import DefaultHeuristic, ReadState, readahead_blocks
 from ..sim import Simulator
 from .allocator import SequentialAllocator
 from .inode import Inode
 from .namespace import Namespace
 
-
-@dataclass(frozen=True)
-class FfsParams:
-    """Tunables of the read path.
-
-    ``max_readahead_blocks`` caps how far ahead of a reader the file
-    system will fetch (the "fixed limit" of §5.4); ``readahead_trigger``
-    is the seqCount at which read-ahead turns on.
-    """
-
-    block_size: int = 8 * 1024
-    max_readahead_blocks: int = 16
-    readahead_trigger: int = 2
-    #: Read-ahead I/O granularity: read-ahead is issued in cluster-sized
-    #: chunks (vfs_cluster style), not block by block — one 64 KiB disk
-    #: command per cluster instead of a dribble of 8 KiB commands.
-    cluster_blocks: int = 8
-    #: Per-read CPU cost charged before data is returned (copyout etc.).
-    read_overhead: float = 0.00003
+#: How far ahead of a reader the file system will fetch, in blocks (the
+#: "fixed limit" of §5.4).
+MAX_READAHEAD_BLOCKS = 16
+#: Read-ahead I/O granularity: read-ahead is issued in cluster-sized
+#: chunks (vfs_cluster style), not block by block — one 64 KiB disk
+#: command per cluster instead of a dribble of 8 KiB commands.
+CLUSTER_BLOCKS = 8
+#: Per-read CPU cost charged before data is returned (copyout etc.).
+READ_OVERHEAD = 0.00003
 
 
 class FileHandle:
@@ -72,16 +60,11 @@ class FileSystem:
     """An FFS-like file system bound to one buffer cache and partition."""
 
     def __init__(self, sim: Simulator, cache: BufferCache,
-                 allocator: SequentialAllocator,
-                 params: Optional[FfsParams] = None,
-                 heuristic: Optional[Heuristic] = None):
+                 allocator: SequentialAllocator):
         self.sim = sim
         self.cache = cache
         self.allocator = allocator
-        self.params = params or FfsParams()
-        if self.params.block_size != cache.block_size:
-            raise ValueError("file system and cache block sizes differ")
-        self.heuristic: Heuristic = heuristic or DefaultHeuristic()
+        self.heuristic = DefaultHeuristic()
         #: The hierarchical directory tree; ``files`` is its flat view
         #: (full path -> inode of every regular file), preserving the
         #: original flat-namespace API for all existing callers.
@@ -147,9 +130,8 @@ class FileSystem:
         if offset >= inode.size:
             return 0
         nbytes = min(nbytes, inode.size - offset)
-        bs = self.params.block_size
-        first_block = offset // bs
-        last_block = (offset + nbytes - 1) // bs
+        first_block = offset // BLOCK_SIZE
+        last_block = (offset + nbytes - 1) // BLOCK_SIZE
         demand_blocks = last_block - first_block + 1
 
         waits = []
@@ -164,8 +146,7 @@ class FileSystem:
         for wait in waits:
             yield wait
         self._m_cache_wait.observe(self.sim.now - started)
-        if self.params.read_overhead > 0:
-            yield self.sim.timeout(self.params.read_overhead)
+        yield self.sim.timeout(READ_OVERHEAD)
         return nbytes
 
     def write(self, inode: Inode, offset: int, nbytes: int,
@@ -183,14 +164,12 @@ class FileSystem:
         if offset >= inode.size:
             return 0
         nbytes = min(nbytes, inode.size - offset)
-        bs = self.params.block_size
-        first_block = offset // bs
-        last_block = (offset + nbytes - 1) // bs
+        first_block = offset // BLOCK_SIZE
+        last_block = (offset + nbytes - 1) // BLOCK_SIZE
         for disk_block, run in inode.map_range(
                 first_block, last_block - first_block + 1):
             self.cache.write(disk_block, run, stream=stream)
-        if self.params.read_overhead > 0:
-            yield self.sim.timeout(self.params.read_overhead)
+        yield self.sim.timeout(READ_OVERHEAD)
         return nbytes
 
     def sync(self):
@@ -209,16 +188,14 @@ class FileSystem:
         disk command per cluster of progress rather than a trickle of
         single-block commands.
         """
-        depth = readahead_blocks(seq_count,
-                                 self.params.max_readahead_blocks,
-                                 self.params.readahead_trigger)
+        depth = readahead_blocks(seq_count, MAX_READAHEAD_BLOCKS)
         if depth == 0:
             return
-        file_blocks = -(-inode.size // self.params.block_size)
+        file_blocks = -(-inode.size // BLOCK_SIZE)
         window_end = min(next_block + depth, file_blocks)
         if window_end <= next_block:
             return
-        cluster = self.params.cluster_blocks
+        cluster = CLUSTER_BLOCKS
         first_cluster = next_block // cluster
         last_cluster = (window_end - 1) // cluster
         tracer = self.sim.obs.tracer

@@ -48,10 +48,10 @@ for the no-orphans oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .namespace import DIRENT_BYTES, Directory, Namespace
+from .namespace import ENTRIES_PER_BLOCK, Directory, Namespace
 
 #: Intent records per 8 KiB journal block (a 128-byte record: op code,
 #: two path slots, fileid, xid, status — same flavour of round number
@@ -298,7 +298,6 @@ def verify_namespace(ns: Namespace) -> List[str]:
     tree entry).  An empty list is a consistent tree.
     """
     violations: List[str] = []
-    per_block = ns.block_size // DIRENT_BYTES
     seen: Dict[int, str] = {}
     reachable: Dict[str, object] = {}
     for path, directory in ns.walk_dirs():
@@ -315,7 +314,7 @@ def verify_namespace(ns: Namespace) -> List[str]:
                 f"{directory._next_slot}")
         if set(values) & set(directory._free):
             violations.append(f"{label}: live slot on the free list")
-        capacity = directory.inode.nblocks * per_block
+        capacity = directory.inode.nblocks * ENTRIES_PER_BLOCK
         if directory._next_slot > capacity:
             violations.append(
                 f"{label}: {directory._next_slot} slots in "

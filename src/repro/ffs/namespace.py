@@ -35,11 +35,13 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from ..kernel.buffercache import BLOCK_SIZE
 from .inode import Inode
 
 #: On-disk bytes per directory entry (name + fileid + bookkeeping; a
 #: round power of two so an 8 KiB block holds exactly 128 entries).
 DIRENT_BYTES = 64
+ENTRIES_PER_BLOCK = BLOCK_SIZE // DIRENT_BYTES
 
 
 def split_path(path: str) -> Tuple[str, ...]:
@@ -90,25 +92,21 @@ class Directory:
 
     # -- slot/block mapping (the I/O the server charges) ---------------
 
-    def entries_per_block(self, block_size: int) -> int:
-        return block_size // DIRENT_BYTES
-
-    def entry_block(self, name: str, block_size: int) -> int:
+    def entry_block(self, name: str) -> int:
         """Disk block holding ``name``'s slot."""
-        file_block = self.slots[name] // self.entries_per_block(block_size)
+        file_block = self.slots[name] // ENTRIES_PER_BLOCK
         return self.inode.map_range(file_block, 1)[0][0]
 
-    def slot_blocks(self, first_slot: int, nslots: int,
-                    block_size: int) -> List[Tuple[int, int]]:
+    def slot_blocks(self, first_slot: int,
+                    nslots: int) -> List[Tuple[int, int]]:
         """Disk runs covering slots [first_slot, first_slot+nslots)."""
         if nslots <= 0:
             return []
-        per = self.entries_per_block(block_size)
-        first_fb = first_slot // per
-        last_fb = (first_slot + nslots - 1) // per
+        first_fb = first_slot // ENTRIES_PER_BLOCK
+        last_fb = (first_slot + nslots - 1) // ENTRIES_PER_BLOCK
         return self.inode.map_range(first_fb, last_fb - first_fb + 1)
 
-    def all_blocks(self, block_size: int) -> List[Tuple[int, int]]:
+    def all_blocks(self) -> List[Tuple[int, int]]:
         """Every allocated directory block (a full scan's footprint)."""
         return self.inode.map_range(0, self.inode.nblocks)
 
@@ -164,7 +162,6 @@ class Namespace:
 
     def __init__(self, fs):
         self.fs = fs
-        self.block_size = fs.params.block_size
         self.root = Directory(self._new_dir_inode("/"))
         self.files: Dict[str, Inode] = {}
 
@@ -174,7 +171,7 @@ class Namespace:
         return self.fs.allocator.allocate_dir(path)
 
     def _capacity(self, directory: Directory) -> int:
-        return directory.inode.nblocks * (self.block_size // DIRENT_BYTES)
+        return directory.inode.nblocks * ENTRIES_PER_BLOCK
 
     def _insert(self, directory: Directory, name: str, node) -> int:
         """Add an entry, growing the directory's blocks if needed."""

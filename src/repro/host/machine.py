@@ -23,47 +23,42 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..sim import Event, Resource, Simulator
+from ..sim import Resource, Simulator
+
+#: CPU work dilation added by each busy-loop process.
+SLOWDOWN_PER_HOG = 0.25
+#: Wakeup jitter ceiling (seconds) on an idle host ...
+BASE_JITTER = 0.00002
+#: ... plus this much per busy-loop process.
+JITTER_PER_HOG = 0.00007
 
 
 class Machine:
-    """A host with one CPU and a contention model."""
+    """A host with one CPU and a contention model.
+
+    ``busy_processes`` is the number of infinite-loop processes (the
+    paper's load), fixed for the machine's life.
+    """
 
     def __init__(self, sim: Simulator, name: str,
                  rng: Optional[random.Random] = None,
-                 busy_processes: int = 0,
-                 slowdown_per_hog: float = 0.25,
-                 jitter_per_hog: float = 0.00007,
-                 base_jitter: float = 0.00002):
+                 busy_processes: int = 0):
         if busy_processes < 0:
             raise ValueError("cannot have negative busy processes")
         self.sim = sim
         self.name = name
         self._rng = rng or random.Random(0xCB0)
         self.busy_processes = busy_processes
-        self.slowdown_per_hog = slowdown_per_hog
-        self.jitter_per_hog = jitter_per_hog
-        self.base_jitter = base_jitter
+        self.dilation = 1.0 + busy_processes * SLOWDOWN_PER_HOG
+        self._jitter_ceiling = BASE_JITTER + busy_processes * JITTER_PER_HOG
         self.cpu = Resource(sim, capacity=1)
         self.cpu_time_consumed = 0.0
 
     # ------------------------------------------------------------------
 
-    def add_busy_loops(self, count: int) -> None:
-        """Start ``count`` infinite-loop processes (the paper's load)."""
-        if count < 0:
-            raise ValueError("cannot add a negative number of loops")
-        self.busy_processes += count
-
-    @property
-    def dilation(self) -> float:
-        return 1.0 + self.busy_processes * self.slowdown_per_hog
-
     def scheduling_jitter(self) -> float:
         """A fresh sample of wakeup-latency jitter."""
-        ceiling = (self.base_jitter
-                   + self.busy_processes * self.jitter_per_hog)
-        return self._rng.uniform(0.0, ceiling)
+        return self._rng.uniform(0.0, self._jitter_ceiling)
 
     # ------------------------------------------------------------------
 
@@ -86,8 +81,6 @@ class Machine:
         cost = seconds * self.dilation
         if not (cost > 0 and cpu.try_acquire()):
             yield cpu.acquire()
-            # Re-read: busy loops may have changed while this charge queued.
-            cost = seconds * self.dilation
         try:
             self.cpu_time_consumed += cost
             if cost > 0:

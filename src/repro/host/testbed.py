@@ -21,12 +21,13 @@ from typing import Dict, List, Optional, Union
 from ..disk import (DiskDrive, DriveSpec, IBM_DDYS_T36950N, Partition,
                     WDC_WD200BB, make_partitions)
 from ..faults import FaultPlan, FaultSpec
-from ..ffs import Directory, FfsParams, FileSystem, SequentialAllocator
+from ..ffs import Directory, FileSystem, SequentialAllocator
 from ..kernel import BufferCache, DiskIoScheduler
 from ..net import (GIGABIT, Link, RpcClient, RpcServer, SERVER_PCI_DMA,
                    TcpConnection, UdpEndpoint)
-from ..nfs import (DEFAULT_NFSHEUR, IMPROVED_NFSHEUR, NfsHeurParams,
-                   NfsMount, NfsMountConfig, NfsServer, NfsServerConfig)
+from ..nfs import (DEFAULT_NFSHEUR, IMPROVED_NFSHEUR, NFS_READ_SIZE,
+                   NfsHeurParams, NfsMount, NfsMountConfig, NfsServer,
+                   NfsServerConfig, READDIR_DEFAULT_COUNT)
 from ..obs import Observability
 from ..obs.session import active_session
 from ..readahead import Heuristic, make_heuristic
@@ -82,7 +83,7 @@ class TestbedConfig:
     #: distributed round-robin across them by the benchmark runner).
     num_clients: int = 1
     #: NFS transfer size (rsize); the paper uses 8 KiB throughout.
-    rsize: int = 8 * 1024
+    rsize: int = NFS_READ_SIZE
     #: Record READ arrivals at the server (reordering instrumentation).
     record_server_trace: bool = False
     #: Fault-injection plan (``None`` = clean run).  Enabling any fault
@@ -94,20 +95,10 @@ class TestbedConfig:
     #: :data:`MOUNT_RETRANS` retransmissions.  The default (hard, as in
     #: the paper's testbed) retries forever.
     mount_soft: bool = False
-    #: Enable span tracing / the metrics registry for this testbed.
-    #: Both default off; an active CLI observability session
-    #: (:func:`repro.obs.observe`) turns them on without touching the
-    #: experiment code.  By the no-perturbation invariant neither flag
-    #: changes any simulated result.
-    trace: bool = False
-    metrics: bool = False
-    #: Record the causal provenance graph (op lineage edges).  Implies
-    #: ``trace`` — provenance nodes *are* span ids — and, like the other
-    #: observability flags, never perturbs the simulated run.
-    provenance: bool = False
     #: Capture the client vnode boundary into an Ellard-style trace
-    #: (see :mod:`repro.replay`).  Like ``trace``/``metrics``, capture
-    #: never perturbs the simulated run.
+    #: (see :mod:`repro.replay`).  Like span tracing and metrics, which
+    #: an active observability session (:func:`repro.obs.observe`)
+    #: turns on, capture never perturbs the simulated run.
     capture_trace: bool = False
     #: Server duplicate-request cache entries (0 disables it).  Sized to
     #: cover every request the server can complete inside one
@@ -139,10 +130,8 @@ class TestbedConfig:
     acregmax: float = 60.0
     acdirmin: float = 30.0
     acdirmax: float = 60.0
-    #: Close-to-open consistency (off = the ``nocto`` mount flag).
-    close_to_open: bool = True
     #: READDIR byte budget per RPC.
-    readdir_count: int = 8 * 1024
+    readdir_count: int = READDIR_DEFAULT_COUNT
     seed: int = 0
 
     def fs_label(self) -> str:
@@ -170,13 +159,14 @@ class LocalTestbed:
         if config.partition not in PARTITIONS:
             raise ValueError("partition must be 1..4")
         self.config = config
+        # The active observability session is the one instrumentation
+        # switch; by the no-perturbation invariant it changes no
+        # simulated result.
         session = active_session()
-        self.obs = Observability(
-            trace=config.trace or (session is not None and session.trace),
-            metrics=config.metrics or (session is not None
-                                       and session.metrics),
-            provenance=config.provenance or (session is not None
-                                             and session.provenance))
+        self.obs = (Observability() if session is None else
+                    Observability(trace=session.trace,
+                                  metrics=session.metrics,
+                                  provenance=session.provenance))
         self.sim = Simulator(obs=self.obs)
         self.streams = RandomStreams(config.seed)
         #: Built once per run so every injector draws from its own
@@ -364,7 +354,6 @@ class NfsTestbed(LocalTestbed):
                     acregmax=config.acregmax,
                     acdirmin=config.acdirmin,
                     acdirmax=config.acdirmax,
-                    close_to_open=config.close_to_open,
                     readdir_count=config.readdir_count),
                 name=f"mnt{index}",
                 capture=self.capture, client_index=index)
@@ -462,8 +451,8 @@ class NfsTestbed(LocalTestbed):
         registry.gauge("nfs.mount.acdirmax", lambda: config.acdirmax)
         registry.gauge("nfs.mount.readdir_count",
                        lambda: float(config.readdir_count))
-        registry.gauge("nfs.mount.close_to_open",
-                       lambda: 1.0 if config.close_to_open else 0.0)
+        # The client always applies close-to-open consistency.
+        registry.gauge("nfs.mount.close_to_open", lambda: 1.0)
 
     def _attr_oracle(self, fh, attrs) -> bool:
         """True when cached attributes disagree with server truth.

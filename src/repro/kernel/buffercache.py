@@ -12,16 +12,20 @@ the clean blocks.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
+from ..disk.geometry import SECTOR_SIZE
 from ..disk.request import DiskRequest
 from ..obs.provenance import (EDGE_COALESCED_WITH, EDGE_ISSUED,
                               EDGE_SERVED_FROM_CACHE)
 from ..sim import Event, Simulator
 from .iosched import DiskIoScheduler
 
+#: The one file-system block size: the buffer cache, the allocator, the
+#: FFS read path and the NFS server's directory blocks all use it.
 BLOCK_SIZE = 8 * 1024
+SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 
 @dataclass
@@ -61,18 +65,12 @@ class BufferCache:
     """
 
     def __init__(self, sim: Simulator, iosched: DiskIoScheduler,
-                 capacity_bytes: int = 64 * 1024 * 1024,
-                 block_size: int = BLOCK_SIZE,
-                 sector_size: int = 512):
-        if capacity_bytes < block_size:
+                 capacity_bytes: int = 64 * 1024 * 1024):
+        if capacity_bytes < BLOCK_SIZE:
             raise ValueError("cache smaller than one block")
-        if block_size % sector_size:
-            raise ValueError("block size must be a sector multiple")
         self.sim = sim
         self.iosched = iosched
-        self.block_size = block_size
-        self.sectors_per_block = block_size // sector_size
-        self.capacity_blocks = capacity_bytes // block_size
+        self.capacity_blocks = capacity_bytes // BLOCK_SIZE
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         #: Dirty block numbers awaiting write-back.
         self._dirty: set = set()
@@ -228,8 +226,8 @@ class BufferCache:
         if run_start is None or run_len == 0:
             return
         request = DiskRequest(
-            lba=run_start * self.sectors_per_block,
-            nsectors=run_len * self.sectors_per_block,
+            lba=run_start * SECTORS_PER_BLOCK,
+            nsectors=run_len * SECTORS_PER_BLOCK,
             stream=stream)
         if self._obs_on:
             self._observe_io(request, "fetch", parent)
@@ -346,8 +344,8 @@ class BufferCache:
                 continue
             nblocks = previous - run_start + 1
             request = DiskRequest(
-                lba=run_start * self.sectors_per_block,
-                nsectors=nblocks * self.sectors_per_block,
+                lba=run_start * SECTORS_PER_BLOCK,
+                nsectors=nblocks * SECTORS_PER_BLOCK,
                 is_write=True)
             if self._obs_on:
                 self._observe_io(request, "writeback")

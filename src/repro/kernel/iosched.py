@@ -22,6 +22,9 @@ from ..obs.provenance import OvertakeLog
 from ..sim import Event, Simulator
 from .bufq import BufQueue, make_bufq
 
+#: Per-dispatch CPU cost of the driver/interrupt path, in seconds.
+DISPATCH_OVERHEAD = 0.00005
+
 
 class DiskIoScheduler:
     """Feeds a drive from a kernel queue (elevator or N-CSCAN).
@@ -31,12 +34,10 @@ class DiskIoScheduler:
     """
 
     def __init__(self, sim: Simulator, drive: DiskDrive,
-                 policy: str = "elevator",
-                 dispatch_overhead: float = 0.00005):
+                 policy: str = "elevator"):
         self.sim = sim
         self.drive = drive
         self._bufq: BufQueue = make_bufq(policy)
-        self.dispatch_overhead = dispatch_overhead
         self._in_flight = 0
         self.dispatched = 0
         self._obs_on = sim.obs.enabled
@@ -92,14 +93,11 @@ class DiskIoScheduler:
             self._in_flight += 1
             self.dispatched += 1
             request.done.add_callback(self._on_complete)
-            if self.dispatch_overhead > 0:
-                self.sim.spawn(self._dispatch_later(request),
-                               name="iosched.dispatch")
-            else:
-                self.drive.submit(request)
+            self.sim.spawn(self._dispatch_later(request),
+                           name="iosched.dispatch")
 
     def _dispatch_later(self, request: DiskRequest):
-        yield self.sim.timeout(self.dispatch_overhead)
+        yield self.sim.timeout(DISPATCH_OVERHEAD)
         self.drive.submit(request)
 
     def _on_complete(self, event: Event) -> None:

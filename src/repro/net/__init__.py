@@ -2,7 +2,7 @@
 
 from .frames import (ETHERNET_FRAME_OVERHEAD, ETHERNET_MTU, FramingPlan,
                      plan_tcp_stream, plan_udp_datagram)
-from .link import FAST_ETHERNET, GIGABIT, Link, SERVER_PCI_DMA
+from .link import GIGABIT, Link, SERVER_PCI_DMA
 from .rpc import (RPC_CALL_HEADER, RPC_MAX_TIMEOUT, RPC_REPLY_HEADER,
                   RpcClient, RpcMessage, RpcServer, RpcTimeout, Transport)
 from .tcp import DEFAULT_WINDOW, TcpConnection
@@ -16,7 +16,6 @@ __all__ = [
     "ETHERNET_FRAME_OVERHEAD",
     "Link",
     "GIGABIT",
-    "FAST_ETHERNET",
     "SERVER_PCI_DMA",
     "UdpEndpoint",
     "TcpConnection",

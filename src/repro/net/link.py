@@ -22,9 +22,11 @@ from ..sim import Event, RateLimiter, Simulator
 from ..sim.events import TRIGGERED
 
 GIGABIT = 125_000_000          # 1 Gb/s in bytes/s
-FAST_ETHERNET = 12_500_000     # 100 Mb/s
 #: Measured DMA ceiling of the server's PCI bus (§4.1).
 SERVER_PCI_DMA = 54 * 1024 * 1024
+#: Fixed per-frame delay after serialization: propagation, switch
+#: store-and-forward and interrupt handling, in seconds.
+LINK_LATENCY = 0.00003
 
 
 class Link:
@@ -37,13 +39,9 @@ class Link:
     """
 
     def __init__(self, sim: Simulator, rate: float = GIGABIT,
-                 latency: float = 0.00003,
                  bus: Optional[RateLimiter] = None,
                  name: str = "link"):
-        if latency < 0:
-            raise ValueError("latency cannot be negative")
         self.sim = sim
-        self.latency = latency
         self.name = name
         self._nic = RateLimiter(sim, rate)
         self._bus = bus
@@ -69,5 +67,5 @@ class Link:
         done.state = TRIGGERED
         # Grouped as a serialization wait, then a latency wait: the
         # pinned golden digests depend on this float rounding.
-        sim._push((now + (finish - now)) + self.latency, done)
+        sim._push((now + (finish - now)) + LINK_LATENCY, done)
         return done

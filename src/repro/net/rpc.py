@@ -35,8 +35,10 @@ from ..sim import Event, Simulator
 RPC_CALL_HEADER = 136
 RPC_REPLY_HEADER = 104
 
-#: Ceiling on the backed-off retransmission timeout (the classic
-#: 60-second major-timeout cap of the BSD client).
+#: Each retransmission multiplies the timeout by this factor ...
+RPC_BACKOFF_FACTOR = 2.0
+#: ... up to this ceiling (the classic 60-second major-timeout cap of
+#: the BSD client).
 RPC_MAX_TIMEOUT = 60.0
 
 
@@ -78,9 +80,10 @@ class RpcClient:
 
     ``retransmit_timeout`` enables retransmission: a call unanswered
     after the timeout is sent again with the same xid, as real NFS
-    clients do.  Successive timeouts grow by ``backoff_factor`` up to
-    ``max_timeout``; when ``rng`` is supplied, each wait is stretched by
-    up to ``jitter`` (fractional) to decorrelate clients.
+    clients do.  Successive timeouts grow by :data:`RPC_BACKOFF_FACTOR`
+    up to :data:`RPC_MAX_TIMEOUT`; when ``rng`` is supplied, each wait
+    is stretched by up to ``jitter`` (fractional) to decorrelate
+    clients.
 
     ``max_retransmits`` is the soft-mount budget: after that many
     retransmissions plus one final wait, the pending event *fails* with
@@ -92,23 +95,17 @@ class RpcClient:
                  in_transport: Transport,
                  retransmit_timeout: Optional[float] = None,
                  max_retransmits: Optional[int] = 10,
-                 backoff_factor: float = 2.0,
-                 max_timeout: float = RPC_MAX_TIMEOUT,
                  jitter: float = 0.0,
                  rng: Optional[random.Random] = None,
                  name: str = "rpc-client"):
         if retransmit_timeout is not None and retransmit_timeout <= 0:
             raise ValueError("retransmit_timeout must be positive")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
         self.sim = sim
         self.out = out_transport
         self.retransmit_timeout = retransmit_timeout
         self.max_retransmits = max_retransmits
-        self.backoff_factor = backoff_factor
-        self.max_timeout = max_timeout
         self.jitter = jitter
         self.name = name
         self._rng = rng
@@ -135,8 +132,8 @@ class RpcClient:
         ``attempt`` (0-based): ``timeo * factor**attempt``, capped."""
         if self.retransmit_timeout is None:
             raise ValueError("retransmission is not enabled")
-        return min(self.retransmit_timeout * self.backoff_factor ** attempt,
-                   self.max_timeout)
+        return min(self.retransmit_timeout * RPC_BACKOFF_FACTOR ** attempt,
+                   RPC_MAX_TIMEOUT)
 
     @property
     def pending_calls(self) -> int:

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from ..faults.network import NetworkFaultInjector
-from ..sim import Event, Simulator, Store
+from ..sim import Simulator, Store
 from .frames import plan_tcp_stream
 from .link import Link
 
@@ -46,27 +46,23 @@ class TcpConnection:
     SEND_OVERHEAD = 0.00012
     #: Time for the ACK that frees window space to come back.
     ACK_LATENCY = 0.00012
+    #: Fast-retransmit-class recovery delay per lost segment.
+    RETRANSMIT_TIMEOUT = 0.005
 
     def __init__(self, sim: Simulator, tx_link: Link,
-                 window: int = DEFAULT_WINDOW,
                  loss_rate: float = 0.0,
-                 retransmit_timeout: float = 0.005,
                  rng: Optional[random.Random] = None,
                  faults: Optional[NetworkFaultInjector] = None,
                  name: str = "tcp"):
-        if window <= 0:
-            raise ValueError("window must be positive")
         self.sim = sim
         self.tx_link = tx_link
-        self.window = window
         self.loss_rate = loss_rate
-        self.retransmit_timeout = retransmit_timeout
         self.faults = faults
         self.name = name
         self._rng = rng or random.Random(0x7C9)
         self._receiver: Optional[Callable[[Any], None]] = None
         self._sendq: Store = Store(sim)
-        self._window_free = window
+        self._window_free = DEFAULT_WINDOW
         self._window_waiters: deque = deque()
         self.messages_sent = 0
         self.retransmits = 0
@@ -87,7 +83,7 @@ class TcpConnection:
             message, payload, enqueued = yield self._sendq.get()
             plan = plan_tcp_stream(payload)
             yield from self._reserve_window(min(plan.wire_bytes,
-                                                self.window))
+                                                DEFAULT_WINDOW))
             yield self.sim.timeout(self.SEND_OVERHEAD)
             if self.faults is not None:
                 # A partition stalls the stream: TCP keeps retrying and
@@ -104,12 +100,12 @@ class TcpConnection:
                 for _ in range(self.faults.frame_losses(plan.frames,
                                                         self.sim.now)):
                     self.retransmits += 1
-                    yield self.sim.timeout(self.retransmit_timeout)
+                    yield self.sim.timeout(self.RETRANSMIT_TIMEOUT)
             elif self.loss_rate > 0.0:
                 survive = (1.0 - self.loss_rate) ** plan.frames
                 while self._rng.random() > survive:
                     self.retransmits += 1
-                    yield self.sim.timeout(self.retransmit_timeout)
+                    yield self.sim.timeout(self.RETRANSMIT_TIMEOUT)
             delivery = self.tx_link.send(plan.wire_bytes)
             # In-order delivery: the sender waits for this message to
             # arrive before transmitting the next (the link itself
@@ -123,7 +119,7 @@ class TcpConnection:
             self._m_wire.observe(self.sim.now - enqueued)
             self._receiver(message)
             self.sim.call_later(self.ACK_LATENCY, self._release_window,
-                                min(plan.wire_bytes, self.window))
+                                min(plan.wire_bytes, DEFAULT_WINDOW))
 
     def _reserve_window(self, nbytes: int):
         while self._window_free < nbytes:

@@ -27,8 +27,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..host.machine import Machine
 from ..net.rpc import RpcClient, RpcTimeout
 from ..obs.provenance import EDGE_COALESCED_WITH, EDGE_SERVED_FROM_CACHE
-from ..readahead import (DefaultHeuristic, Heuristic, ReadState,
-                         readahead_blocks)
+from ..readahead import DefaultHeuristic, ReadState, readahead_blocks
 from ..sim import Event, Resource, Simulator
 from ..trace.records import (OP_COMMIT, OP_CREATE, OP_GETATTR, OP_MKDIR,
                              OP_OPEN, OP_READ, OP_READDIR, OP_REMOVE,
@@ -37,10 +36,23 @@ from .errors import NfsBadCookieError, NfsTimeoutError, raise_for_status
 from .fhandle import FileHandle
 from .protocol import (CommitRequest, CreateRequest, Fattr,
                        GetattrRequest, LookupRequest, MkdirRequest,
-                       NFS_OK, NFS_READ_SIZE, READDIR_DEFAULT_COUNT,
-                       REPLY_TYPES, ReaddirRequest, ReadRequest,
-                       RemoveRequest, RenameRequest, SetattrRequest,
-                       WriteRequest)
+                       NFS_OK, NFS_READ_SIZE, REPLY_TYPES, ReaddirRequest,
+                       ReadRequest, RemoveRequest, RenameRequest,
+                       SetattrRequest, WriteRequest)
+
+
+#: Client read-ahead depth, in blocks.
+READAHEAD_BLOCKS = 4
+#: nfsiod daemons carrying asynchronous reads and writes (eight in the
+#: paper's setup, §4.1).
+NFSIOD_COUNT = 8
+#: CPU to marshal one call (XDR encode, socket send).
+MARSHAL_CPU = 0.00005
+#: CPU to process one reply (mbuf chain walk, copy into cache).
+RECEIVE_CPU = 0.00008
+#: Extra per-call CPU on the TCP path (stream handling, RPC record
+#: marking) — TCP is the heavier transport end to end.
+TCP_EXTRA_CPU = 0.00010
 
 
 @dataclass
@@ -52,24 +64,15 @@ class NfsMountConfig:
     FreeBSD).
     """
 
-    transport: str = "udp"
-    read_size: int = NFS_READ_SIZE
-    readahead_blocks: int = 4
-    nfsiod_count: int = 8
+    transport: str
+    read_size: int
     #: NFSv3 write-verifier recovery: track every unstable write until
     #: COMMIT confirms it under an unchanged verifier, re-sending when
     #: the verifier rolls (a server reboot discarded the data).  This is
     #: the protocol-mandated behaviour; turning it off reproduces a
     #: client that trusts UNSTABLE acks across reboots — the chaos
     #: engine's no-lost-acked-data oracle catches exactly that bug.
-    verifier_recovery: bool = True
-    #: CPU to marshal one call (XDR encode, socket send).
-    marshal_cpu: float = 0.00005
-    #: CPU to process one reply (mbuf chain walk, copy into cache).
-    receive_cpu: float = 0.00008
-    #: Extra per-call CPU on the TCP path (stream handling, RPC record
-    #: marking) — TCP is the heavier transport end to end.
-    tcp_extra_cpu: float = 0.00010
+    verifier_recovery: bool
     #: Attribute-cache windows (``acregmin``/``acregmax`` for files,
     #: ``acdirmin``/``acdirmax`` for directories): cached attributes
     #: live for ``clamp((now - mtime)/10, acmin, acmax)`` seconds, the
@@ -77,17 +80,12 @@ class NfsMountConfig:
     #: caching (``noac``-for-files); ``acdirmax=0`` disables the name
     #: cache's validity window, forcing a LOOKUP per component — the
     #: lookup-storm configuration.
-    acregmin: float = 3.0
-    acregmax: float = 60.0
-    acdirmin: float = 30.0
-    acdirmax: float = 60.0
-    #: Close-to-open consistency: re-GETATTR on every open whose handle
-    #: came from the name cache, discarding cached data if the file
-    #: changed.  This is the real client's default; turning it off
-    #: trades correctness for fewer GETATTRs (the ``nocto`` mount flag).
-    close_to_open: bool = True
+    acregmin: float
+    acregmax: float
+    acdirmin: float
+    acdirmax: float
     #: READDIR reply byte budget per RPC (the chunking knob).
-    readdir_count: int = READDIR_DEFAULT_COUNT
+    readdir_count: int
 
 
 @dataclass
@@ -177,17 +175,15 @@ class NfsMount:
     """One mounted NFS file system on a client machine."""
 
     def __init__(self, sim: Simulator, machine: Machine, rpc: RpcClient,
-                 config: Optional[NfsMountConfig] = None,
-                 heuristic: Optional[Heuristic] = None,
+                 config: NfsMountConfig,
                  name: str = "mnt", capture=None, client_index: int = 0):
         self.sim = sim
         self.machine = machine
         self.rpc = rpc
-        self.config = config or NfsMountConfig()
-        if self.config.transport not in ("udp", "tcp"):
-            raise ValueError(f"unknown transport "
-                             f"{self.config.transport!r}")
-        self.heuristic: Heuristic = heuristic or DefaultHeuristic()
+        self.config = config
+        if config.transport not in ("udp", "tcp"):
+            raise ValueError(f"unknown transport {config.transport!r}")
+        self.heuristic = DefaultHeuristic()
         self.name = name
         #: Vnode-boundary capture sink (:mod:`repro.replay`): records
         #: each application-level op at issue time.  ``None`` (the
@@ -197,7 +193,7 @@ class NfsMount:
         #: This mount's index among the testbed's client machines (the
         #: ``client`` field stamped on captured records).
         self.client_index = client_index
-        self.nfsiods = Resource(sim, capacity=self.config.nfsiod_count)
+        self.nfsiods = Resource(sim, capacity=NFSIOD_COUNT)
         self.stats = NfsMountStats()
         registry = sim.obs.registry
         #: Client CPU elapsed (marshal/receive, incl. queueing + jitter).
@@ -292,16 +288,13 @@ class NfsMount:
         :class:`NfsTimeoutError` (``ETIMEDOUT``), which is what the
         application sees from the syscall.
         """
-        config = self.config
         started = self.sim.now
         if not data:
-            yield from self.machine.execute(config.marshal_cpu)
-        elif config.transport == "udp":
-            yield from self.machine.execute(config.marshal_cpu,
-                                            jitter=True)
+            yield from self.machine.execute(MARSHAL_CPU)
+        elif self.config.transport == "udp":
+            yield from self.machine.execute(MARSHAL_CPU, jitter=True)
         else:
-            yield from self.machine.execute(
-                config.marshal_cpu + config.tcp_extra_cpu)
+            yield from self.machine.execute(MARSHAL_CPU + TCP_EXTRA_CPU)
         self._m_cpu.observe(self.sim.now - started)
         op = type(request).__name__
         rtt = self._m_rtt.get(op)
@@ -332,11 +325,10 @@ class NfsMount:
         """
         self._capture(OP_OPEN, name)
         fh, size, from_cache = yield from self._walk(name, span=span)
-        if from_cache and (self.config.close_to_open or size is None):
+        if from_cache:
             old = self._attrs.get(fh.id)
             old_mtime = old[0].mtime if old is not None else None
-            if self.config.close_to_open:
-                self.stats.cto_getattrs += 1
+            self.stats.cto_getattrs += 1
             attrs = yield from self._getattr_rpc(fh, span=span)
             if old_mtime is not None and attrs.mtime != old_mtime:
                 self._drop_cached_blocks(fh)
@@ -941,7 +933,7 @@ class NfsMount:
 
     def _issue_readahead(self, nfile: NfsFile, next_block: int,
                          seq_count: int, parent=None) -> None:
-        depth = readahead_blocks(seq_count, self.config.readahead_blocks)
+        depth = readahead_blocks(seq_count, READAHEAD_BLOCKS)
         if depth <= 0:
             return
         limit = min(next_block + depth, self._block_count(nfile))
@@ -1022,9 +1014,9 @@ class NfsMount:
             self._cache.pop(key, None)
             done.fail(exc)
             raise
-        extra = config.tcp_extra_cpu if config.transport == "tcp" else 0.0
+        extra = TCP_EXTRA_CPU if config.transport == "tcp" else 0.0
         started = self.sim.now
-        yield from self.machine.execute(config.receive_cpu + extra)
+        yield from self.machine.execute(RECEIVE_CPU + extra)
         self._m_cpu.observe(self.sim.now - started)
         self.stats.rpc_reads += 1
         if reply.status != NFS_OK:

@@ -16,7 +16,6 @@ class FileHandle:
     """An opaque, hashable NFS file handle."""
 
     id: int
-    generation: int = 0
 
     def __repr__(self) -> str:
         return f"fh({self.id})"

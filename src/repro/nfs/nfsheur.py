@@ -18,8 +18,7 @@ completely accurate").
 Two parameter sets are shipped: :data:`DEFAULT_NFSHEUR`, scaled to
 thrash once more than a handful of files are concurrently active (the
 behaviour the paper observed with the stock kernel), and
-:data:`IMPROVED_NFSHEUR`, the enlarged table with a better hash and a
-longer probe window (their fix).
+:data:`IMPROVED_NFSHEUR`, the enlarged table (their fix).
 """
 
 from __future__ import annotations
@@ -33,83 +32,71 @@ from .fhandle import FileHandle
 #: Knuth's multiplicative hash constant (2^32 / phi).
 _GOLDEN = 2654435761
 
+#: The use-count constants follow the FreeBSD scheme: fresh entries
+#: start at ``USE_INIT``; hits add ``USE_INC`` (capped at ``USE_MAX``);
+#: probing decays bystanders by ``USE_DECAY``.  The net effect is that a
+#: file actively streaming survives its own read burst (its count is far
+#: above a newcomer's ``USE_INIT``) while entries idle since their last
+#: burst decay back into eviction range — thrash degrades read-ahead
+#: *gradually* as the active file population outgrows the table, rather
+#: than all at once.
+USE_INIT = 64
+USE_INC = 16
+USE_MAX = 2048
+USE_DECAY = 8
+#: seqCount given to a freshly installed entry.  The paper notes the
+#: initial metric is "1 (or sometimes a different constant, depending on
+#: the context)"; FreeBSD installs READ-path entries with a moderate
+#: optimistic count, which is what keeps read-ahead partially alive
+#: under table thrash instead of vanishing entirely.
+INSTALL_SEQCOUNT = 4
+
 
 @dataclass(frozen=True)
 class NfsHeurParams:
-    """Geometry and use-count dynamics of the nfsheur table.
+    """Geometry of the nfsheur table.
 
-    The use-count constants follow the FreeBSD scheme: fresh entries
-    start at ``use_init``; hits add ``use_inc`` (capped at ``use_max``);
-    probing decays bystanders by ``use_decay``.  The net effect is that
-    a file actively streaming survives its own read burst (its count is
-    far above a newcomer's ``use_init``) while entries idle since their
-    last burst decay back into eviction range — thrash degrades
-    read-ahead *gradually* as the active file population outgrows the
-    table, rather than all at once.
+    A handle id is mixed multiplicatively before it is reduced modulo
+    the table size: vnodes are recycled from a freelist, so even
+    sequentially created files hash pseudo-randomly.
     """
 
     table_size: int
     max_probes: int
-    #: ``True`` mixes the handle id multiplicatively before reducing it
-    #: modulo the table size; ``False`` is the stock identity-ish hash
-    #: (fine for pointers with high entropy, poor for a small dense
-    #: handle space — and vnode pools are allocated densely too).
-    scrambled_hash: bool
-    use_init: int = 64
-    use_inc: int = 16
-    use_max: int = 2048
-    use_decay: int = 8
-    #: seqCount given to a freshly installed entry.  The paper notes the
-    #: initial metric is "1 (or sometimes a different constant,
-    #: depending on the context)"; FreeBSD installs READ-path entries
-    #: with a moderate optimistic count, which is what keeps read-ahead
-    #: partially alive under table thrash instead of vanishing entirely.
-    install_seqcount: int = 4
 
     def __post_init__(self):
         if self.table_size < 1:
             raise ValueError("table must have at least one slot")
         if not 1 <= self.max_probes <= self.table_size:
             raise ValueError("probe window must fit within the table")
-        if min(self.use_init, self.use_inc, self.use_max) <= 0 or \
-                self.use_decay < 0:
-            raise ValueError("use-count constants must be positive")
 
     def slot_of(self, fh: FileHandle, probe: int) -> int:
-        if self.scrambled_hash:
-            base = (fh.id * _GOLDEN) & 0xFFFFFFFF
-        else:
-            base = fh.id
+        base = (fh.id * _GOLDEN) & 0xFFFFFFFF
         return (base + probe) % self.table_size
 
 
 #: Stock parameters: a table sized for the workloads of a decade before
 #: the paper (§6.3: "network bandwidth, file system size, and NFS
 #: traffic have increased by two orders of magnitude since the
-#: parameters of the nfsheur hash table were chosen").  Vnodes are
-#: recycled from a freelist, so even sequentially created files hash
-#: pseudo-randomly — hence ``scrambled_hash=True`` here too; the stock
+#: parameters of the nfsheur hash table were chosen").  The stock
 #: table's sin is *size*, not hash quality.  With a 4-slot probe window
 #: over 16 slots, ejections start once roughly a dozen handles are
 #: active and become severe at 32 — partial, progressive degradation,
 #: as the paper observed.
-DEFAULT_NFSHEUR = NfsHeurParams(table_size=16, max_probes=4,
-                                scrambled_hash=True)
+DEFAULT_NFSHEUR = NfsHeurParams(table_size=16, max_probes=4)
 
-#: The paper's fix: enlarge the table and improve the hash parameters
-#: so ejections are unlikely before the table is actually full.
-IMPROVED_NFSHEUR = NfsHeurParams(table_size=256, max_probes=4,
-                                 scrambled_hash=True)
+#: The paper's fix: enlarge the table so ejections are unlikely before
+#: the table is actually full.
+IMPROVED_NFSHEUR = NfsHeurParams(table_size=256, max_probes=4)
 
 
 class _Slot:
     __slots__ = ("fh", "state", "use")
 
-    def __init__(self, fh: FileHandle, install_seqcount: int = 1,
-                 offset: int = 0):
+    def __init__(self, fh: FileHandle, offset: int):
         self.fh = fh
         self.state = ReadState()
-        self.state.seq_count = install_seqcount
+        self.state.seq_count = INSTALL_SEQCOUNT
         # Prime the expected offset with the current access, as the
         # FreeBSD install path does (nh_nextr = uio_offset): the access
         # that installed the entry counts as sequential, so the install
@@ -166,20 +153,20 @@ class NfsHeurTable:
             elif slot.fh == fh:
                 hit = slot
             else:
-                slot.use = max(0, slot.use - params.use_decay)
+                slot.use = max(0, slot.use - USE_DECAY)
                 if coldest is None or slot.use < coldest.use:
                     coldest = slot
                     coldest_index = index
         if hit is not None:
-            hit.use = min(hit.use + params.use_inc, params.use_max)
+            hit.use = min(hit.use + USE_INC, USE_MAX)
             self.stats.hits += 1
             return hit.state
         self.stats.installs += 1
-        new_slot = _Slot(fh, params.install_seqcount, offset)
-        new_slot.use = params.use_init
+        new_slot = _Slot(fh, offset)
+        new_slot.use = USE_INIT
         if first_empty is not None:
             self._slots[first_empty] = new_slot
-        elif coldest is not None and coldest.use > params.use_init:
+        elif coldest is not None and coldest.use > USE_INIT:
             # Every probed entry is hotter than a newcomer: do not eject
             # an active streamer for a one-off access; track the state
             # in a transient slot that is simply not remembered.
@@ -197,12 +184,6 @@ class NfsHeurTable:
             if slot is not None and slot.fh == fh:
                 return True
         return False
-
-    def decay(self) -> None:
-        """Periodic use-count decay (keeps counts from saturating)."""
-        for slot in self._slots:
-            if slot is not None:
-                slot.use //= 2
 
     @property
     def occupancy(self) -> int:

@@ -19,19 +19,20 @@ authors exploited in the real server.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..faults.server import CRASH, ServerFaultInjector
-from ..ffs import (DIRENT_BYTES, Directory, FileSystem, FsckReport,
+from ..ffs import (ENTRIES_PER_BLOCK, Directory, FileSystem, FsckReport,
                    Inode, MetaJournal, scan_and_heal)
 from ..host.machine import Machine
+from ..kernel.buffercache import BLOCK_SIZE
 from ..net.rpc import RpcServer
 from ..obs.provenance import EDGE_ISSUED
 from ..readahead import DefaultHeuristic, Heuristic
 from ..sim import Resource, Simulator
 from .fhandle import FileHandle
-from .nfsheur import DEFAULT_NFSHEUR, NfsHeurParams, NfsHeurTable
+from .nfsheur import NfsHeurParams, NfsHeurTable
 from .protocol import (CommitReply, CommitRequest, CreateReply,
                        CreateRequest, DIRENT_REPLY_BYTES, DirEntry,
                        Fattr, GetattrReply, GetattrRequest, LookupReply,
@@ -44,32 +45,32 @@ from .protocol import (CommitReply, CommitRequest, CreateReply,
                        WriteRequest)
 
 
+#: nfsd daemons serving requests (the paper runs eight, §4.1).
+NFSD_COUNT = 8
+#: Fixed CPU cost per call: decode, fh translation, reply build.
+CPU_PER_CALL = 0.00008
+#: CPU cost per byte of reply data (buffer copies, checksums).
+CPU_PER_BYTE = 5.0e-9
+
+
 @dataclass
 class NfsServerConfig:
-    """Server tunables; defaults match the paper's testbed (§4.1)."""
+    """The server settings an experiment varies (see ``TestbedConfig``)."""
 
-    nfsd_count: int = 8
-    nfsheur_params: NfsHeurParams = field(
-        default_factory=lambda: DEFAULT_NFSHEUR)
-    #: Fixed CPU cost per call: decode, fh translation, reply build.
-    cpu_per_call: float = 0.00008
-    #: CPU cost per byte of reply data (buffer copies, checksums).
-    cpu_per_byte: float = 5.0e-9
+    nfsheur_params: NfsHeurParams
     #: Record every READ arrival as a TraceRecord (instrumentation for
-    #: the reordering measurements of §6; off by default).
-    record_trace: bool = False
+    #: the reordering measurements of §6).
+    record_trace: bool
     #: Journal CREATE/MKDIR/REMOVE/RENAME intents through the buffer
     #: cache and force them durable before replying (RFC 1813 metadata
     #: stability).  Off reverts to the pre-journal server: namespace
     #: mutations survive crashes they physically should not.
-    metadata_journal: bool = True
-    #: Intent-log ring size, in 8 KiB blocks.
-    meta_journal_blocks: int = 16
+    metadata_journal: bool
     #: BUG-REINTRODUCTION HOOK: acknowledge metadata mutations before
     #: the intent is forced to the platter (the log rides write-behind
     #: and normally dies with the next crash).  Exists so the chaos
     #: no-lost-acked-metadata oracle has a real bug to catch.
-    meta_ack_before_intent: bool = False
+    meta_ack_before_intent: bool
 
 
 @dataclass
@@ -115,14 +116,13 @@ class NfsServer:
     log — for one exported file system."""
 
     def __init__(self, sim: Simulator, machine: Machine, fs: FileSystem,
-                 rpc: RpcServer,
+                 rpc: RpcServer, config: NfsServerConfig,
                  heuristic: Optional[Heuristic] = None,
-                 config: Optional[NfsServerConfig] = None,
                  faults: Optional[ServerFaultInjector] = None):
         self.sim = sim
         self.machine = machine
         self.fs = fs
-        self.config = config or NfsServerConfig()
+        self.config = config
         self.faults = faults
         #: While ``now < _down_until`` the server is rebooting: requests
         #: are dropped unanswered (clients recover by retransmission).
@@ -146,7 +146,7 @@ class NfsServer:
         self._stall_until = 0.0
         self.heuristic: Heuristic = heuristic or DefaultHeuristic()
         self.nfsheur = NfsHeurTable(self.config.nfsheur_params)
-        self.nfsds = Resource(sim, capacity=self.config.nfsd_count)
+        self.nfsds = Resource(sim, capacity=NFSD_COUNT)
         self.stats = NfsServerStats()
         registry = sim.obs.registry
         #: Wait for a free nfsd daemon.
@@ -165,9 +165,8 @@ class NfsServer:
         self._by_fh: Dict[FileHandle, Union[Inode, Directory]] = {}
         #: The metadata intent log (None = pre-journal behaviour).
         self.metajournal: Optional[MetaJournal] = None
-        if self.config.metadata_journal:
-            self.metajournal = MetaJournal(
-                fs, nblocks=self.config.meta_journal_blocks)
+        if config.metadata_journal:
+            self.metajournal = MetaJournal(fs)
         #: One FsckReport per recovery, in boot order.
         self.recovery_reports: List[FsckReport] = []
         #: Oracle bookkeeping (rides outside payload bytes, like the
@@ -315,12 +314,11 @@ class NfsServer:
         would charge a phantom cold read no real fresh testbed pays.
         ``crash()`` still drops them — post-reboot lookups go to disk.
         """
-        bs = self.fs.params.block_size
         node: Union[Inode, Directory] = self.fs.namespace.root
         for part in (p for p in path.split("/") if p):
             if not isinstance(node, Directory):
                 break
-            self.fs.cache.install(node.entry_block(part, bs), 1)
+            self.fs.cache.install(node.entry_block(part), 1)
             child = node.entries.get(part)
             if child is None:
                 break
@@ -423,7 +421,7 @@ class NfsServer:
                 # The durable intent log remembers acknowledging this
                 # exact (client, xid) before a reboot: re-serve the
                 # recorded reply rather than re-executing the op.
-                yield from self.machine.execute(self.config.cpu_per_call)
+                yield from self.machine.execute(CPU_PER_CALL)
                 self.stats.meta_replays += 1
                 reply = replayed
             else:
@@ -470,14 +468,13 @@ class NfsServer:
         return node, NFS_OK
 
     def _read(self, request: ReadRequest, span, rpc_key):
-        config = self.config
-        if config.record_trace:
+        if self.config.record_trace:
             from ..trace import TraceRecord
             self.trace.append(TraceRecord(
                 time=self.sim.now, fh=request.fh, offset=request.offset,
                 count=request.count, client_seq=request.seq))
         started = self.sim.now
-        yield from self.machine.execute(config.cpu_per_call / 2)
+        yield from self.machine.execute(CPU_PER_CALL / 2)
         self._m_cpu.observe(self.sim.now - started)
         inode, status = self._live(request.fh, "reg")
         if status != NFS_OK:
@@ -501,7 +498,7 @@ class NfsServer:
         self._m_fsread.observe(self.sim.now - started)
         started = self.sim.now
         yield from self.machine.execute(
-            config.cpu_per_call / 2 + got * config.cpu_per_byte)
+            CPU_PER_CALL / 2 + got * CPU_PER_BYTE)
         self._m_cpu.observe(self.sim.now - started)
         self.stats.reads += 1
         self.stats.bytes_served += got
@@ -526,10 +523,9 @@ class NfsServer:
         durable only once a flush completes *in the same boot epoch* —
         the server never acknowledges stability it cannot honour.
         """
-        config = self.config
         epoch = self.boot_epoch
         yield from self.machine.execute(
-            config.cpu_per_call + request.count * config.cpu_per_byte)
+            CPU_PER_CALL + request.count * CPU_PER_BYTE)
         if self.boot_epoch != epoch:
             return None
         inode, status = self._live(request.fh, "reg")
@@ -561,7 +557,7 @@ class NfsServer:
         """NFSv3 COMMIT: flush unstable writes to stable storage and
         report the write verifier the client must compare."""
         epoch = self.boot_epoch
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         if self.boot_epoch != epoch:
             return None
         _node, status = self._live(request.fh)
@@ -681,15 +677,15 @@ class NfsServer:
     def _dir_read_entry(self, directory: Directory, name: str,
                         span=None):
         """Read the one block holding ``name``'s directory slot."""
-        blkno = directory.entry_block(name, self.fs.params.block_size)
+        blkno = directory.entry_block(name)
         if self.fs.cache.touch(blkno):
             return
         yield self.fs.cache.read(blkno, 1, stream="dirmeta", parent=span)
 
     def _dir_write_slot(self, directory: Directory, slot: int) -> None:
         """Dirty the block holding ``slot`` (write-behind, no wait)."""
-        per = self.fs.params.block_size // DIRENT_BYTES
-        disk_block = directory.inode.map_range(slot // per, 1)[0][0]
+        disk_block = directory.inode.map_range(
+            slot // ENTRIES_PER_BLOCK, 1)[0][0]
         self.fs.cache.write(disk_block, 1, stream="dirmeta")
 
     # ------------------------------------------------------------------
@@ -702,9 +698,8 @@ class NfsServer:
         block read per component hit; a miss costs a full scan of the
         directory — exactly why cold lookups over a 50k-entry
         directory are a string of 8 KiB reads."""
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         self.stats.lookups += 1
-        bs = self.fs.params.block_size
         if request.dir is None:
             node = self.fs.namespace.root
         else:
@@ -722,7 +717,7 @@ class NfsServer:
             searched = node
             child = node.entries.get(part)
             if child is None:
-                yield from self._dir_read(node.all_blocks(bs))
+                yield from self._dir_read(node.all_blocks())
                 self.stats.lookup_misses += 1
                 return LookupReply(fh=None, size=0, status="noent",
                                    dir_attributes=self._fattr(node))
@@ -735,7 +730,7 @@ class NfsServer:
                             if searched is not None else None))
 
     def _getattr(self, request: GetattrRequest, span, rpc_key):
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         self.stats.getattrs += 1
         node, status = self._live(request.fh)
         if status != NFS_OK:
@@ -745,7 +740,7 @@ class NfsServer:
                             attributes=self._fattr(node))
 
     def _setattr(self, request: SetattrRequest, span, rpc_key):
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         node, status = self._live(request.fh)
         if status != NFS_OK:
             return SetattrReply(fh=request.fh, status=status)
@@ -755,7 +750,7 @@ class NfsServer:
         if request.size is not None:
             # Truncate within the allocation; growing past it would
             # need block allocation the write path doesn't model.
-            capacity = inode.nblocks * self.fs.params.block_size
+            capacity = inode.nblocks * BLOCK_SIZE
             inode.size = min(request.size, capacity)
         inode.mtime = request.mtime if request.mtime is not None else now
         inode.ctime = now
@@ -769,7 +764,7 @@ class NfsServer:
         request's ``count`` byte budget; cookies resume, and a stale
         cookie verifier (the directory mutated) answers
         ``bad_cookie``."""
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         node, status = self._live(request.dir, "dir")
         if status != NFS_OK:
             return ReaddirReply(dir=request.dir, status=status)
@@ -786,8 +781,8 @@ class NfsServer:
         eof = len(pending) <= budget
         if selected:
             first, last = selected[0][0], selected[-1][0]
-            yield from self._dir_read(node.slot_blocks(
-                first, last - first + 1, self.fs.params.block_size))
+            yield from self._dir_read(
+                node.slot_blocks(first, last - first + 1))
         entries = tuple(
             DirEntry(fileid=self._inode_of(node.entries[name]).number,
                      name=name, cookie=slot + 1)
@@ -795,14 +790,14 @@ class NfsServer:
         reply = ReaddirReply(dir=request.dir, entries=entries,
                              eof=eof, cookieverf=verf)
         yield from self.machine.execute(
-            reply.payload_bytes * self.config.cpu_per_byte)
+            reply.payload_bytes * CPU_PER_BYTE)
         self.stats.readdirs += 1
         self.stats.readdir_entries += len(entries)
         return reply
 
     def _create(self, request: CreateRequest, span, rpc_key):
         epoch = self.boot_epoch
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         directory, status = self._live(request.dir, "dir")
         if status != NFS_OK:
             return CreateReply(fh=None, status=status)
@@ -841,7 +836,7 @@ class NfsServer:
 
     def _mkdir(self, request: MkdirRequest, span, rpc_key):
         epoch = self.boot_epoch
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         directory, status = self._live(request.dir, "dir")
         if status != NFS_OK:
             return MkdirReply(fh=None, status=status)
@@ -875,15 +870,14 @@ class NfsServer:
 
     def _remove(self, request: RemoveRequest, span, rpc_key):
         epoch = self.boot_epoch
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         directory, status = self._live(request.dir, "dir")
         if status != NFS_OK:
             return RemoveReply(status=status)
         before = self._wcc_before(directory)
         child = directory.entries.get(request.name)
         if child is None:
-            yield from self._dir_read(
-                directory.all_blocks(self.fs.params.block_size))
+            yield from self._dir_read(directory.all_blocks())
             return RemoveReply(status="noent",
                                dir_wcc=WccData(
                                    before=before,
@@ -913,7 +907,7 @@ class NfsServer:
 
     def _rename(self, request: RenameRequest, span, rpc_key):
         epoch = self.boot_epoch
-        yield from self.machine.execute(self.config.cpu_per_call)
+        yield from self.machine.execute(CPU_PER_CALL)
         from_node, status = self._live(request.from_dir)
         if status == NFS_OK:
             to_node, status = self._live(request.to_dir)
@@ -933,8 +927,7 @@ class NfsServer:
                                after=self._fattr(to_node)))
 
         if request.from_name not in from_node.entries:
-            yield from self._dir_read(
-                from_node.all_blocks(self.fs.params.block_size))
+            yield from self._dir_read(from_node.all_blocks())
             return RenameReply(status="noent", **wccs())
         yield from self._dir_read_entry(from_node, request.from_name)
         if request.to_name in to_node.entries:

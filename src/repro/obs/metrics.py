@@ -26,7 +26,7 @@ the simulation itself.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 #: Histogram bucket upper bounds in seconds: 1 µs, 2 µs, 4 µs, ... ~67 s,
 #: plus an implicit overflow bucket.  Log-spaced, like the tick-based
@@ -48,27 +48,20 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time reading: either a wrapped callable or a set value.
+    """A point-in-time reading of a wrapped callable.
 
-    Callable gauges are evaluated lazily at :meth:`read` /
+    The callable is evaluated lazily at :meth:`read` /
     ``registry.snapshot()`` time only.
     """
 
-    __slots__ = ("name", "_fn", "_value")
+    __slots__ = ("name", "_fn")
 
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], float]):
         self.name = name
         self._fn = fn
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self._value = float(value)
 
     def read(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
+        return float(self._fn())
 
 
 class LatencyHistogram:
@@ -143,12 +136,11 @@ class MetricsRegistry:
             instrument = self._counters[name] = Counter(name)
         return instrument
 
-    def gauge(self, name: str,
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
             instrument = self._gauges[name] = Gauge(name, fn)
-        elif fn is not None:
+        else:
             instrument._fn = fn
         return instrument
 
@@ -249,9 +241,6 @@ class _NullGauge:
     __slots__ = ()
     name = "null"
 
-    def set(self, value: float) -> None:
-        pass
-
     def read(self) -> float:
         return 0.0
 
@@ -285,7 +274,7 @@ class NullMetricsRegistry:
     def counter(self, name: str) -> _NullCounter:
         return self._counter
 
-    def gauge(self, name: str, fn=None) -> _NullGauge:
+    def gauge(self, name: str, fn) -> _NullGauge:
         return self._gauge
 
     def histogram(self, name: str) -> _NullHistogram:

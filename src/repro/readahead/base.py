@@ -18,7 +18,7 @@ the implementation of the lower levels of the operating system" (§6.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol
+from typing import List, Protocol
 
 #: The OS-imposed ceiling on the sequentiality count (§6.2).
 MAX_SEQCOUNT = 127
@@ -29,6 +29,11 @@ INITIAL_SEQCOUNT = 1
 
 #: The SlowDown near-match window: "within 64k (eight 8k NFS blocks)".
 SLOWDOWN_WINDOW = 64 * 1024
+#: SlowDown's decay for an access outside the window: "halve the count".
+SLOWDOWN_DIVISOR = 2
+
+#: The seqCount at which read-ahead turns on.
+READAHEAD_TRIGGER = 2
 
 
 @dataclass
@@ -79,17 +84,16 @@ def clamp_seqcount(value: int) -> int:
     return max(0, min(value, MAX_SEQCOUNT))
 
 
-def readahead_blocks(seq_count: int, max_blocks: int,
-                     trigger: int = 2) -> int:
+def readahead_blocks(seq_count: int, max_blocks: int) -> int:
     """Translate a seqCount into a read-ahead depth in blocks.
 
-    Mirrors the kernel's behaviour: below ``trigger`` no read-ahead is
-    performed; above it, read-ahead grows with the count up to the
-    system maximum ("the higher seqCount rises, the more aggressive the
-    file system becomes", §6.2).
+    Mirrors the kernel's behaviour: below :data:`READAHEAD_TRIGGER` no
+    read-ahead is performed; above it, read-ahead grows with the count
+    up to the system maximum ("the higher seqCount rises, the more
+    aggressive the file system becomes", §6.2).
     """
     if max_blocks < 0:
         raise ValueError("max_blocks cannot be negative")
-    if seq_count < trigger:
+    if seq_count < READAHEAD_TRIGGER:
         return 0
     return min(seq_count, max_blocks)

@@ -19,8 +19,8 @@ so no extra read-ahead is performed.
 
 from __future__ import annotations
 
-from .base import (Cursor, INITIAL_SEQCOUNT, ReadState, SLOWDOWN_WINDOW,
-                   clamp_seqcount)
+from .base import (Cursor, INITIAL_SEQCOUNT, ReadState, SLOWDOWN_DIVISOR,
+                   SLOWDOWN_WINDOW, clamp_seqcount)
 
 #: Default per-file cursor budget.  §8 notes that Grid/MPI workloads
 #: would want this to be unbounded and shared; the paper's
@@ -33,17 +33,10 @@ class CursorHeuristic:
 
     name = "cursor"
 
-    def __init__(self, cursor_limit: int = DEFAULT_CURSOR_LIMIT,
-                 window: int = SLOWDOWN_WINDOW, divisor: int = 2):
+    def __init__(self, cursor_limit: int = DEFAULT_CURSOR_LIMIT):
         if cursor_limit < 1:
             raise ValueError("need at least one cursor per file")
-        if window < 0:
-            raise ValueError("window cannot be negative")
-        if divisor < 2:
-            raise ValueError("divisor must be at least 2")
         self.cursor_limit = cursor_limit
-        self.window = window
-        self.divisor = divisor
 
     def observe(self, state: ReadState, offset: int, nbytes: int,
                 now: float = 0.0, fh: object = None) -> int:
@@ -60,11 +53,11 @@ class CursorHeuristic:
             cursor.seq_count = INITIAL_SEQCOUNT
         elif offset == cursor.next_offset:
             cursor.seq_count = clamp_seqcount(cursor.seq_count + 1)
-        elif abs(offset - cursor.next_offset) <= self.window:
+        elif abs(offset - cursor.next_offset) <= SLOWDOWN_WINDOW:
             pass  # SlowDown's jitter rule, per cursor
         else:
             cursor.seq_count = clamp_seqcount(
-                cursor.seq_count // self.divisor)
+                cursor.seq_count // SLOWDOWN_DIVISOR)
         cursor.next_offset = offset + nbytes
         cursor.last_use = now
         # Mirror the winning cursor into the flat fields so code that
@@ -80,7 +73,7 @@ class CursorHeuristic:
         best_distance = None
         for cursor in state.cursors:
             distance = abs(offset - cursor.next_offset)
-            if distance <= self.window:
+            if distance <= SLOWDOWN_WINDOW:
                 if best is None or distance < best_distance:
                     best = cursor
                     best_distance = distance

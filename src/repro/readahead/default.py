@@ -10,8 +10,7 @@ SlowDown.
 
 from __future__ import annotations
 
-from .base import (INITIAL_SEQCOUNT, MAX_SEQCOUNT, ReadState,
-                   clamp_seqcount)
+from .base import INITIAL_SEQCOUNT, ReadState, clamp_seqcount
 
 
 class DefaultHeuristic:

@@ -20,11 +20,11 @@ passes the file handle along with each access, and the per-file
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
-from .base import (Cursor, INITIAL_SEQCOUNT, ReadState, SLOWDOWN_WINDOW,
-                   clamp_seqcount)
+from .base import (INITIAL_SEQCOUNT, ReadState, SLOWDOWN_DIVISOR,
+                   SLOWDOWN_WINDOW, clamp_seqcount)
 
 DEFAULT_POOL_SIZE = 64
 
@@ -58,17 +58,10 @@ class SharedCursorPool:
 
     name = "pooled-cursor"
 
-    def __init__(self, pool_size: int = DEFAULT_POOL_SIZE,
-                 window: int = SLOWDOWN_WINDOW, divisor: int = 2):
+    def __init__(self, pool_size: int = DEFAULT_POOL_SIZE):
         if pool_size < 1:
             raise ValueError("pool must hold at least one cursor")
-        if window < 0:
-            raise ValueError("window cannot be negative")
-        if divisor < 2:
-            raise ValueError("divisor must be at least 2")
         self.pool_size = pool_size
-        self.window = window
-        self.divisor = divisor
         self.cursors: List[PooledCursor] = []
         self.stats = PoolStats()
 
@@ -86,11 +79,11 @@ class SharedCursorPool:
         elif offset == cursor.next_offset:
             self.stats.matches += 1
             cursor.seq_count = clamp_seqcount(cursor.seq_count + 1)
-        elif abs(offset - cursor.next_offset) <= self.window:
+        elif abs(offset - cursor.next_offset) <= SLOWDOWN_WINDOW:
             self.stats.matches += 1
         else:
             cursor.seq_count = clamp_seqcount(
-                cursor.seq_count // self.divisor)
+                cursor.seq_count // SLOWDOWN_DIVISOR)
         cursor.next_offset = offset + nbytes
         cursor.last_use = now
         if state is not None:
@@ -110,7 +103,7 @@ class SharedCursorPool:
             if cursor.fh != fh:
                 continue
             distance = abs(offset - cursor.next_offset)
-            if distance <= self.window:
+            if distance <= SLOWDOWN_WINDOW:
                 if best is None or distance < best_distance:
                     best = cursor
                     best_distance = distance

@@ -13,7 +13,7 @@ the additive-increase/multiplicative-decrease used by TCP/IP":
 
 from __future__ import annotations
 
-from .base import (MAX_SEQCOUNT, ReadState, SLOWDOWN_WINDOW,
+from .base import (ReadState, SLOWDOWN_DIVISOR, SLOWDOWN_WINDOW,
                    clamp_seqcount)
 
 
@@ -22,13 +22,10 @@ class SlowDownHeuristic:
 
     name = "slowdown"
 
-    def __init__(self, window: int = SLOWDOWN_WINDOW, divisor: int = 2):
+    def __init__(self, window: int = SLOWDOWN_WINDOW):
         if window < 0:
             raise ValueError("window cannot be negative")
-        if divisor < 2:
-            raise ValueError("divisor must be at least 2")
         self.window = window
-        self.divisor = divisor
 
     def observe(self, state: ReadState, offset: int, nbytes: int,
                 now: float = 0.0, fh: object = None) -> int:
@@ -40,6 +37,6 @@ class SlowDownHeuristic:
             pass  # jitter, not randomness: leave seqCount unchanged
         else:
             state.seq_count = clamp_seqcount(
-                state.seq_count // self.divisor)
+                state.seq_count // SLOWDOWN_DIVISOR)
         state.next_offset = offset + nbytes
         return state.seq_count

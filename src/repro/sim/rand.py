@@ -32,7 +32,3 @@ class RandomStreams:
             self._streams[name] = random.Random(
                 derive_seed(self.master_seed, name))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are independent of the parent's."""
-        return RandomStreams(derive_seed(self.master_seed, f"fork:{name}"))

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .events import Event
 
@@ -113,13 +113,11 @@ class RateLimiter:
     ``nbytes / rate`` per transfer and never runs ahead of ``sim.now``.
     """
 
-    def __init__(self, sim, rate_bytes_per_sec: float,
-                 per_transfer_overhead: float = 0.0):
+    def __init__(self, sim, rate_bytes_per_sec: float):
         if rate_bytes_per_sec <= 0:
             raise ValueError("rate must be positive")
         self.sim = sim
         self.rate = rate_bytes_per_sec
-        self.overhead = per_transfer_overhead
         self._busy_until = 0.0
         self.bytes_moved = 0
 
@@ -129,7 +127,7 @@ class RateLimiter:
         if nbytes < 0:
             raise ValueError("negative transfer size")
         start = max(self.sim.now, self._busy_until)
-        finish = start + self.overhead + nbytes / self.rate
+        finish = start + nbytes / self.rate
         self._busy_until = finish
         self.bytes_moved += nbytes
         return finish

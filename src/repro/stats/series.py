@@ -9,7 +9,7 @@ plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .summary import Summary
 

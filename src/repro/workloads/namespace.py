@@ -37,6 +37,14 @@ from ..sim.rand import derive_seed
 
 #: Access patterns a workload may name.
 PATTERNS = ("stat", "list", "grep", "untar", "edit")
+#: Every tree lives under this top directory (``untar`` creates
+#: ``<TREE_PREFIX>.untar`` beside it).
+TREE_PREFIX = "ns"
+#: Size of every file in a tree and of every file ``untar``/``edit``
+#: create.
+FILE_SIZE = 8 * 1024
+#: Files whose heads ``grep`` reads per listed directory.
+GREP_FILES = 64
 
 
 @dataclass(frozen=True)
@@ -46,14 +54,14 @@ class NamespaceTreeSpec:
     ``depth=0`` puts every file in one directory — the flat mail-spool
     shape whose lookups and listings scale with the directory itself.
     ``depth>0`` spreads files round-robin over ``fanout**depth`` leaf
-    directories.
+    directories, and needs at least one file per leaf: a leaf with no
+    file is never created, so a workload would list or stat a
+    directory that does not exist.
     """
 
     files: int = 10_000
     depth: int = 0
     fanout: int = 32
-    file_size: int = 8 * 1024
-    prefix: str = "ns"
 
     def __post_init__(self):
         if self.files < 1:
@@ -62,8 +70,15 @@ class NamespaceTreeSpec:
             raise ValueError("depth cannot be negative")
         if self.depth and self.fanout < 2:
             raise ValueError("nested trees need fanout >= 2")
-        if self.file_size < 1:
-            raise ValueError("files cannot be empty")
+        # Multiply up to the first product above ``files`` rather than
+        # evaluate fanout**depth, which deep trees make astronomical.
+        leaves = 1
+        for _ in range(self.depth):
+            leaves *= self.fanout
+            if leaves > self.files:
+                raise ValueError(
+                    f"{self.fanout}**{self.depth} leaf directories need "
+                    f"at least as many files, got {self.files}")
 
     @property
     def leaf_dirs(self) -> int:
@@ -72,7 +87,7 @@ class NamespaceTreeSpec:
     def dir_paths(self) -> List[str]:
         """Every leaf directory, in deterministic order."""
         if self.depth == 0:
-            return [self.prefix]
+            return [TREE_PREFIX]
         dirs = []
         for index in range(self.leaf_dirs):
             digits = []
@@ -80,7 +95,7 @@ class NamespaceTreeSpec:
             for _ in range(self.depth):
                 digits.append(value % self.fanout)
                 value //= self.fanout
-            dirs.append(self.prefix + "".join(
+            dirs.append(TREE_PREFIX + "".join(
                 f"/d{digit:02d}" for digit in reversed(digits)))
         return dirs
 
@@ -88,8 +103,7 @@ class NamespaceTreeSpec:
         """Every ``(path, size)``, files round-robin over leaf dirs."""
         dirs = self.dir_paths()
         for index in range(self.files):
-            yield (f"{dirs[index % len(dirs)]}/f{index:06d}",
-                   self.file_size)
+            yield f"{dirs[index % len(dirs)]}/f{index:06d}", FILE_SIZE
 
 
 @dataclass(frozen=True)
@@ -99,8 +113,6 @@ class NamespaceWorkload:
     pattern: str = "stat"
     ops: int = 1_000
     zipf_s: float = 1.1
-    #: Files whose heads ``grep`` reads per listed directory.
-    grep_files: int = 64
 
     def __post_init__(self):
         if self.pattern not in PATTERNS:
@@ -110,8 +122,6 @@ class NamespaceWorkload:
             raise ValueError("need at least one operation")
         if self.zipf_s < 0:
             raise ValueError("Zipf exponent cannot be negative")
-        if self.grep_files < 1:
-            raise ValueError("grep must read at least one file")
 
 
 @dataclass
@@ -186,17 +196,17 @@ def _driver(sim, mount, tree: NamespaceTreeSpec,
                 if names is None:
                     names = yield from mount.readdir(directory)
                     listings[directory] = names
-                for name in names[:workload.grep_files]:
+                for name in names[:GREP_FILES]:
                     nfile = yield from mount.open(f"{directory}/{name}")
                     yield from mount.read(nfile, 0, 1)
             elif workload.pattern == "untar":
-                parent = f"{tree.prefix}.untar/c{client}"
+                parent = f"{TREE_PREFIX}.untar/c{client}"
                 if parent not in made_dirs:
-                    yield from mount.mkdir(f"{tree.prefix}.untar")
+                    yield from mount.mkdir(f"{TREE_PREFIX}.untar")
                     yield from mount.mkdir(parent)
                     made_dirs.add(parent)
                 yield from mount.create(f"{parent}/f{index:06d}",
-                                        size=tree.file_size)
+                                        size=FILE_SIZE)
                 yield from mount.touch(f"{parent}/f{index:06d}",
                                        mtime=sim.now)
             elif workload.pattern == "edit":
@@ -205,7 +215,7 @@ def _driver(sim, mount, tree: NamespaceTreeSpec,
                 nfile = yield from mount.open(target)
                 yield from mount.read(nfile, 0, 1)
                 temp = f"{target}.tmp{client}"
-                yield from mount.create(temp, size=tree.file_size)
+                yield from mount.create(temp, size=FILE_SIZE)
                 yield from mount.rename(temp, target)
         except OSError:
             result.errors += 1

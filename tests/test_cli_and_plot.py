@@ -116,6 +116,8 @@ BAD_ARGV = [
     (f"{_NAMESPACE} --clients 0",
      "argument --clients: must be positive, got 0"),
     (f"{_NAMESPACE} --tree-depth -1", "depth cannot be negative"),
+    (f"{_NAMESPACE} --files 10 --tree-depth 1 --fanout 32",
+     "32**1 leaf directories need at least as many files, got 10"),
     (f"{_REPLAY} --capture-clients 0",
      "argument --capture-clients: must be positive, got 0"),
     (f"{_REPLAY} --clients -1",

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disk import DiskRequest, IBM_DDYS_T36950N, WDC_WD200BB
+from repro.disk import (DiskRequest, IBM_DDYS_T36950N, SECTOR_SIZE,
+                        WDC_WD200BB)
 from repro.sim import Simulator
 
 request_lists = st.lists(
@@ -55,7 +56,7 @@ def test_service_time_bounds(tuples):
         + drive.rotation.revolution_time)
     for request in requests:
         elapsed = request.completion - request.service_start
-        nbytes = request.nsectors * geometry.sector_size
+        nbytes = request.nsectors * SECTOR_SIZE
         fastest = nbytes / drive.interface_rate
         slowest = (worst_positioning + drive.command_overhead
                    + nbytes / geometry.media_rate(

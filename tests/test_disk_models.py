@@ -48,13 +48,6 @@ class TestDriveSpecs:
 
 
 class TestPartition:
-    def test_contains(self):
-        partition = Partition("p", first_lba=100, sectors=50)
-        assert partition.contains(100)
-        assert partition.contains(149)
-        assert not partition.contains(99)
-        assert not partition.contains(150)
-
     def test_capacity(self):
         partition = Partition("p", first_lba=0, sectors=2048)
         assert partition.capacity_bytes == 2048 * 512

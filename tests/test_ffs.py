@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.disk import Partition, WDC_WD200BB
-from repro.ffs import (AllocationError, Extent, FfsParams, FileSystem,
-                       Inode, SequentialAllocator)
+from repro.ffs import (AllocationError, Extent, FileSystem, Inode,
+                       SequentialAllocator)
+from repro.ffs.filesystem import MAX_READAHEAD_BLOCKS
 from repro.kernel import BufferCache, DiskIoScheduler
 from repro.sim import Simulator
 
@@ -85,8 +86,7 @@ class TestAllocator:
 
     def test_fragmentation_splits_files(self):
         allocator = SequentialAllocator(
-            self.partition(), fragmentation=1.0, chunk_blocks=4,
-            rng=random.Random(7))
+            self.partition(), fragmentation=1.0, rng=random.Random(7))
         inode = allocator.allocate("f", 64 * BLOCK)
         assert len(inode.extents) > 1
         assert sum(e.nblocks for e in inode.extents) == 64
@@ -100,15 +100,14 @@ class TestAllocator:
             SequentialAllocator(self.partition(), fragmentation=1.5)
 
 
-def build_fs(heuristic=None, params=None):
+def build_fs():
     sim = Simulator()
     drive = WDC_WD200BB.build(sim)
     iosched = DiskIoScheduler(sim, drive)
     cache = BufferCache(sim, iosched, capacity_bytes=8 << 20)
     allocator = SequentialAllocator(
         Partition("p1", first_lba=0, sectors=4_000_000))
-    fs = FileSystem(sim, cache, allocator, params=params,
-                    heuristic=heuristic)
+    fs = FileSystem(sim, cache, allocator)
     return sim, drive, cache, fs
 
 
@@ -196,8 +195,7 @@ class TestFileSystem:
             return got
 
         assert sim.run_until_complete(sim.spawn(reader(sim))) == BLOCK
-        max_ra = fs.params.max_readahead_blocks
-        assert cache.stats.blocks_fetched >= 1 + max_ra - 1
+        assert cache.stats.blocks_fetched >= MAX_READAHEAD_BLOCKS
 
     def test_readahead_stops_at_eof(self):
         sim, drive, cache, fs = build_fs()
@@ -218,18 +216,6 @@ class TestFileSystem:
 
         with pytest.raises(ValueError):
             sim.run_until_complete(sim.spawn(reader(sim)))
-
-    def test_mismatched_block_size_rejected(self):
-        sim = Simulator()
-        drive = WDC_WD200BB.build(sim)
-        iosched = DiskIoScheduler(sim, drive)
-        cache = BufferCache(sim, iosched, capacity_bytes=8 << 20,
-                            block_size=8192)
-        allocator = SequentialAllocator(
-            Partition("p1", first_lba=0, sectors=4_000_000))
-        with pytest.raises(ValueError):
-            FileSystem(sim, cache, allocator,
-                       params=FfsParams(block_size=16384))
 
     def test_handle_tracks_stats(self):
         sim, drive, cache, fs = build_fs()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.host import (DRIVE_SPECS, Machine, TestbedConfig,
                         build_local_testbed, build_nfs_testbed)
+from repro.host.machine import BASE_JITTER, JITTER_PER_HOG, SLOWDOWN_PER_HOG
 from repro.kernel import ElevatorQueue
 from repro.sim import Simulator
 
@@ -16,8 +17,7 @@ from repro.sim import Simulator
 class TestMachine:
     def test_execute_charges_time(self):
         sim = Simulator()
-        machine = Machine(sim, "m", rng=random.Random(0),
-                          base_jitter=0.0)
+        machine = Machine(sim, "m", rng=random.Random(0))
 
         def worker(sim):
             yield from machine.execute(0.5)
@@ -29,19 +29,17 @@ class TestMachine:
     def test_busy_loops_dilate_execution(self):
         sim = Simulator()
         machine = Machine(sim, "m", rng=random.Random(0),
-                          busy_processes=4, slowdown_per_hog=0.25,
-                          base_jitter=0.0)
+                          busy_processes=4)
 
         def worker(sim):
             yield from machine.execute(1.0)
 
         sim.run_until_complete(sim.spawn(worker(sim)))
-        assert sim.now == pytest.approx(2.0)
+        assert sim.now == pytest.approx(1.0 + 4 * SLOWDOWN_PER_HOG)
 
     def test_cpu_serialises_concurrent_work(self):
         sim = Simulator()
-        machine = Machine(sim, "m", rng=random.Random(0),
-                          base_jitter=0.0)
+        machine = Machine(sim, "m", rng=random.Random(0))
         finished = []
 
         def worker(sim, tag):
@@ -55,19 +53,11 @@ class TestMachine:
 
     def test_jitter_bounded_and_seeded(self):
         machine = Machine(Simulator(), "m", rng=random.Random(1),
-                          busy_processes=2, jitter_per_hog=0.001,
-                          base_jitter=0.0001)
+                          busy_processes=2)
+        ceiling = BASE_JITTER + 2 * JITTER_PER_HOG
         samples = [machine.scheduling_jitter() for _ in range(100)]
-        assert all(0 <= sample <= 0.0021 for sample in samples)
+        assert all(0 <= sample <= ceiling for sample in samples)
         assert len(set(samples)) > 1
-
-    def test_add_busy_loops(self):
-        machine = Machine(Simulator(), "m")
-        machine.add_busy_loops(3)
-        assert machine.busy_processes == 3
-        assert machine.dilation == pytest.approx(1.75)
-        with pytest.raises(ValueError):
-            machine.add_busy_loops(-1)
 
     def test_negative_work_rejected(self):
         machine = Machine(Simulator(), "m")

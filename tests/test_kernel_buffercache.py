@@ -4,7 +4,7 @@ import pytest
 
 from repro.disk import WDC_WD200BB
 from repro.host.testbed import TestbedConfig, build_nfs_testbed
-from repro.kernel import BufferCache, DiskIoScheduler
+from repro.kernel import BLOCK_SIZE, BufferCache, DiskIoScheduler
 from repro.sim import Simulator
 
 
@@ -37,7 +37,7 @@ class TestReadPath:
         read_sync(sim, cache, 10, 8)
         assert cache.stats.disk_reads_issued == 1
         assert drive.stats.requests == 1
-        assert drive.stats.bytes_read == 8 * cache.block_size
+        assert drive.stats.bytes_read == 8 * BLOCK_SIZE
 
     def test_hole_splits_disk_reads(self):
         sim, drive, cache = build()

@@ -211,11 +211,11 @@ class TestCrossBootReplay:
         assert server.stats.cross_boot_meta_reexecutions == 1
 
     def test_replay_window_is_bounded_by_journal_capacity(self):
-        from repro.ffs.metajournal import RECORDS_PER_BLOCK
+        from repro.ffs.metajournal import (DEFAULT_JOURNAL_BLOCKS,
+                                           RECORDS_PER_BLOCK)
         testbed = self._setup()
         journal = testbed.server.metajournal
-        expected = (testbed.server.config.meta_journal_blocks
-                    * RECORDS_PER_BLOCK)
+        expected = DEFAULT_JOURNAL_BLOCKS * RECORDS_PER_BLOCK
         assert journal.capacity == expected
 
 

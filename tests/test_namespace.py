@@ -22,8 +22,10 @@ import pytest
 from repro.host import TestbedConfig, build_nfs_testbed
 from repro.nfs import (FileHandle, NfsNoEntryError, NfsNotEmptyError,
                        NfsStaleError, SetattrRequest)
+from repro.obs import observe
 from repro.workloads import (NamespaceTreeSpec, NamespaceWorkload,
                              PATTERNS, run_namespace_once)
+from repro.workloads.namespace import FILE_SIZE
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -50,7 +52,7 @@ class TestTreeSpec:
         assert tree.dir_paths() == ["ns"]
         paths = list(tree.paths())
         assert len(paths) == 100
-        assert paths[0] == ("ns/f000000", tree.file_size)
+        assert paths[0] == ("ns/f000000", FILE_SIZE)
 
     def test_nested_tree_spreads_round_robin(self):
         tree = NamespaceTreeSpec(files=64, depth=2, fanout=4)
@@ -74,6 +76,15 @@ class TestTreeSpec:
             NamespaceWorkload(pattern="scan")
         with pytest.raises(ValueError):
             NamespaceWorkload(ops=0)
+
+    def test_more_leaf_directories_than_files_rejected(self):
+        assert NamespaceTreeSpec(files=32, depth=1, fanout=32).leaf_dirs \
+            == 32
+        with pytest.raises(ValueError, match="32\\*\\*1 leaf"):
+            NamespaceTreeSpec(files=31, depth=1, fanout=32)
+        # Checked without evaluating fanout**depth.
+        with pytest.raises(ValueError):
+            NamespaceTreeSpec(files=10_000, depth=10 ** 9, fanout=32)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +467,19 @@ def _findings(result, name):
     return [f for f in run_detectors(inputs) if f.detector == name]
 
 
+def metered_run(config, tree, workload):
+    """One namespace run with the metrics registry on."""
+    with observe(metrics=True):
+        return run_namespace_once(config, tree, workload)
+
+
 class TestMetadataDetectorsOnRealRuns:
     def test_attrcache_staleness_fires_on_default_acregmax(self):
         # Two clients editing over each other under the default 60 s
         # attribute window: a material fraction of cache answers are
         # stale, and the detector must say so, citing the mount knob.
-        result = run_namespace_once(
-            TestbedConfig(metrics=True, num_clients=2, seed=0),
+        result = metered_run(
+            TestbedConfig(num_clients=2, seed=0),
             NamespaceTreeSpec(files=400, depth=1, fanout=4),
             NamespaceWorkload(pattern="edit", ops=80))
         findings = _findings(result, "attrcache")
@@ -476,8 +493,8 @@ class TestMetadataDetectorsOnRealRuns:
         # Both attribute windows at 0: every answer asks the server —
         # nothing can be stale.  (acregmax=0 alone still leaves the
         # *directory* cache serving stale directory attributes.)
-        result = run_namespace_once(
-            TestbedConfig(metrics=True, num_clients=2, seed=0,
+        result = metered_run(
+            TestbedConfig(num_clients=2, seed=0,
                           acregmax=0.0, acregmin=0.0,
                           acdirmax=0.0, acdirmin=0.0),
             NamespaceTreeSpec(files=400, depth=1, fanout=4),
@@ -485,8 +502,8 @@ class TestMetadataDetectorsOnRealRuns:
         assert _findings(result, "attrcache") == []
 
     def test_lookup_storm_fires_with_name_cache_off(self):
-        result = run_namespace_once(
-            TestbedConfig(metrics=True, seed=0, acdirmax=0.0,
+        result = metered_run(
+            TestbedConfig(seed=0, acdirmax=0.0,
                           acdirmin=0.0, acregmax=0.0, acregmin=0.0),
             NamespaceTreeSpec(files=200, depth=2, fanout=4),
             NamespaceWorkload(pattern="stat", ops=80))
@@ -495,15 +512,15 @@ class TestMetadataDetectorsOnRealRuns:
         assert findings[0].evidence["rpcs_per_walk"] >= 2.0
 
     def test_lookup_storm_silent_with_warm_name_cache(self):
-        result = run_namespace_once(
-            TestbedConfig(metrics=True, seed=0),
+        result = metered_run(
+            TestbedConfig(seed=0),
             NamespaceTreeSpec(files=200, depth=2, fanout=4),
             NamespaceWorkload(pattern="stat", ops=80))
         assert _findings(result, "lookupstorm") == []
 
     def test_readdir_chunking_fires_on_flat_tree_small_replies(self):
-        result = run_namespace_once(
-            TestbedConfig(metrics=True, seed=0, readdir_count=1024),
+        result = metered_run(
+            TestbedConfig(seed=0, readdir_count=1024),
             NamespaceTreeSpec(files=1500, depth=0),
             NamespaceWorkload(pattern="list", ops=15))
         findings = _findings(result, "readdir")
@@ -511,8 +528,8 @@ class TestMetadataDetectorsOnRealRuns:
         assert findings[0].evidence["rpcs_per_listing"] >= 8.0
 
     def test_readdir_silent_on_small_directories(self):
-        result = run_namespace_once(
-            TestbedConfig(metrics=True, seed=0),
+        result = metered_run(
+            TestbedConfig(seed=0),
             NamespaceTreeSpec(files=64, depth=1, fanout=8),
             NamespaceWorkload(pattern="list", ops=15))
         assert _findings(result, "readdir") == []

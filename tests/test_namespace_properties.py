@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disk import Partition, WDC_WD200BB
-from repro.ffs.namespace import DIRENT_BYTES
+from repro.ffs.namespace import ENTRIES_PER_BLOCK
 from repro.ffs import (FileSystem, SequentialAllocator, scan_and_heal,
                        verify_namespace)
 from repro.kernel import BufferCache, DiskIoScheduler
@@ -150,14 +150,13 @@ class TestNamespaceInvariants:
     def test_slot_assignments_stay_dense_and_unique(self, script):
         ns = build_namespace()
         apply_script(ns, script)
-        per_block = ns.block_size // DIRENT_BYTES
         for _, directory in ns.walk_dirs():
             values = sorted(directory.slots.values())
             assert len(set(values)) == len(values)
             assert all(v < directory._next_slot for v in values)
             assert not set(values) & set(directory._free)
             assert directory.slot_count <= (
-                directory.inode.nblocks * per_block)
+                directory.inode.nblocks * ENTRIES_PER_BLOCK)
 
 
 class TestFsckRepairs:

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.net import (DEFAULT_WINDOW, ETHERNET_MTU, GIGABIT, Link,
-                       TcpConnection, UdpEndpoint, plan_tcp_stream,
-                       plan_udp_datagram)
+from repro.net import (ETHERNET_MTU, GIGABIT, Link, TcpConnection,
+                       UdpEndpoint, plan_tcp_stream, plan_udp_datagram)
+from repro.net.link import LINK_LATENCY
 from repro.sim import RateLimiter, Simulator
 
 
@@ -37,27 +37,28 @@ class TestFraming:
 class TestLink:
     def test_delivery_time_is_serialization_plus_latency(self):
         sim = Simulator()
-        link = Link(sim, rate=1_000_000, latency=0.001)
+        link = Link(sim, rate=1_000_000)
         done = link.send(10_000)
         times = []
         done.add_callback(lambda ev: times.append(sim.now))
         sim.run()
-        assert times == [pytest.approx(0.011)]
+        assert times == [pytest.approx(0.01 + LINK_LATENCY)]
 
     def test_messages_serialize(self):
         sim = Simulator()
-        link = Link(sim, rate=1_000_000, latency=0.0)
+        link = Link(sim, rate=1_000_000)
         times = []
         for _ in range(2):
             link.send(500_000).add_callback(
                 lambda ev: times.append(sim.now))
         sim.run()
-        assert times == [pytest.approx(0.5), pytest.approx(1.0)]
+        assert times == [pytest.approx(0.5 + LINK_LATENCY),
+                         pytest.approx(1.0 + LINK_LATENCY)]
 
     def test_bus_ceiling_applies(self):
         sim = Simulator()
         bus = RateLimiter(sim, 1_000)           # much slower than NIC
-        link = Link(sim, rate=1_000_000, latency=0.0, bus=bus)
+        link = Link(sim, rate=1_000_000, bus=bus)
         times = []
         link.send(1_000).add_callback(lambda ev: times.append(sim.now))
         sim.run()
@@ -139,8 +140,8 @@ class TestTcp:
 
     def test_window_paces_large_messages(self):
         sim = Simulator()
-        slow_link = Link(sim, rate=1_000_000, latency=0.0)
-        conn = TcpConnection(sim, slow_link, window=DEFAULT_WINDOW)
+        slow_link = Link(sim, rate=1_000_000)
+        conn = TcpConnection(sim, slow_link)
         received = []
         conn.bind(received.append)
         for index in range(4):
@@ -153,7 +154,6 @@ class TestTcp:
     def test_loss_causes_retransmit_delay(self):
         sim = Simulator()
         lossy = TcpConnection(sim, Link(sim, GIGABIT), loss_rate=0.05,
-                              retransmit_timeout=0.01,
                               rng=random.Random(3))
         received = []
         lossy.bind(received.append)
@@ -162,8 +162,3 @@ class TestTcp:
         sim.run()
         assert received == list(range(100))   # reliable despite loss
         assert lossy.retransmits > 0
-
-    def test_bad_window_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            TcpConnection(sim, Link(sim, GIGABIT), window=0)

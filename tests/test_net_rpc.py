@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.net import (GIGABIT, Link, RpcClient, RpcServer, RpcTimeout,
-                       TcpConnection, UdpEndpoint)
+from repro.net import (GIGABIT, Link, RPC_MAX_TIMEOUT, RpcClient,
+                       RpcServer, RpcTimeout, TcpConnection, UdpEndpoint)
 from repro.sim import Simulator
 
 
@@ -159,8 +159,8 @@ def test_backoff_schedule_monotone_and_capped():
     assert schedule[0] == 0.9
     assert all(later >= earlier for earlier, later
                in zip(schedule, schedule[1:]))
-    assert schedule[-1] == client.max_timeout
-    assert max(schedule) <= client.max_timeout
+    assert schedule[-1] == RPC_MAX_TIMEOUT
+    assert max(schedule) <= RPC_MAX_TIMEOUT
 
 
 class _DropFirstSend:

@@ -9,6 +9,7 @@ from repro.bench.readers import ReaderResult, stride_reader
 from repro.host import TestbedConfig, build_nfs_testbed
 from repro.nfs import (CreateRequest, NFS_READ_SIZE, NfsServer,
                        RemoveReply)
+from repro.nfs.server import CPU_PER_CALL
 
 BLOCK = NFS_READ_SIZE
 MB = 1 << 20
@@ -150,7 +151,7 @@ class TestProcedureTables:
         server = testbed.server
 
         def remove_reply(server, request, span, rpc_key):
-            yield from server.machine.execute(server.config.cpu_per_call)
+            yield from server.machine.execute(CPU_PER_CALL)
             return RemoveReply()
 
         server.PROCEDURES = {**NfsServer.PROCEDURES,

@@ -25,11 +25,6 @@ class TestGauge:
         state["v"] = 7.5
         assert gauge.read() == 7.5
 
-    def test_set_overrides_callable(self):
-        gauge = Gauge("depth", lambda: 1.0)
-        gauge.set(3)
-        assert gauge.read() == 3.0
-
 
 class TestLatencyHistogram:
     def test_empty(self):
@@ -75,7 +70,8 @@ class TestMetricsRegistry:
     def test_create_on_first_use_returns_same_instrument(self):
         registry = MetricsRegistry()
         assert registry.counter("c") is registry.counter("c")
-        assert registry.gauge("g") is registry.gauge("g")
+        assert registry.gauge("g", lambda: 0.0) is \
+            registry.gauge("g", lambda: 1.0)
         assert registry.histogram("h") is registry.histogram("h")
 
     def test_enabled(self):
@@ -97,7 +93,7 @@ class TestMetricsRegistry:
     def test_render_mentions_each_section(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        registry.gauge("g").set(1)
+        registry.gauge("g", lambda: 1.0)
         registry.histogram("h").observe(0.5)
         text = registry.render()
         assert "counters:" in text
@@ -110,7 +106,7 @@ class TestMergeSnapshots:
     def _registry(self, scale):
         registry = MetricsRegistry()
         registry.counter("ops").inc(10 * scale)
-        registry.gauge("depth").set(2.0 * scale)
+        registry.gauge("depth", lambda: 2.0 * scale)
         hist = registry.histogram("lat")
         hist.observe(0.001 * scale)
         hist.observe(0.002 * scale)

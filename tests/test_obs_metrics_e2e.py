@@ -1,7 +1,7 @@
 """End-to-end metrics accounting: the layers must sum to the client.
 
 A seeded single-reader sequential run over NFS/UDP with read-ahead
-disabled (client ``readahead_blocks = 0``, server heuristic ``none``)
+disabled (client ``READAHEAD_BLOCKS = 0``, server heuristic ``none``)
 keeps exactly one request in flight at a time, so the per-layer latency
 histograms must tile the client-observed elapsed time exactly:
 
@@ -17,8 +17,11 @@ or unaccounted — exactly the bug class this battery exists to catch.
 
 import pytest
 
+import repro.nfs.client
 from repro.bench.readers import ReaderResult, sequential_reader
+from repro.ffs.filesystem import READ_OVERHEAD
 from repro.host.testbed import TestbedConfig, build_nfs_testbed
+from repro.obs import observe
 
 REL_TOL = 1e-9
 SIZE = 512 * 1024
@@ -28,11 +31,15 @@ SIZE = 512 * 1024
 def accounted_run():
     """One clean, metered, single-reader sequential NFS read."""
     config = TestbedConfig(drive="scsi", partition=1, transport="udp",
-                           server_heuristic="none", seed=3, metrics=True)
-    testbed = build_nfs_testbed(config)
-    # No client read-ahead: every block is fetched synchronously, so
-    # the reader's elapsed time decomposes exactly.
-    testbed.mount.config.readahead_blocks = 0
+                           server_heuristic="none", seed=3)
+    with observe(metrics=True), pytest.MonkeyPatch.context() as patch:
+        # No client read-ahead: every block is fetched synchronously,
+        # so the reader's elapsed time decomposes exactly.
+        patch.setattr(repro.nfs.client, "READAHEAD_BLOCKS", 0)
+        return _run_reader(build_nfs_testbed(config))
+
+
+def _run_reader(testbed):
     testbed.server.export_file("f0", SIZE)
     result = ReaderResult("f0")
 
@@ -51,8 +58,7 @@ def accounted_run():
         name="reader:f0")
     testbed.sim.run()
     assert result.bytes_read == SIZE
-    return result, testbed.obs.registry.snapshot(), \
-        testbed.fs.params.read_overhead
+    return result, testbed.obs.registry.snapshot(), READ_OVERHEAD
 
 
 def hist_sum(snapshot, name):

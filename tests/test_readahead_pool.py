@@ -91,10 +91,6 @@ class TestValidationAndStats:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             SharedCursorPool(pool_size=0)
-        with pytest.raises(ValueError):
-            SharedCursorPool(window=-1)
-        with pytest.raises(ValueError):
-            SharedCursorPool(divisor=1)
 
     def test_zero_length_access_rejected(self):
         with pytest.raises(ValueError):

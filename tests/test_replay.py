@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.bench import run_nfs_once
 from repro.faults import FaultSpec, ServerFaults
 from repro.host import TestbedConfig
+from repro.obs import observe
 from repro.replay import (FORMAT_VERSION, TraceFormatError, TraceHeader,
                           capture_nfs_run, dumps_trace, loads_trace,
                           multiplex_trace, read_trace_file, replay_trace,
@@ -145,11 +146,10 @@ class TestReplayEngine:
             replay_trace(captured, TARGET, time_scale=0.0)
 
     def test_offered_load_monotone_in_clients(self, captured):
-        from dataclasses import replace
-        target = replace(TARGET, metrics=True)
         offered = []
         for clients in (2, 4, 8):
-            result = replay_trace(captured, target, clients=clients)
+            with observe(metrics=True):
+                result = replay_trace(captured, TARGET, clients=clients)
             gauges = result.metrics["gauges"]
             assert gauges["replay.clients"] == float(clients)
             offered.append((gauges["replay.offered_ops"],
@@ -159,18 +159,17 @@ class TestReplayEngine:
         assert list(rates) == sorted(rates) and rates[0] < rates[-1]
 
     def test_offered_rate_monotone_in_time_scale(self, captured):
-        from dataclasses import replace
-        target = replace(TARGET, metrics=True)
         rates = []
         for time_scale in (1.0, 2.0, 4.0):
-            result = replay_trace(captured, target, mode=OPEN_LOOP,
-                                  time_scale=time_scale)
+            with observe(metrics=True):
+                result = replay_trace(captured, TARGET, mode=OPEN_LOOP,
+                                      time_scale=time_scale)
             rates.append(result.metrics["gauges"]["replay.offered_ops_s"])
         assert rates == sorted(rates) and rates[0] < rates[-1]
 
     def test_replayed_ops_counted_in_registry(self, captured):
-        from dataclasses import replace
-        result = replay_trace(captured, replace(TARGET, metrics=True))
+        with observe(metrics=True):
+            result = replay_trace(captured, TARGET)
         gauges = result.metrics["gauges"]
         assert gauges["replay.completed_ops"] == float(captured.ops)
         assert gauges["replay.lateness_s"] == 0.0

@@ -29,11 +29,3 @@ def test_derive_seed_is_stable_and_64bit():
     seed = derive_seed(123, "stream")
     assert seed == derive_seed(123, "stream")
     assert 0 <= seed < 2 ** 64
-
-
-def test_fork_is_independent_of_parent_draws():
-    parent = RandomStreams(5)
-    fork_a = parent.fork("child").stream("s").random()
-    parent.stream("s").random()  # draw from the parent
-    fork_b = RandomStreams(5).fork("child").stream("s").random()
-    assert fork_a == fork_b

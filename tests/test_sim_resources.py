@@ -151,19 +151,6 @@ class TestRateLimiter:
         sim.run()
         assert done == [pytest.approx(11.0)]
 
-    def test_overhead_applied_per_transfer(self):
-        sim = Simulator()
-        limiter = RateLimiter(sim, 1000.0, per_transfer_overhead=0.25)
-        done = []
-
-        def mover(sim):
-            yield limiter.transfer(1000)
-            done.append(sim.now)
-
-        sim.spawn(mover(sim))
-        sim.run()
-        assert done == [pytest.approx(1.25)]
-
     def test_bad_rate_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
