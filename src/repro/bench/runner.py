@@ -19,8 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..host.testbed import (NfsTestbed, TestbedConfig,
                             build_local_testbed, build_nfs_testbed)
-from ..obs.session import active_session
-from ..stats import RunningSummary, Summary
+from ..stats import Summary, summarize
 from .fileset import FileSpec, files_for_readers
 from .readers import (ReaderResult, resilient_sequential_reader,
                       sequential_reader, stride_reader)
@@ -232,48 +231,21 @@ def run_stride_once(config: TestbedConfig, strides: int,
 
 def collect_metric(run_once: Callable[[TestbedConfig], object],
                    config: TestbedConfig, runs: int,
-                   jobs: int = 1,
                    metric: str = "throughput_mb_s") -> List[float]:
-    """Per-seed values of ``metric`` for ``runs`` repeats, in seed order.
+    """Per-seed values of ``metric`` (an attribute of ``run_once``'s
+    result) for ``runs`` repeats, in seed order.
 
-    ``metric`` names an attribute of ``run_once``'s result — a string
-    rather than a callable so the repeats stay picklable under
-    ``jobs > 1``.  With ``jobs > 1`` the repeats are sharded across
-    worker processes by the campaign orchestrator (see
-    :mod:`repro.campaign`), which journals every completed repeat and
-    transparently re-dispatches a repeat whose worker crashes or hangs.
-    Each run is a pure function of (config, seed) — inode numbering,
-    RNG streams, and the simulator clock are all per-testbed — and the
-    orchestrator folds results in seed order, so the list (and anything
-    folded from it in order) is byte-identical to the serial path.
-
-    Parallelism is skipped under an active observability session: the
-    workers' obs state would die with them, silently dropping spans.
+    Repeat ``index`` runs with seed ``config.seed + 1000 * index``, the
+    spacing every campaign cell uses (:mod:`repro.campaign`).
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    if jobs < 1:
-        raise ValueError("need at least one job")
-    if jobs == 1 or runs == 1 or active_session() is not None:
-        seeds = [config.with_seed(config.seed + 1000 * index)
-                 for index in range(runs)]
-        return [getattr(run_once(seeded), metric) for seeded in seeds]
-    from ..campaign import collect_metric_sharded
-    return collect_metric_sharded(run_once, config, runs, jobs,
-                                  metric=metric)
+    seeds = [config.with_seed(config.seed + 1000 * index)
+             for index in range(runs)]
+    return [getattr(run_once(seeded), metric) for seeded in seeds]
 
 
 def repeat(run_once: Callable[[TestbedConfig], RunResult],
-           config: TestbedConfig, runs: int = 10,
-           jobs: int = 1) -> Summary:
-    """Repeat a run with per-run seeds; summarise throughput (MB/s).
-
-    ``jobs`` parallelises the repeats (see :func:`collect_metric`);
-    the summary is byte-identical to a serial run because the per-seed
-    throughputs come back in seed order and are folded into the
-    accumulator in that same order.
-    """
-    acc = RunningSummary()
-    for throughput in collect_metric(run_once, config, runs, jobs):
-        acc.add(throughput)
-    return acc.freeze()
+           config: TestbedConfig, runs: int = 10) -> Summary:
+    """Repeat a run with per-run seeds; summarise throughput (MB/s)."""
+    return summarize(collect_metric(run_once, config, runs))

@@ -13,9 +13,10 @@ See DESIGN.md §11.
 """
 
 from .cells import (CampaignSpec, SPEC_VERSION, chaos_cell,
-                    run_bench_cell, run_chaos_cell, run_spec_cell)
-from .drivers import (CampaignIncomplete, bench_spec, chaos_spec,
-                      collect_metric_sharded, fold_bench,
+                    namespace_point, run_bench_cell, run_chaos_cell,
+                    run_spec_cell)
+from .drivers import (CampaignIncomplete, bench_results, bench_spec,
+                      chaos_spec, complete_results, fold_bench,
                       fold_chaos, run_bench_campaign,
                       run_chaos_campaign, run_spec_campaign,
                       shrink_and_bundle, shrink_failure)
@@ -29,10 +30,10 @@ __all__ = [
     "CampaignIncomplete", "CampaignJournal", "CampaignOptions",
     "CampaignOutcome", "CampaignSpec", "CellOutcome", "JournalError",
     "LoadedJournal", "Orchestrator", "SPEC_VERSION",
-    "atomic_write_text", "bench_spec", "cells_csv", "chaos_cell",
-    "chaos_spec",
-    "collect_metric_sharded", "fold_bench", "fold_chaos",
-    "fold_json", "fold_records", "report_html", "run_bench_campaign",
+    "atomic_write_text", "bench_results", "bench_spec", "cells_csv",
+    "chaos_cell", "chaos_spec", "complete_results", "fold_bench",
+    "fold_chaos", "fold_json", "fold_records", "namespace_point",
+    "report_html", "run_bench_campaign",
     "run_bench_cell", "run_chaos_campaign", "run_chaos_cell",
     "run_sharded", "run_spec_campaign", "run_spec_cell",
     "shrink_and_bundle", "shrink_failure", "write_report",

@@ -11,7 +11,8 @@ however the campaign was interrupted.
 
 Two cell kinds ship:
 
-* ``bench`` — one seeded NFS benchmark run; result is the throughput.
+* ``bench`` — one seeded `bench` repeat; result is the throughput
+  (ops/s for a namespace point).
 * ``chaos`` — one fuzzed fault schedule judged by the oracles; result
   is the verdict plus the run's SHA-256 fingerprint (the failure-dedupe
   key).
@@ -77,8 +78,20 @@ def _testbed_config(params: dict, index: int):
     return TestbedConfig(seed=base_seed + 1000 * index, **kwargs)
 
 
+def namespace_point(params: dict):
+    """The ``(tree, workload)`` of a namespace bench spec; raises
+    ValueError for a tree or workload that cannot run."""
+    from ..workloads import NamespaceTreeSpec, NamespaceWorkload
+    return (NamespaceTreeSpec(files=params["files"],
+                              depth=params["tree_depth"],
+                              fanout=params["fanout"]),
+            NamespaceWorkload(pattern=params["pattern"],
+                              ops=params["ops"]))
+
+
 def run_bench_cell(spec: CampaignSpec, index: int) -> dict:
-    """One seeded benchmark repeat; mirrors the serial `bench` loop.
+    """One seeded repeat of a bench spec: every `bench` and `campaign
+    bench` run, serial or sharded, is one of these.
 
     ``params["workload"] == "namespace"`` routes the cell to the
     metadata workload family (:mod:`repro.workloads.namespace`); the
@@ -87,22 +100,13 @@ def run_bench_cell(spec: CampaignSpec, index: int) -> dict:
     params = spec.params
     config = _testbed_config(params, index)
     if params.get("workload") == "namespace":
-        from ..workloads import (NamespaceTreeSpec, NamespaceWorkload,
-                                 run_namespace_once)
-        tree = NamespaceTreeSpec(
-            files=params.get("files", 10_000),
-            depth=params.get("tree_depth", 0),
-            fanout=params.get("fanout", 32))
-        workload = NamespaceWorkload(
-            pattern=params.get("pattern", "stat"),
-            ops=params.get("ops", 1_000),
-            zipf_s=params.get("zipf_s", 1.1))
-        result = run_namespace_once(config, tree, workload)
+        from ..workloads import run_namespace_once
+        result = run_namespace_once(config, *namespace_point(params))
         return {"ops_per_s": result.ops_per_s,
                 "errors": result.errors}
     from ..bench.runner import run_nfs_once
-    result = run_nfs_once(config, nreaders=params.get("readers", 4),
-                          scale=params.get("scale", 0.125))
+    result = run_nfs_once(config, nreaders=params["readers"],
+                          scale=params["scale"])
     return {"throughput_mb_s": result.throughput_mb_s}
 
 

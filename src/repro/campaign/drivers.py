@@ -4,9 +4,9 @@ These functions connect the generic orchestrator to the two verb-level
 folds the repository already speaks:
 
 * :func:`run_bench_campaign` — shards seeded benchmark repeats and
-  folds them into the exact record ``bench --jobs 1`` produces
-  (byte-identical throughput list, mean, and std), then optionally
-  streams the record into the PR-4 bench history store;
+  folds them with :func:`fold_bench` into the record `bench` prints
+  (`bench` adds only its ``jobs``), then optionally streams the record
+  into the bench history store;
 * :func:`run_chaos_campaign` — shards fuzzed schedules, dedupes
   failures by their SHA-256 run fingerprint (a 100k-schedule campaign
   typically rediscovers the same bug thousands of times), and shrinks
@@ -23,7 +23,8 @@ import os
 import tempfile
 from typing import Callable, List, Optional, Tuple
 
-from .cells import CampaignSpec, chaos_cell, run_spec_cell
+from .cells import (CampaignSpec, chaos_cell, run_bench_cell,
+                    run_spec_cell)
 from .orchestrator import (CampaignOptions, CampaignOutcome,
                            run_sharded)
 
@@ -70,7 +71,11 @@ def bench_spec(runs: int, *, drive: str = "ide", partition: int = 1,
                scale: float = 0.125, seed: int = 0,
                workload: Optional[str] = None, pattern: str = "stat",
                files: int = 10_000, tree_depth: int = 0,
-               fanout: int = 32, ops: int = 1_000) -> CampaignSpec:
+               fanout: int = 32, ops: int = 1_000,
+               clients: int = 1) -> CampaignSpec:
+    """One `bench` point as a campaign of ``runs`` cells; the
+    ``pattern`` .. ``clients`` arguments shape a ``namespace``
+    ``workload`` and are ignored otherwise."""
     params = {
         "drive": drive, "partition": partition, "transport": transport,
         "server_heuristic": heuristic, "nfsheur": nfsheur,
@@ -78,28 +83,49 @@ def bench_spec(runs: int, *, drive: str = "ide", partition: int = 1,
     if workload == "namespace":
         params.update({"workload": "namespace", "pattern": pattern,
                        "files": files, "tree_depth": tree_depth,
-                       "fanout": fanout, "ops": ops})
+                       "fanout": fanout, "ops": ops,
+                       "num_clients": clients})
     return CampaignSpec(kind="bench", cells=runs, params=params)
 
 
-def fold_bench(spec: CampaignSpec,
-               outcome: CampaignOutcome) -> Tuple[dict, List[float]]:
-    """Fold a complete bench campaign into the `bench` record shape.
-
-    Namespace-workload campaigns fold ``ops_per_s`` instead of
-    throughput; everything else about the record shape matches.
-    """
+def complete_results(outcome: CampaignOutcome, what: str) -> List[dict]:
+    """The per-cell results of a campaign in cell order; raises
+    :class:`CampaignIncomplete` if any cell is not done."""
     if not outcome.complete:
-        raise CampaignIncomplete(outcome, "bench campaign")
-    from ..stats import RunningSummary
+        raise CampaignIncomplete(outcome, what)
+    return outcome.fold()
+
+
+def bench_results(spec: CampaignSpec, jobs: int = 1) -> List[dict]:
+    """Every cell of a bench spec, in cell order.
+
+    With one job or one run the cells run in this process; otherwise
+    they are sharded across ``min(jobs, runs)`` workers under a
+    temporary journal.  A cell is a pure function of (spec, index),
+    so both give the same list.
+    """
+    if jobs == 1 or spec.cells == 1:
+        return [run_bench_cell(spec, index)
+                for index in range(spec.cells)]
+    with tempfile.TemporaryDirectory(prefix="bench-jobs-") as tmp:
+        outcome = run_spec_campaign(
+            spec, os.path.join(tmp, "journal.jsonl"),
+            options=CampaignOptions(workers=min(jobs, spec.cells)))
+    return complete_results(outcome, "bench --jobs")
+
+
+def fold_bench(spec: CampaignSpec, results: List[dict]) -> dict:
+    """The one `bench` record of a bench spec's per-cell results, as
+    `bench` (which adds its ``jobs``) and `campaign bench` print it.
+
+    Namespace-workload specs fold ``ops_per_s`` instead of throughput.
+    """
+    from ..stats import summarize
     params = spec.params
     namespace = params.get("workload") == "namespace"
     metric = "ops_per_s" if namespace else "throughput_mb_s"
-    values = [o.result[metric] for o in outcome.outcomes]
-    acc = RunningSummary()
-    for value in values:
-        acc.add(value)
-    summary = acc.freeze()
+    values = [result[metric] for result in results]
+    summary = summarize(values)
     record = {"verb": "bench", "drive": params["drive"],
               "partition": params["partition"],
               "transport": params["transport"],
@@ -108,11 +134,11 @@ def fold_bench(spec: CampaignSpec,
               "seed": params["seed"], "runs": spec.cells}
     if namespace:
         record.update({
-            "workload": "namespace",
-            "pattern": params.get("pattern", "stat"),
-            "files": params.get("files", 10_000),
-            "tree_depth": params.get("tree_depth", 0),
-            "ops": params.get("ops", 1_000),
+            "workload": "namespace", "pattern": params["pattern"],
+            "files": params["files"],
+            "tree_depth": params["tree_depth"],
+            "fanout": params["fanout"], "ops": params["ops"],
+            "clients": params["num_clients"],
             "ops_per_s": values,
             "mean_ops_s": summary.mean, "std_ops_s": summary.std})
     else:
@@ -120,7 +146,7 @@ def fold_bench(spec: CampaignSpec,
             "readers": params["readers"], "scale": params["scale"],
             "throughputs_mb_s": values,
             "mean_mb_s": summary.mean, "std_mb_s": summary.std})
-    return record, values
+    return record
 
 
 def run_bench_campaign(spec: CampaignSpec, journal_path: str,
@@ -131,42 +157,11 @@ def run_bench_campaign(spec: CampaignSpec, journal_path: str,
                        ) -> Tuple[dict, CampaignOutcome]:
     outcome = run_spec_campaign(spec, journal_path, options=options,
                                 resume=resume, progress=progress)
-    record, _ = fold_bench(spec, outcome)
+    record = fold_bench(spec, complete_results(outcome, "bench campaign"))
     if history is not None:
         from ..diagnose import append_history
         append_history(history, record)
     return record, outcome
-
-
-def collect_metric_sharded(run_once, config, runs: int, jobs: int,
-                           metric: str = "throughput_mb_s"
-                           ) -> List[float]:
-    """Orchestrated replacement for the in-process ``--jobs`` pool.
-
-    Accepts the same arguments as the serial path in
-    :func:`repro.bench.runner.collect_metric`: an arbitrary picklable
-    ``run_once``, a base config, and the result attribute to extract.
-    Cells run in worker processes under an ephemeral journal (crash
-    recovery and retries included); the returned list is in seed order,
-    so any fold over it is byte-identical to serial.
-    """
-    seeds = [config.with_seed(config.seed + 1000 * index)
-             for index in range(runs)]
-    runner = functools.partial(_callable_cell, run_once, seeds, metric)
-    options = CampaignOptions(workers=min(jobs, runs))
-    with tempfile.TemporaryDirectory(prefix="bench-jobs-") as tmp:
-        outcome = run_sharded(
-            runner, runs, os.path.join(tmp, "journal.jsonl"),
-            {"campaign": {"kind": "bench-inline", "cells": runs},
-             "fingerprint": "ephemeral"},
-            options=options)
-    if not outcome.complete:
-        raise CampaignIncomplete(outcome, "bench --jobs")
-    return [o.result[metric] for o in outcome.outcomes]
-
-
-def _callable_cell(run_once, seeds, metric: str, index: int) -> dict:
-    return {metric: getattr(run_once(seeds[index]), metric)}
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ directory; see :mod:`repro.campaign`)::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -565,75 +564,47 @@ def _run_one(experiment_id: str, args) -> None:
     print(f"paper claim: {experiment.paper_claim}")
 
 
-def _bench_config(args):
-    from .host.testbed import TestbedConfig
-    return TestbedConfig(drive=args.drive, partition=args.partition,
-                         transport=args.transport,
-                         server_heuristic=args.heuristic,
-                         nfsheur=args.nfsheur, seed=args.seed)
+def _bench_spec(args, **workload):
+    """The campaign spec of a `bench` or `campaign bench` point."""
+    from .campaign import bench_spec
+    return bench_spec(args.runs, drive=args.drive,
+                      partition=args.partition, transport=args.transport,
+                      heuristic=args.heuristic, nfsheur=args.nfsheur,
+                      readers=args.readers, scale=args.scale,
+                      seed=args.seed, **workload)
 
 
 def _main_bench(parser: argparse.ArgumentParser, args) -> int:
-    from .bench.runner import collect_metric, run_nfs_once
-    from .stats import RunningSummary
-    config = _bench_config(args)
-    if args.workload == "namespace":
-        from .workloads import (NamespaceTreeSpec, NamespaceWorkload,
-                                run_namespace_once)
+    from .campaign import bench_results, fold_bench, namespace_point
+    spec = _bench_spec(args, workload=args.workload,
+                       pattern=args.pattern, files=args.files,
+                       tree_depth=args.tree_depth, fanout=args.fanout,
+                       ops=args.ops, clients=args.clients)
+    namespace = args.workload == "namespace"
+    if namespace:
         try:
-            tree = NamespaceTreeSpec(files=args.files,
-                                     depth=args.tree_depth,
-                                     fanout=args.fanout)
-            workload = NamespaceWorkload(pattern=args.pattern,
-                                         ops=args.ops)
+            namespace_point(spec.params)
         except ValueError as error:
             parser.error(str(error))
-        config = dataclasses.replace(config, num_clients=args.clients)
-        point = functools.partial(run_namespace_once, tree=tree,
-                                  workload=workload)
-        metric, unit = "ops_per_s", "ops/s"
     else:
         _check_fileset(parser, args.readers, args.scale)
-        point = functools.partial(run_nfs_once, nreaders=args.readers,
-                                  scale=args.scale)
-        metric, unit = "throughput_mb_s", "MB/s"
-    values = collect_metric(point, config, args.runs, jobs=args.jobs,
-                            metric=metric)
-    acc = RunningSummary()
-    for value in values:
-        acc.add(value)
-    summary = acc.freeze()
-    record = {"verb": "bench", "drive": args.drive,
-              "partition": args.partition, "transport": args.transport,
-              "heuristic": args.heuristic, "nfsheur": args.nfsheur,
-              "seed": args.seed, "runs": args.runs, "jobs": args.jobs}
-    if args.workload == "namespace":
-        record.update({"workload": "namespace",
-                       "pattern": args.pattern, "files": args.files,
-                       "tree_depth": args.tree_depth,
-                       "fanout": args.fanout, "ops": args.ops,
-                       "clients": args.clients,
-                       "ops_per_s": values,
-                       "mean_ops_s": summary.mean,
-                       "std_ops_s": summary.std})
-    else:
-        record.update({"readers": args.readers, "scale": args.scale,
-                       "throughputs_mb_s": values,
-                       "mean_mb_s": summary.mean,
-                       "std_mb_s": summary.std})
+    record = fold_bench(spec, bench_results(spec, args.jobs))
+    record["jobs"] = args.jobs
     record_json = json.dumps(record, sort_keys=True)
     if args.json or args.out is not None:
         print(record_json)
-    elif args.workload == "namespace":
+    elif namespace:
         print(f"{args.transport}/{args.heuristic}/{args.nfsheur} "
               f"{args.drive}{args.partition} {args.pattern} "
               f"files={args.files}: "
-              f"{summary.mean:.1f} +/- {summary.std:.1f} {unit} "
+              f"{record['mean_ops_s']:.1f} +/- "
+              f"{record['std_ops_s']:.1f} ops/s "
               f"({args.runs} runs, jobs={args.jobs})")
     else:
         print(f"{args.transport}/{args.heuristic}/{args.nfsheur} "
               f"{args.drive}{args.partition} readers={args.readers}: "
-              f"{summary.mean:.2f} +/- {summary.std:.2f} {unit} "
+              f"{record['mean_mb_s']:.2f} +/- "
+              f"{record['std_mb_s']:.2f} MB/s "
               f"({args.runs} runs, jobs={args.jobs})")
     if args.out is not None:
         with open(args.out, "w") as handle:
@@ -648,6 +619,7 @@ def _main_bench(parser: argparse.ArgumentParser, args) -> int:
 
 def _main_replay(parser: argparse.ArgumentParser, args) -> int:
     from dataclasses import replace
+    from .host.testbed import TestbedConfig
     from .replay import (capture_nfs_run, read_trace_file, replay_trace,
                          write_trace_file)
     from .replay.format import TraceFormatError
@@ -655,8 +627,11 @@ def _main_replay(parser: argparse.ArgumentParser, args) -> int:
         print("replay: need --capture FILE and/or --replay FILE",
               file=sys.stderr)
         return 2
-    source = replace(_bench_config(args),
-                     num_clients=args.capture_clients)
+    source = TestbedConfig(drive=args.drive, partition=args.partition,
+                           transport=args.transport,
+                           server_heuristic=args.heuristic,
+                           nfsheur=args.nfsheur, seed=args.seed,
+                           num_clients=args.capture_clients)
     if args.capture is not None:
         _check_fileset(parser, args.readers, args.bench_scale)
         trace = capture_nfs_run(source, nreaders=args.readers,
@@ -820,17 +795,12 @@ def _main_campaign(args, parser=None) -> int:
     without a file as a usage error."""
     import tempfile
     from .campaign import (CampaignIncomplete, CampaignOptions,
-                           JournalError, bench_spec, run_bench_campaign,
+                           JournalError, run_bench_campaign,
                            run_chaos_campaign, write_report)
     from .diagnose import DEFAULT_HISTORY_PATH
     if args.kind == "bench":
         _check_fileset(parser, args.readers, args.scale)
-        spec = bench_spec(args.runs, drive=args.drive,
-                          partition=args.partition,
-                          transport=args.transport,
-                          heuristic=args.heuristic,
-                          nfsheur=args.nfsheur, readers=args.readers,
-                          scale=args.scale, seed=args.seed)
+        spec = _bench_spec(args)
         title = (f"bench campaign: {args.runs} repeats of "
                  f"{args.transport}/{args.heuristic}/{args.nfsheur} "
                  f"{args.drive}{args.partition}")

@@ -53,9 +53,10 @@ class DiskDrive:
     interface_rate:
         Host-interface bandwidth in bytes/s (Ultra160 SCSI, ATA/66...).
         Cache hits stream at this rate; media reads are media-bound.
-    cache_segments:
+    cache_segments, cache_replacement:
         Firmware prefetch buffer shape, in segments of
-        :data:`CACHE_SEGMENT_BYTES`.
+        :data:`CACHE_SEGMENT_BYTES`, and its segment victim policy
+        (``"lru"`` or ``"mru"``; see :class:`SegmentedCache`).
     tcq_depth:
         Commands the host may keep outstanding when tagged queueing is
         on; the firmware then orders them by aged SPTF.
@@ -66,6 +67,7 @@ class DiskDrive:
     def __init__(self, sim: Simulator, geometry: DiskGeometry,
                  seek_model: SeekModel, interface_rate: float,
                  cache_segments: int = 8,
+                 cache_replacement: str = "lru",
                  tcq_depth: int = 64,
                  command_overhead: float = 0.0002,
                  tagged_queueing: bool = True,
@@ -91,7 +93,8 @@ class DiskDrive:
         #: once per command (media-error retries, lost commands, resets).
         self.faults = faults
         segment_sectors = max(1, CACHE_SEGMENT_BYTES // SECTOR_SIZE)
-        self.cache = SegmentedCache(cache_segments, segment_sectors)
+        self.cache = SegmentedCache(cache_segments, segment_sectors,
+                                    cache_replacement)
         self.stats = DriveStats()
         self._obs_on = sim.obs.enabled
         #: TCQ residency: host submit to firmware selection.

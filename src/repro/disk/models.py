@@ -68,18 +68,17 @@ class DriveSpec:
         if tagged_queueing and not self.supports_tagged_queueing:
             raise ValueError(f"{self.name} has no tagged command queue")
         geometry = self.geometry()
-        drive = DiskDrive(
+        return DiskDrive(
             sim, geometry, self.seek_model(),
             interface_rate=self.interface_rate,
             cache_segments=self.cache_segments,
+            cache_replacement=self.cache_replacement,
             tcq_depth=self.tcq_depth,
             command_overhead=self.command_overhead,
             tagged_queueing=tagged_queueing,
             bus=bus,
             faults=faults,
             name=name or self.name)
-        drive.cache.replacement = self.cache_replacement
-        return drive
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ TREE_PREFIX = "ns"
 FILE_SIZE = 8 * 1024
 #: Files whose heads ``grep`` reads per listed directory.
 GREP_FILES = 64
+#: Zipf exponent of the file and directory popularity draws.
+ZIPF_S = 1.1
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,6 @@ class NamespaceWorkload:
 
     pattern: str = "stat"
     ops: int = 1_000
-    zipf_s: float = 1.1
 
     def __post_init__(self):
         if self.pattern not in PATTERNS:
@@ -120,8 +121,6 @@ class NamespaceWorkload:
                              f"{self.pattern!r}; pick one of {PATTERNS}")
         if self.ops < 1:
             raise ValueError("need at least one operation")
-        if self.zipf_s < 0:
-            raise ValueError("Zipf exponent cannot be negative")
 
 
 @dataclass
@@ -177,9 +176,9 @@ def _driver(sim, mount, tree: NamespaceTreeSpec,
             result: NamespaceRunResult, client: int):
     """One client's operation stream (generator process)."""
     files = [path for path, _size in tree.paths()]
-    zipf_files = _Zipf(files, workload.zipf_s, rng)
+    zipf_files = _Zipf(files, ZIPF_S, rng)
     dirs = tree.dir_paths()
-    zipf_dirs = _Zipf(dirs, workload.zipf_s, rng)
+    zipf_dirs = _Zipf(dirs, ZIPF_S, rng)
     #: Directory listings, cached per driver like a shell's glob state.
     listings: Dict[str, List[str]] = {}
     #: Directories this driver has already mkdir'd (untar).

@@ -155,22 +155,21 @@ class TestRepeat:
             repeat(lambda config: None, TestbedConfig(), runs=0)
 
 
-class TestParallelRepeat:
-    """--jobs repeats: parallel output byte-identical to serial."""
+class TestBenchResults:
+    """Sharded bench cells give the list the in-process path gives."""
 
-    def test_parallel_summary_matches_serial(self):
-        import functools
-        from repro.bench.runner import collect_metric
-        point = functools.partial(run_nfs_once, nreaders=2, scale=SCALE)
-        config = TestbedConfig(seed=11)
-        serial = collect_metric(point, config, runs=3, jobs=1)
-        parallel = collect_metric(point, config, runs=3, jobs=3)
-        assert parallel == serial           # bit-identical floats
-        assert repeat(point, config, runs=3, jobs=3) == \
-            repeat(point, config, runs=3, jobs=1)
+    def test_two_jobs_match_one_stream(self):
+        from repro.campaign import bench_results, bench_spec
+        spec = bench_spec(3, readers=2, scale=SCALE, seed=11)
+        serial = bench_results(spec, jobs=1)
+        assert bench_results(spec, jobs=2) == serial  # bit-identical
+        assert len(serial) == 3
 
-    def test_jobs_validated(self):
-        import functools
-        point = functools.partial(run_nfs_once, nreaders=1, scale=SCALE)
-        with pytest.raises(ValueError):
-            repeat(point, TestbedConfig(), runs=2, jobs=0)
+    def test_two_jobs_match_one_namespace(self):
+        from repro.campaign import bench_results, bench_spec
+        spec = bench_spec(2, workload="namespace", pattern="stat",
+                          files=120, tree_depth=1, fanout=4, ops=12,
+                          clients=2, seed=5)
+        serial = bench_results(spec, jobs=1)
+        assert bench_results(spec, jobs=2) == serial
+        assert all(result["ops_per_s"] > 0 for result in serial)

@@ -19,12 +19,12 @@ import pytest
 from repro.campaign import (CampaignIncomplete, CampaignJournal,
                             CampaignOptions, CampaignSpec, JournalError,
                             atomic_write_text, bench_spec, cells_csv,
-                            chaos_spec, collect_metric_sharded,
-                            fold_bench, fold_chaos, fold_json,
-                            fold_records, run_bench_cell,
-                            run_chaos_cell, run_chaos_campaign,
-                            run_sharded, run_spec_campaign,
-                            run_spec_cell, write_report)
+                            chaos_spec, complete_results, fold_bench,
+                            fold_chaos, fold_json, fold_records,
+                            run_bench_cell, run_chaos_cell,
+                            run_chaos_campaign, run_sharded,
+                            run_spec_campaign, run_spec_cell,
+                            write_report)
 from repro.campaign.orchestrator import Orchestrator
 from repro.campaign.workers import (KILL_CELL_ENV, KILL_FLAG_ENV,
                                     should_inject_kill, worker_main)
@@ -555,38 +555,45 @@ class TestDrivers:
         spec = bench_spec(4, seed=0, **SMALL)
         outcome = run_spec_campaign(spec, str(tmp_path / "j.jsonl"),
                                     options=_options())
-        record, throughputs = fold_bench(spec, outcome)
+        record = fold_bench(spec, outcome.fold())
         run_once = functools.partial(run_nfs_once, nreaders=2,
                                      scale=0.03)
         serial_list = collect_metric(run_once, TestbedConfig(seed=0),
-                                     runs=4, jobs=1)
+                                     runs=4)
         serial = repeat(run_once, TestbedConfig(seed=0), runs=4)
-        assert json.dumps(throughputs) == json.dumps(serial_list)
+        assert json.dumps(record["throughputs_mb_s"]) == \
+            json.dumps(serial_list)
         assert record["mean_mb_s"] == serial.mean
         assert record["std_mb_s"] == serial.std
         assert record["runs"] == 4
 
-    def test_fold_bench_refuses_partial(self, tmp_path):
-        spec = bench_spec(3, seed=0, **SMALL)
+    def test_complete_results_refuses_partial(self, tmp_path):
         outcome = run_sharded(
             always_broken_cell, 3, str(tmp_path / "j.jsonl"),
-            {"fingerprint": spec.fingerprint()},
+            {"fingerprint": "partial"},
             options=_options(max_attempts=1))
         with pytest.raises(CampaignIncomplete) as info:
-            fold_bench(spec, outcome)
+            complete_results(outcome, "bench campaign")
         assert info.value.outcome is outcome
         assert "cells done" in str(info.value)
 
-    def test_collect_throughputs_sharded_matches_serial(self):
-        from repro.bench.runner import collect_metric, run_nfs_once
-        import functools
-        run_once = functools.partial(run_nfs_once, nreaders=2,
-                                     scale=0.03)
-        config = TestbedConfig(seed=11)
-        serial = collect_metric(run_once, config, runs=3, jobs=1)
-        sharded = collect_metric_sharded(run_once, config, runs=3,
-                                         jobs=2)
-        assert json.dumps(serial) == json.dumps(sharded)
+    def test_namespace_campaign_record_is_the_bench_record(
+            self, tmp_path, capsys):
+        from repro.campaign import run_bench_campaign
+        from repro.cli import main
+        spec = bench_spec(2, workload="namespace", pattern="stat",
+                          files=120, tree_depth=1, fanout=4, ops=12,
+                          clients=2, seed=0)
+        record, _outcome = run_bench_campaign(
+            spec, str(tmp_path / "j.jsonl"), options=_options())
+        assert main(["bench", "--workload", "namespace", "--runs", "2",
+                     "--pattern", "stat", "--files", "120",
+                     "--tree-depth", "1", "--fanout", "4", "--ops",
+                     "12", "--clients", "2", "--seed", "0",
+                     "--json"]) == 0
+        bench = json.loads(capsys.readouterr().out)
+        assert bench.pop("jobs") == 1
+        assert record == bench
 
     def test_chaos_campaign_dedupes_by_fingerprint(self, tmp_path):
         # recovery=False reintroduces the lost-acked-data bug: many
@@ -703,6 +710,17 @@ class TestCampaignCli:
         assert payload["record"]["runs"] == 2
         assert os.path.exists(payload["report"])
         assert os.path.exists(os.path.join(report, "fold.json"))
+
+    def test_campaign_bench_record_is_the_bench_record(self, capsys):
+        from repro.cli import main
+        point = ["--runs", "2", "--readers", "2", "--scale", "0.03",
+                 "--json"]
+        assert main(["campaign", "bench", "--jobs", "2"] + point) == 0
+        campaign = json.loads(capsys.readouterr().out)
+        assert main(["bench"] + point) == 0
+        bench = json.loads(capsys.readouterr().out)
+        assert bench.pop("jobs") == 1
+        assert campaign["record"] == bench
 
     def test_campaign_refuses_journal_reuse(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,5 +1,7 @@
 """Unit tests for drive presets and partitioning."""
 
+import dataclasses
+
 import pytest
 
 from repro.disk import (IBM_DDYS_T36950N, Partition, WDC_WD200BB,
@@ -27,6 +29,17 @@ class TestDriveSpecs:
         ide = WDC_WD200BB.build(sim)
         assert scsi.tagged_queueing
         assert not ide.tagged_queueing
+
+    def test_build_gives_cache_the_preset_replacement(self):
+        sim = Simulator()
+        assert IBM_DDYS_T36950N.build(sim).cache.replacement == "lru"
+        assert WDC_WD200BB.build(sim).cache.replacement == "mru"
+
+    def test_build_rejects_unknown_replacement(self):
+        spec = dataclasses.replace(IBM_DDYS_T36950N,
+                                   cache_replacement="fifo")
+        with pytest.raises(ValueError, match="replacement policy"):
+            spec.build(Simulator())
 
     def test_build_names_drive(self):
         sim = Simulator()

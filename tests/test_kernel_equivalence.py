@@ -151,7 +151,7 @@ def render_campaign(journal: str):
     outcome = run_spec_campaign(
         spec, journal,
         options=CampaignOptions(workers=2, retry_backoff=0.01))
-    record, _throughputs = fold_bench(spec, outcome)
+    record = fold_bench(spec, outcome.fold())
     return fold_json(outcome).encode(), canonical(record)
 
 
