@@ -1,7 +1,7 @@
 """Shared configuration for the figure-regeneration benchmarks.
 
-Each benchmark runs one paper experiment end to end in the simulator,
-prints the regenerated figure, and archives it under
+Each benchmark runs one paper experiment or ablation end to end in the
+simulator, prints the regenerated figure, and archives it under
 ``benchmarks/results/``.  pytest-benchmark wraps the run so the wall
 cost of each experiment is tracked too.
 
@@ -16,8 +16,6 @@ Environment knobs:
 import os
 import pathlib
 
-import pytest
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -31,32 +29,3 @@ def bench_runs(default: int = 2) -> int:
 
 def bench_seed() -> int:
     return int(os.environ.get("REPRO_BENCH_SEED", "0"))
-
-
-@pytest.fixture
-def figure_runner(benchmark):
-    """Run a registered experiment under pytest-benchmark and archive
-    the rendered figure."""
-
-    def run(experiment_id: str, runs: int = None, **kwargs):
-        from repro.experiments import get
-
-        experiment = get(experiment_id)
-        settings = dict(scale=bench_scale(),
-                        runs=runs if runs is not None else bench_runs(),
-                        seed=bench_seed())
-        settings.update(kwargs)
-        figure = benchmark.pedantic(
-            lambda: experiment.run(**settings), rounds=1, iterations=1)
-        rendered = figure.render()
-        print()
-        print(rendered)
-        print(f"(paper claim: {experiment.paper_claim})")
-        RESULTS_DIR.mkdir(exist_ok=True)
-        out = RESULTS_DIR / f"{experiment_id}.txt"
-        out.write_text(rendered + "\n\nsettings: " + repr(settings)
-                       + "\npaper claim: " + experiment.paper_claim
-                       + "\n")
-        return figure
-
-    return run

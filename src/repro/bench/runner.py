@@ -86,13 +86,6 @@ class FaultRunResult(RunResult):
             return 0.0
         return self.reader_errors / self.read_attempts
 
-    @property
-    def dupreq_hit_rate(self) -> float:
-        """Cache answers per retransmitted request (0 if none resent)."""
-        if self.retransmits == 0:
-            return 0.0
-        return self.dupreq_hits / self.retransmits
-
 
 def _local_open(fs, inode, span=None):
     """:meth:`FileSystem.open` as the generator the readers expect."""

@@ -90,6 +90,27 @@ _output_file = _checked(
     "a file in an existing directory")
 
 
+def _makeable_dir(path: str) -> bool:
+    """Whether ``path`` is a directory or one can be made there: the
+    nearest of it and its ancestors that exists is a directory."""
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path)
+
+
+# The journal, history, report and bundle writers make their missing
+# directories, but none can make one under a regular file.
+_journal_file = _checked(
+    str, lambda path: _makeable_dir(os.path.dirname(path)),
+    "a file whose directory exists or can be made")
+_history_file = _checked(
+    _journal_file, lambda path: not os.path.isdir(path),
+    "a file, not a directory")
+_output_dir = _checked(str, _makeable_dir,
+                       "a directory that exists or can be made")
+
+
 def _fileset_error(readers: int, scale: float) -> Optional[str]:
     """Why ``readers`` readers get no files at ``scale``, or None."""
     try:
@@ -207,7 +228,7 @@ def _bench_flags(parser: argparse.ArgumentParser, runs: int) -> None:
                         help="concurrent sequential readers (default: 4)")
     _point_flags(parser, runs)
     parser.add_argument("--history", metavar="PATH", nargs="?",
-                        const=True, default=None,
+                        const=True, default=None, type=_history_file,
                         help="append the JSON record to the bench "
                              "history store (default: "
                              "benchmarks/results/history.jsonl); "
@@ -222,6 +243,7 @@ def _orchestrator_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--jobs", type=_positive_int, default=jobs,
                         help="worker processes to shard cells across")
     parser.add_argument("--journal", metavar="PATH", default=None,
+                        type=_journal_file,
                         help="campaign journal (JSONL); every completed "
                              "cell is committed here before anything "
                              "else happens, making the campaign "
@@ -233,6 +255,7 @@ def _orchestrator_flags(parser: argparse.ArgumentParser,
                              "not re-run, and the final fold is "
                              "byte-identical to an uninterrupted run")
     parser.add_argument("--report", metavar="DIR", default=None,
+                        type=_output_dir,
                         help="write a per-campaign report directory "
                              "(fold.json, cells.csv, coverage.json, "
                              "report.html)")
@@ -282,6 +305,7 @@ def _chaos_flags(parser: argparse.ArgumentParser, budget: int,
     parser.add_argument("--shrink-runs", type=_positive_int, default=48,
                         help="run budget per failure for the shrinker")
     parser.add_argument("--bundle-dir", metavar="DIR", default=None,
+                        type=_output_dir,
                         help="shrink and bundle one repro per distinct "
                              "failure into DIR")
     _orchestrator_flags(parser, jobs)
@@ -575,7 +599,8 @@ def _bench_spec(args, **workload):
 
 
 def _main_bench(parser: argparse.ArgumentParser, args) -> int:
-    from .campaign import bench_results, fold_bench, namespace_point
+    from .campaign import (CampaignIncomplete, bench_results, fold_bench,
+                           namespace_point)
     spec = _bench_spec(args, workload=args.workload,
                        pattern=args.pattern, files=args.files,
                        tree_depth=args.tree_depth, fanout=args.fanout,
@@ -588,7 +613,12 @@ def _main_bench(parser: argparse.ArgumentParser, args) -> int:
             parser.error(str(error))
     else:
         _check_fileset(parser, args.readers, args.scale)
-    record = fold_bench(spec, bench_results(spec, args.jobs))
+    try:
+        results = bench_results(spec, args.jobs)
+    except CampaignIncomplete as error:
+        print(f"bench: {error}", file=sys.stderr)
+        return 4
+    record = fold_bench(spec, results)
     record["jobs"] = args.jobs
     record_json = json.dumps(record, sort_keys=True)
     if args.json or args.out is not None:

@@ -63,9 +63,6 @@ class DiagnosisInputs:
               default: float = 0.0) -> float:
         return snapshot.get("gauges", {}).get(name, default)
 
-    def contexts(self) -> List[Optional[dict]]:
-        return [snap.get("_context") for snap in self.snapshots]
-
 
 def split_runs(spans: List[Span]) -> List[List[Span]]:
     """Split a session-wide span stream back into per-run streams.

@@ -78,13 +78,6 @@ class EvidenceChain:
     def hop_total(self) -> float:
         return sum(hop.duration for hop in self.hops)
 
-    def dominant_hop(self) -> Optional[EvidenceHop]:
-        best: Optional[EvidenceHop] = None
-        for hop in self.hops:
-            if best is None or hop.duration > best.duration:
-                best = hop
-        return best
-
     def to_jsonable(self) -> dict:
         return {"op": self.op_id, "name": self.op_name,
                 "layer": self.op_layer, "run": self.run,

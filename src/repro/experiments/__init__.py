@@ -1,5 +1,5 @@
 """One reproduction module per paper figure/table, plus the registry."""
 
-from .registry import Experiment, all_experiments, get, register
+from .registry import Claim, Experiment, all_experiments, get, register
 
-__all__ = ["Experiment", "register", "get", "all_experiments"]
+__all__ = ["Claim", "Experiment", "register", "get", "all_experiments"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
 from .common import completion_distribution
-from .registry import register
+from .registry import Claim, register
 
 
 @register(
@@ -26,7 +26,27 @@ from .registry import register
     paper_claim=("Elevator: staircase, last job 6-7x the first. "
                  "N-CSCAN: flat distribution but all jobs much slower. "
                  "Firmware (tags): fairer than N-CSCAN, worst "
-                 "throughput."))
+                 "throughput."),
+    claims=[
+        Claim("fig3/elevator-staircase",
+              "elevator: ide1's last of 8 readers takes over 4x its first",
+              lambda f: f["fig3"].mean("ide1/elevator", 8)
+              / f["fig3"].mean("ide1/elevator", 1) > 4.0),
+        Claim("fig3/ncscan-is-fair",
+              "N-CSCAN: ide1's last of 8 readers takes under 1.25x its first",
+              lambda f: f["fig3"].mean("ide1/n-cscan", 8)
+              / f["fig3"].mean("ide1/n-cscan", 1) < 1.25),
+        Claim("fig3/fairness-costs-throughput",
+              "ide1's last reader is 1.5x later with N-CSCAN than elevator",
+              lambda f: f["fig3"].mean("ide1/n-cscan", 8)
+              > 1.5 * f["fig3"].mean("ide1/elevator", 8)),
+        Claim("fig3/firmware-fair-but-slowest",
+              "tags: scsi1's last reader under 2x its first, after no-tags'",
+              lambda f: f["fig3"].mean("scsi1/elevator/tags", 8)
+              / f["fig3"].mean("scsi1/elevator/tags", 1) < 2.0
+              and f["fig3"].mean("scsi1/elevator/tags", 8)
+              > f["fig3"].mean("scsi1/elevator/no-tags", 8)),
+    ])
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     configs = [
         ("ide1/elevator", TestbedConfig(drive="ide", partition=1,

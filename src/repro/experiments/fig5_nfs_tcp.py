@@ -16,7 +16,7 @@ from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
 from .common import sweep
-from .registry import register
+from .registry import Claim, register
 
 
 @register(
@@ -24,7 +24,20 @@ from .registry import register
     title="The speed of NFS over TCP",
     paper_claim=("TCP throughput is relatively constant as concurrency "
                  "rises; UDP's low-concurrency advantage attenuates and "
-                 "can invert at 16-32 readers."))
+                 "can invert at 16-32 readers."),
+    claims=[
+        Claim("fig5/udp-beats-tcp-at-low-concurrency",
+              "one ide1 reader gets 1.2x more over fig4's UDP than over "
+              "TCP; every TCP ide1 point is positive",
+              lambda f: f["fig4"].mean("ide1", 1)
+              > 1.2 * f["fig5"].mean("ide1", 1)
+              and all(mean > 0 for mean in f["fig5"].get("ide1").means)),
+        Claim("fig5/tcp-flatter-than-udp",
+              "TCP scsi1 is positive and falls less from 1 to 32 than UDP's",
+              lambda f: all(mean > 0 for mean in f["fig5"].get("scsi1").means)
+              and f["fig5"].mean("scsi1", 1) / f["fig5"].mean("scsi1", 32)
+              < f["fig4"].mean("scsi1", 1) / f["fig4"].mean("scsi1", 32)),
+    ])
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     configs = [
         ("ide1", TestbedConfig(drive="ide", partition=1,

@@ -22,7 +22,7 @@ from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
 from .common import sweep
-from .registry import register
+from .registry import Claim, register
 
 
 @register(
@@ -31,7 +31,22 @@ from .registry import register
     paper_claim=("The enlarged nfsheur restores Always-level throughput "
                  "beyond four readers; SlowDown makes no further "
                  "improvement; 'an entry per active file' beats "
-                 "'accurate entries'."))
+                 "'accurate entries'."),
+    claims=[
+        Claim("fig7/new-table-recovers-always-level",
+              "enlarged table: Default reaches 70% of Always at 32 readers",
+              lambda f: f["fig7"].mean("default/new-nfsheur", 32)
+              > 0.7 * f["fig7"].mean("always", 32)),
+        Claim("fig7/default-table-is-the-bottleneck",
+              "at 32 readers Default is 1.2x faster with the enlarged table",
+              lambda f: f["fig7"].mean("default/new-nfsheur", 32)
+              > 1.2 * f["fig7"].mean("default/default-nfsheur", 32)),
+        Claim("fig7/slowdown-adds-nothing-over-new-table",
+              "enlarged table: SlowDown within 35% of Default at 32 readers",
+              lambda f: abs(f["fig7"].mean("slowdown/new-nfsheur", 32)
+                            - f["fig7"].mean("default/new-nfsheur", 32))
+              / f["fig7"].mean("default/new-nfsheur", 32) < 0.35),
+    ])
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     base = dict(drive="ide", partition=1, transport="udp",
                 client_busy_loops=4)

@@ -15,7 +15,7 @@ from ..bench.runner import run_stride_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
 from .common import sweep
-from .registry import register
+from .registry import Claim, register
 
 STRIDES = (2, 4, 8)
 
@@ -39,12 +39,45 @@ def stride_configs():
     ]
 
 
+def stride_claims(experiment_id: str):
+    """Figure 8's claims, on ``experiment_id``'s figure of the
+    :func:`stride_configs` cells (fig8 or table1)."""
+    def mean(f, label, strides):
+        return f[experiment_id].mean(label, strides)
+
+    def gain(f, strides):
+        return mean(f, "ide1/cursor", strides) / mean(f, "ide1/default",
+                                                      strides)
+
+    return [
+        Claim(f"{experiment_id}/cursor-beats-default-in-every-cell",
+              "cursor beats default read-ahead by 1.15x in all six cells",
+              lambda f: all(mean(f, f"{fs}/cursor", strides)
+                            > 1.15 * mean(f, f"{fs}/default", strides)
+                            for fs in ("ide1", "scsi1")
+                            for strides in STRIDES)),
+        Claim(f"{experiment_id}/ide-default-dips-at-eight-strides",
+              "ide1 default at 8 strides is under 80% of its 2-stride rate",
+              lambda f: mean(f, "ide1/default", 8)
+              < 0.8 * mean(f, "ide1/default", 2)),
+        Claim(f"{experiment_id}/scsi-default-stays-flat",
+              "scsi1 default at 8 strides keeps 75% of its 2-stride rate",
+              lambda f: mean(f, "scsi1/default", 8)
+              > 0.75 * mean(f, "scsi1/default", 2)),
+        Claim(f"{experiment_id}/ide-gain-largest-at-eight-strides",
+              "ide1's cursor-over-default gain is largest at 8 strides",
+              lambda f: all(gain(f, 8) >= gain(f, strides)
+                            for strides in STRIDES)),
+    ]
+
+
 @register(
     id="fig8",
     title="Throughput for stride readers using UDP",
     paper_claim=("Cursor read-ahead is >=50% faster on stride reads; "
                  "scsi1 60-70% faster throughout; ide1 gains most at "
-                 "s=8 (~140%) because its default curve dips there."))
+                 "s=8 (~140%) because its default curve dips there."),
+    claims=stride_claims("fig8"))
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     return sweep(
         SeriesSet("Figure 8: stride readers, cursor vs default read-ahead",

@@ -23,7 +23,7 @@ import functools
 from ..bench.runner import run_stride_once
 from ..stats import SeriesSet
 from .common import sweep
-from .fig8_stride import STRIDES, stride_configs
+from .fig8_stride import STRIDES, stride_claims, stride_configs
 from .registry import register
 
 
@@ -32,7 +32,8 @@ from .registry import register
     title="Mean stride-read throughput, default vs cursor",
     paper_claim=("Cursor beats default by >=50% in all six cells; "
                  "ide1 default dips at s=8 while scsi1 default stays "
-                 "~8-9 MB/s."))
+                 "~8-9 MB/s."),
+    claims=stride_claims("table1"))
 def run(scale: float = 0.125, runs: int = 10, seed: int = 0) -> SeriesSet:
     return sweep(
         SeriesSet("Table 1: stride-read throughput, mean (std) over runs",

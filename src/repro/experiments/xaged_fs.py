@@ -21,7 +21,7 @@ from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
 from .common import sweep
-from .registry import register
+from .registry import Claim, register
 
 READERS = 8
 FRAGMENTATION = (0.0, 0.25, 0.5, 0.75)
@@ -32,7 +32,15 @@ FRAGMENTATION = (0.0, 0.25, 0.5, 0.75)
     title="Extension: read-ahead value on an aged (fragmented) FS",
     paper_claim=("Section 3: 'any benefit we see for a fresh file "
                  "system should be even more pronounced on an aged "
-                 "file system.'"))
+                 "file system.'"),
+    claims=[
+        Claim("xaged/readahead-value-stays-large",
+              "Always beats no read-ahead by over 3x at every fragmentation",
+              lambda f: all(f["xaged"].mean("always", fragmentation)
+                            > 3 * f["xaged"].mean("no-readahead",
+                                                  fragmentation)
+                            for fragmentation in FRAGMENTATION)),
+    ])
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     figure = SeriesSet(
         "Extension X2: aging the file system (8 readers, ide1/UDP)",

@@ -27,7 +27,7 @@ from ..bench.runner import run_faulted_once
 from ..faults import FaultSpec, NetworkFaults
 from ..host.testbed import TestbedConfig
 from ..stats import RunningSummary, SeriesSet
-from .registry import register
+from .registry import Claim, register
 
 READERS = 4
 #: Mean frame-loss rates swept; bursts average BURST_FRAMES frames.
@@ -52,7 +52,24 @@ def _config(transport: str, soft: bool, mean_loss: float,
                  "behaviour under adverse conditions — TCP degrades "
                  "gracefully where UDP's all-or-nothing datagrams and "
                  "coarse retransmission timer collapse; soft mounts "
-                 "convert unbounded delay into client-visible errors."))
+                 "convert unbounded delay into client-visible errors."),
+    claims=[
+        Claim("xfaults/goodput-never-rises-with-loss",
+              "hard-mount goodput never rises with mean loss, over UDP or TCP",
+              lambda f: all(f["xfaults"].get(label).means
+                            == sorted(f["xfaults"].get(label).means,
+                                      reverse=True)
+                            for label in ("udp-hard", "tcp-hard"))),
+        # TCP's per-segment recovery degrades far more gracefully than
+        # UDP's all-or-nothing datagrams at high burst loss (§5.4).
+        Claim("xfaults/tcp-beats-udp-at-heavy-loss",
+              "at 6% mean loss TCP's hard-mount goodput is over 2x UDP's",
+              lambda f: f["xfaults"].mean("tcp-hard", 0.06)
+              > 2 * f["xfaults"].mean("udp-hard", 0.06)),
+        Claim("xfaults/tcp-soft-no-errors-without-loss",
+              "a soft TCP mount fails no reads at zero loss",
+              lambda f: f["xfaults"].mean("tcp-soft err%", 0.0) == 0.0),
+    ])
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     figure = SeriesSet(
         "Extension X4: goodput under bursty loss (4 readers, ide1)",

@@ -22,7 +22,7 @@ from ..bench.runner import run_nfs_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
 from .common import sweep
-from .registry import register
+from .registry import Claim, register
 
 READERS = 4
 LOSS_RATES = (0.0, 0.001, 0.005, 0.02)
@@ -33,7 +33,17 @@ LOSS_RATES = (0.0, 0.001, 0.005, 0.02)
     title="Extension: UDP vs TCP under frame loss",
     paper_claim=("Sections 2/5.4: with packet loss, TCP's per-segment "
                  "recovery beats UDP's all-or-nothing datagrams and "
-                 "coarse RPC retransmission."))
+                 "coarse RPC retransmission."),
+    claims=[
+        Claim("xlossy/udp-collapses-tcp-degrades",
+              "2% loss: UDP keeps under 10%, TCP over 30%; 0.5%: TCP 3x UDP",
+              lambda f: f["xlossy"].mean("udp", 0.02)
+              < 0.1 * f["xlossy"].mean("udp", 0.0)
+              and f["xlossy"].mean("tcp", 0.02)
+              > 0.3 * f["xlossy"].mean("tcp", 0.0)
+              and f["xlossy"].mean("tcp", 0.005)
+              > 3 * f["xlossy"].mean("udp", 0.005)),
+    ])
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     figure = SeriesSet(
         "Extension X3: frame loss (4 readers, ide1)",

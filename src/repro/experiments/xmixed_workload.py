@@ -19,7 +19,7 @@ from ..bench.mixed import run_mixed_once
 from ..host.testbed import TestbedConfig
 from ..stats import SeriesSet
 from .common import sweep
-from .registry import register
+from .registry import Claim, register
 
 READERS = 8
 WRITER_COUNTS = (0, 2, 4)
@@ -29,7 +29,16 @@ WRITER_COUNTS = (0, 2, 4)
     id="xmixed",
     title="Extension: read throughput under mixed write/metadata load",
     paper_claim=("Section 8 future work: heuristic benefits should "
-                 "survive the addition of write and metadata traffic."))
+                 "survive the addition of write and metadata traffic."),
+    claims=[
+        Claim("xmixed/writers-erode-reads-ordering-survives",
+              "4 writers slow every config; Always keeps 90% of stock's",
+              lambda f: f["xmixed"].mean("always", 0) > 0
+              and all(f["xmixed"].mean(label, 4) < f["xmixed"].mean(label, 0)
+                      for label in f["xmixed"].labels)
+              and f["xmixed"].mean("always", 4)
+              >= 0.9 * f["xmixed"].mean("default/default-nfsheur", 4)),
+    ])
 def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
     figure = SeriesSet(
         "Extension X1: mixed workload (8 readers + N writers, ide1/UDP)",

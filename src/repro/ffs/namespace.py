@@ -78,14 +78,6 @@ class Directory:
     # -- attributes ----------------------------------------------------
 
     @property
-    def is_dir(self) -> bool:
-        return True
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
-
-    @property
     def slot_count(self) -> int:
         """Slots in use including holes (the directory's "length")."""
         return self._next_slot

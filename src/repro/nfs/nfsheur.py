@@ -15,10 +15,10 @@ hard-wired optimum ("it is apparently more important to have an entry in
 nfsheur for each active file than it is for those entries to be
 completely accurate").
 
-Two parameter sets are shipped: :data:`DEFAULT_NFSHEUR`, scaled to
-thrash once more than a handful of files are concurrently active (the
-behaviour the paper observed with the stock kernel), and
-:data:`IMPROVED_NFSHEUR`, the enlarged table (their fix).
+Two parameter sets are shipped: :data:`DEFAULT_NFSHEUR`, the stock
+16-slot table, which thrashes once more files are concurrently active
+than it has slots (the behaviour the paper observed with the stock
+kernel), and :data:`IMPROVED_NFSHEUR`, the enlarged table (their fix).
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ INSTALL_SEQCOUNT = 4
 class NfsHeurParams:
     """Geometry of the nfsheur table.
 
-    A handle id is mixed multiplicatively before it is reduced modulo
-    the table size: vnodes are recycled from a freelist, so even
-    sequentially created files hash pseudo-randomly.
+    A handle id is mixed by an odd multiplier before it is reduced
+    modulo the table size, which on a power-of-two table permutes
+    ``id mod table_size``: consecutive handles take distinct slots.
     """
 
     table_size: int
@@ -79,10 +79,10 @@ class NfsHeurParams:
 #: the paper (§6.3: "network bandwidth, file system size, and NFS
 #: traffic have increased by two orders of magnitude since the
 #: parameters of the nfsheur hash table were chosen").  The stock
-#: table's sin is *size*, not hash quality.  With a 4-slot probe window
-#: over 16 slots, ejections start once roughly a dozen handles are
-#: active and become severe at 32 — partial, progressive degradation,
-#: as the paper observed.
+#: table's sin is *size*, not hash quality: consecutive handles take a
+#: slot each, so 16 concurrent readers eject nothing, while 32 overflow
+#: every 4-slot probe window (the paper saw the onset near 8 readers,
+#: which it puts down to the other handles active on its live server).
 DEFAULT_NFSHEUR = NfsHeurParams(table_size=16, max_probes=4)
 
 #: The paper's fix: enlarge the table so ejections are unlikely before

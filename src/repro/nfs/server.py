@@ -20,7 +20,7 @@ authors exploited in the real server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..faults.server import CRASH, ServerFaultInjector
 from ..ffs import (ENTRIES_PER_BLOCK, Directory, FileSystem, FsckReport,
@@ -324,12 +324,6 @@ class NfsServer:
                 break
             node = child
 
-    def export_tree(self, files: Iterable[Tuple[str, int]]
-                    ) -> List[FileHandle]:
-        """Export many ``(path, size)`` files (sorted for determinism)."""
-        return [self.export_file(path, size)
-                for path, size in sorted(files)]
-
     def fh_of(self, name: str) -> FileHandle:
         """Handle of an exported path (file or directory)."""
         node = self.fs.namespace.resolve(name)
@@ -344,11 +338,6 @@ class NfsServer:
         """
         return sorted((path, inode.size)
                       for path, inode in self.fs.namespace.walk_files())
-
-    def volatile_token(self, fh: FileHandle, block: int) -> int:
-        """The content token a READ of ``block`` would see (0 = never
-        written with tokens)."""
-        return self._volatile.get((fh.id, block), 0)
 
     def durable_token(self, fh: FileHandle, block: int) -> int:
         """The content token that would survive a crash right now."""

@@ -69,6 +69,10 @@ class SeriesSet:
     def labels(self) -> List[str]:
         return [s.label for s in self.series]
 
+    def mean(self, label: str, x: float) -> float:
+        """The mean of series ``label`` at ``x``."""
+        return self.get(label).at(x).mean
+
     def render(self, precision: int = 2, show_std: bool = True) -> str:
         """Render the figure as an aligned ASCII table.
 

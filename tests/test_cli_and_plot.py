@@ -68,9 +68,12 @@ _COMMAND_CHOICE = ("invalid choice: '{}' (choose from "
 _NAMESPACE = "bench --workload namespace"
 _REPLAY = "replay --capture t.jsonl --replay t.jsonl"
 _NO_DIR = "must be a file in an existing directory, got missing/"
+_NO_FILE_DIR = "must be a file whose directory exists or can be made, got "
+_NO_DIR_MADE = "must be a directory that exists or can be made, got "
 
 #: (argv, the diagnostic after "error: ") for input rejected at parse
-#: time with exit 2.
+#: time with exit 2.  ``F`` is a regular file and ``D`` a directory in
+#: the working directory.
 BAD_ARGV = [
     ("fig8 --runs 0", "argument --runs: must be positive, got 0"),
     ("fig8 --scale 0", "argument --scale: must be positive, got 0"),
@@ -184,6 +187,18 @@ BAD_ARGV = [
      f"argument --trace: {_NO_DIR}t.json"),
     ("replay --replay t.jsonl --provenance missing/p.jsonl",
      f"argument --provenance: {_NO_DIR}p.jsonl"),
+    ("bench --runs 1 --readers 1 --scale 0.02 --history F/h.jsonl",
+     f"argument --history: {_NO_FILE_DIR}F/h.jsonl"),
+    ("bench --runs 1 --readers 1 --scale 0.02 --history D",
+     "argument --history: must be a file, not a directory, got D"),
+    ("campaign bench --runs 1 --readers 1 --scale 0.02 "
+     "--journal F/j.jsonl", f"argument --journal: {_NO_FILE_DIR}F/j.jsonl"),
+    ("campaign chaos --budget 1 --report F/rep",
+     f"argument --report: {_NO_DIR_MADE}F/rep"),
+    ("campaign chaos --budget 1 --report F",
+     f"argument --report: {_NO_DIR_MADE}F"),
+    ("chaos fuzz --budget 2 --no-recovery --bundle-dir F/b",
+     f"argument --bundle-dir: {_NO_DIR_MADE}F/b"),
 ]
 
 
@@ -214,9 +229,11 @@ class TestCli:
     def test_non_positive_numbers_fail_at_parse_time(self, argv, message,
                                                      capsys, tmp_path,
                                                      monkeypatch):
-        """Bad numbers and names exit 2 with one diagnostic line before
-        anything runs or is written."""
+        """Bad numbers, names and paths exit 2 with one diagnostic line
+        before anything runs or is written."""
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("a file\n")
+        (tmp_path / "D").mkdir()
         with pytest.raises(SystemExit) as exit_:
             main(argv.split())
         assert exit_.value.code == 2
@@ -225,7 +242,10 @@ class TestCli:
         assert [line for line in err.splitlines() if "error:" in line] \
             == [err.splitlines()[-1]]
         assert err.splitlines()[-1].endswith(f"error: {message}")
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["D", "F"]
+        assert list((tmp_path / "D").iterdir()) == []
+        assert (tmp_path / "F").read_text() == "a file\n"
 
 
 class TestBenchVerb:
@@ -254,6 +274,25 @@ class TestBenchVerb:
         assert main(["bench", "--readers", "1", "--runs", "1",
                      "--scale", "0.02"]) == 0
         assert "MB/s" in capsys.readouterr().out
+
+    def test_abandoned_cell_is_one_line_and_exit_4(self, capsys,
+                                                   monkeypatch):
+        """A sharded run that abandons a cell reports it in one
+        ``bench:`` line and exits 4, as `campaign bench` does."""
+        from repro.campaign import cells, run_bench_cell
+
+        def broken_on_cell_1(spec, index):
+            if index == 1:
+                raise RuntimeError("cell 1 is broken")
+            return run_bench_cell(spec, index)
+
+        monkeypatch.setitem(cells._CELL_RUNNERS, "bench", broken_on_cell_1)
+        assert main(["bench", "--runs", "2", "--readers", "2",
+                     "--scale", "0.05", "--jobs", "2"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("bench: bench --jobs: 1/2 cells done")
+        assert "cell 1 is broken" in err and "Traceback" not in err
 
 
 class TestReplayVerb:

@@ -89,6 +89,18 @@ class TestTrapVerdicts:
             assert set(findings_by_detector(reports[experiment])) <= \
                 {"zcav", "tcq"}
 
+    def test_xreplay_repeats_flag_no_warmth(self, tmp_path):
+        """Each xreplay repeat re-multiplexes the trace from its own
+        seed: repeats of one client count replay different workloads,
+        so their differing cache hit rates are not warmth."""
+        metrics = str(tmp_path / "xreplay.metrics.json")
+        code, _out = run_cli(["xreplay", "--runs", "3", "--scale",
+                              "0.03125", "--metrics-out", metrics])
+        assert code == 0
+        code, out = run_cli(["diagnose", "--metrics", metrics, "--json"])
+        assert code == 0
+        assert "warmth" not in findings_by_detector(json.loads(out))
+
 
 class TestAttribution:
     def test_table_covers_the_request_path(self, reports):
