@@ -83,7 +83,19 @@ def load_trace_file(path: str) -> List[List[Span]]:
     """Read a ``--trace`` export back into per-run span streams."""
     with open(path) as handle:
         text = handle.read()
-    return split_runs(loads_trace(text))
+    return split_runs(loads_trace(text, source=path))
+
+
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``; ``ValueError`` naming it otherwise."""
+    with open(path) as handle:
+        try:
+            payload = json.load(handle)
+        except ValueError as error:
+            raise ValueError(f"{path}: not JSON: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected {what} JSON object")
+    return payload
 
 
 def load_metrics_file(path: str) -> Tuple[List[dict], dict]:
@@ -92,28 +104,27 @@ def load_metrics_file(path: str) -> Tuple[List[dict], dict]:
     Accepts either the session format ``{"snapshots": [...],
     "merged": {...}}`` or a single registry snapshot, for ad-hoc use.
     """
-    with open(path) as handle:
-        payload = json.load(handle)
+    payload = _load_json_object(path, "a metrics")
     if "snapshots" in payload:
         snapshots = payload["snapshots"]
-        merged = payload.get("merged") or merge_snapshots(
-            [snap for snap in snapshots])
-        return snapshots, merged
+        merged = payload.get("merged")
+        if not (isinstance(snapshots, list)
+                and all(isinstance(snap, dict) for snap in snapshots)
+                and isinstance(merged, (dict, type(None)))):
+            raise ValueError(f"{path}: expected snapshots as a list of "
+                             f"objects and merged as an object")
+        return snapshots, merged or merge_snapshots(snapshots)
     return [payload], merge_snapshots([payload])
 
 
 def load_provenance_file(path: str) -> List[ProvRecord]:
     """Read a ``--provenance`` JSONL export back into records."""
     with open(path) as handle:
-        return loads_provenance(handle.read())
+        return loads_provenance(handle.read(), source=path)
 
 
 def load_bench_file(path: str) -> dict:
-    with open(path) as handle:
-        record = json.load(handle)
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: expected a bench JSON object")
-    return record
+    return _load_json_object(path, "a bench")
 
 
 def build_inputs(trace_path: Optional[str] = None,

@@ -21,8 +21,7 @@ one-way.
 """
 
 from .core import NULL_OBS, Observability
-from .export import (LAYER_CATEGORIES, dumps_trace, loads_trace,
-                     to_trace_events)
+from .export import LAYER_CATEGORIES, dumps_trace, loads_trace
 from .metrics import (HISTOGRAM_BOUNDS, NULL_REGISTRY, Counter, Gauge,
                       LatencyHistogram, MetricsRegistry,
                       NullMetricsRegistry, merge_snapshots,
@@ -32,8 +31,7 @@ from .provenance import (EDGE_COALESCED_WITH, EDGE_DISPATCHED_AFTER,
                          EDGE_RETRIED_AS, EDGE_SERVED_FROM_CACHE,
                          NULL_PROVENANCE, NullProvenanceGraph, ProvEdge,
                          ProvNote, ProvenanceGraph, dumps_provenance,
-                         flow_events, index_by_node, loads_provenance,
-                         to_dot)
+                         index_by_node, loads_provenance, to_dot)
 from .session import ObsSession, active_session, observe
 from .span import (NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanTracer,
                    check_well_formed)
@@ -45,12 +43,11 @@ __all__ = [
     "MetricsRegistry", "NullMetricsRegistry", "NULL_REGISTRY",
     "Counter", "Gauge", "LatencyHistogram", "HISTOGRAM_BOUNDS",
     "merge_snapshots", "render_snapshot",
-    "LAYER_CATEGORIES", "to_trace_events", "dumps_trace", "loads_trace",
+    "LAYER_CATEGORIES", "dumps_trace", "loads_trace",
     "ProvenanceGraph", "NullProvenanceGraph", "NULL_PROVENANCE",
     "ProvEdge", "ProvNote", "EDGE_KINDS", "EDGE_ISSUED",
     "EDGE_QUEUED_BEHIND", "EDGE_COALESCED_WITH", "EDGE_RETRIED_AS",
     "EDGE_SERVED_FROM_CACHE", "EDGE_DISPATCHED_AFTER",
-    "dumps_provenance", "loads_provenance", "to_dot", "flow_events",
-    "index_by_node",
+    "dumps_provenance", "loads_provenance", "to_dot", "index_by_node",
     "ObsSession", "observe", "active_session",
 ]

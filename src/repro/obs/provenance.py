@@ -44,14 +44,15 @@ bit-identical to a disabled one.
 
 Exports: JSONL (:func:`dumps_provenance` / :func:`loads_provenance`,
 byte-identical round trip), Graphviz (:func:`to_dot`), and Perfetto
-flow events (:func:`flow_events`) that overlay arrows on the Chrome
-trace-event export of the same run.
+flow events that overlay arrows on the Chrome trace-event export of
+the same run (:func:`repro.obs.export.dumps_trace` with the records).
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from json.encoder import encode_basestring_ascii
 from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
                     Tuple, Union)
 
@@ -77,6 +78,12 @@ EDGE_KINDS = (
     EDGE_QUEUED_BEHIND,
     EDGE_DISPATCHED_AFTER,
 )
+
+#: The encoder every obs writer shares: ``json.dumps(...,
+#: sort_keys=True, separators=(",", ":"))`` without building an encoder
+#: per call.
+encode_compact = json.JSONEncoder(sort_keys=True,
+                                  separators=(",", ":")).encode
 
 #: How many queued-behind edges a single queue residency may emit; the
 #: true count is always carried as the ``behind`` note/arg, the edges
@@ -266,63 +273,97 @@ class OvertakeLog:
 # --------------------------------------------------------------------
 # JSONL export / import (byte-identical round trip)
 
-def _record_jsonable(record: ProvRecord) -> dict:
-    if isinstance(record, ProvEdge):
-        return {"type": "edge", "kind": record.kind, "src": record.src,
-                "dst": record.dst, "t": record.t, "run": record.run,
-                "args": record.args}
-    return {"type": "note", "node": record.node, "t": record.t,
-            "run": record.run, "args": record.args}
-
-
 def dumps_provenance(records: List[ProvRecord]) -> str:
     """Serialize a record stream as deterministic JSONL.
 
     Line 1 is a self-describing header; each following line is one
-    edge or note, in record order.  ``json.dumps`` with sorted keys and
-    ``repr``-shortest floats makes
-    ``dumps(loads(dumps(records)))`` byte-identical to
-    ``dumps(records)``.
+    edge or note, in record order, written straight from the record's
+    fields in one pass.  The bytes equal ``json.dumps`` of the record's
+    object with sorted keys and compact separators, whose
+    ``repr``-shortest floats make ``dumps(loads(dumps(records)))``
+    byte-identical to ``dumps(records)``.
     """
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    encode = encode_compact
+    quote = encode_basestring_ascii
     lines = [encode({"format": PROVENANCE_FORMAT,
                      "version": PROVENANCE_VERSION,
                      "records": len(records)})]
-    lines.extend(encode(_record_jsonable(record)) for record in records)
+    for record in records:
+        if isinstance(record, ProvEdge):
+            lines.append(f'{{"args":{encode(record.args)},'
+                         f'"dst":{record.dst},"kind":{quote(record.kind)},'
+                         f'"run":{record.run},"src":{record.src},'
+                         f'"t":{record.t!r},"type":"edge"}}')
+        else:
+            lines.append(f'{{"args":{encode(record.args)},'
+                         f'"node":{record.node},"run":{record.run},'
+                         f'"t":{record.t!r},"type":"note"}}')
     return "\n".join(lines) + "\n"
 
 
-def loads_provenance(text: str) -> List[ProvRecord]:
-    """Reconstruct the record stream from :func:`dumps_provenance`."""
+def loads_provenance(text: str,
+                     source: str = "provenance") -> List[ProvRecord]:
+    """Reconstruct the record stream from :func:`dumps_provenance`.
+
+    Text that is not provenance JSONL raises ``ValueError`` naming
+    ``source`` (the file), the line and what is wrong.
+    """
     lines = [line for line in text.splitlines() if line]
     if not lines:
         return []
-    header = json.loads(lines[0])
-    if header.get("format") != PROVENANCE_FORMAT:
-        raise ValueError("not a repro-provenance JSONL file")
+
+    def bad(index: int, what: str) -> ValueError:
+        """The error for ``lines[index]``, by its line in ``text``."""
+        numbers = [number for number, line
+                   in enumerate(text.splitlines(), 1) if line]
+        return ValueError(f"{source}:{numbers[index]}: {what}")
+
+    try:
+        header = json.loads(lines[0])
+    except ValueError as error:
+        raise bad(0, f"not JSON: {error}") from None
+    if not isinstance(header, dict) \
+            or header.get("format") != PROVENANCE_FORMAT:
+        raise bad(0, "not a repro-provenance JSONL header")
     if header.get("version") != PROVENANCE_VERSION:
-        raise ValueError(f"unsupported provenance version "
-                         f"{header.get('version')!r}")
+        raise bad(0, f"unsupported provenance version "
+                     f"{header.get('version')!r}")
     # One parse for every record line: they are objects, so joined by
     # commas they form one array with exactly one element per line.
-    payloads = json.loads("[" + ",".join(lines[1:]) + "]")
-    if len(payloads) != len(lines) - 1:
-        raise ValueError("provenance records must be one JSON object "
-                         "per line")
+    try:
+        payloads = json.loads("[" + ",".join(lines[1:]) + "]")
+    except ValueError:
+        payloads = None
+    if payloads is None or len(payloads) != len(lines) - 1:
+        for index in range(1, len(lines)):
+            try:
+                json.loads(lines[index])
+            except ValueError as error:
+                raise bad(index, f"not JSON: {error}") from None
+        raise bad(1, "provenance records must be one JSON object "
+                     "per line")
     records: List[ProvRecord] = []
-    for payload in payloads:
-        if payload["type"] == "edge":
-            records.append(ProvEdge(payload["kind"], payload["src"],
-                                    payload["dst"], payload["t"],
-                                    payload.get("args", {}),
-                                    payload.get("run", 0)))
-        elif payload["type"] == "note":
-            records.append(ProvNote(payload["node"], payload["t"],
-                                    payload.get("args", {}),
-                                    payload.get("run", 0)))
-        else:
-            raise ValueError(f"unknown provenance record type "
-                             f"{payload['type']!r}")
+    index = 0
+    try:
+        for index, payload in enumerate(payloads, 1):
+            kind = payload["type"]
+            if kind == "edge":
+                records.append(ProvEdge(payload["kind"], payload["src"],
+                                        payload["dst"], payload["t"],
+                                        payload.get("args", {}),
+                                        payload.get("run", 0)))
+            elif kind == "note":
+                records.append(ProvNote(payload["node"], payload["t"],
+                                        payload.get("args", {}),
+                                        payload.get("run", 0)))
+            else:
+                raise bad(index, f"unknown provenance record type "
+                                 f"{kind!r}")
+    except KeyError as error:
+        raise bad(index, f"record has no {error.args[0]!r} "
+                         f"field") from None
+    except (AttributeError, TypeError):
+        raise bad(index, "expected an object per line") from None
     return records
 
 
@@ -373,54 +414,6 @@ def to_dot(records: List[ProvRecord],
                      f'[label="{record.kind}", style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------
-# Perfetto flow-event export
-
-def flow_events(records: List[ProvRecord],
-                spans: List[Span]) -> List[dict]:
-    """Chrome trace_event flow events ("s"/"f" pairs) for the edges.
-
-    Appended to the ``traceEvents`` of the same run's span export,
-    these render as arrows between slices in Perfetto.  Flow ids are
-    the 1-based edge ordinal — unique per export by construction (the
-    property tests assert it).  Edges whose endpoints are not in the
-    span stream are skipped: an arrow needs two slices to bind to.
-    """
-    from .export import to_trace_events  # avoid cycle at import time
-    return flow_events_between(records,
-                               to_trace_events(spans)["traceEvents"])
-
-
-def flow_events_between(records: List[ProvRecord],
-                        trace_events: List[dict]) -> List[dict]:
-    """The flow events of :func:`flow_events`, bound to ``trace_events``.
-
-    ``trace_events`` is the ``traceEvents`` list of a span export the
-    caller already holds (:func:`~repro.obs.export.to_trace_events`),
-    so the spans are not exported a second time to find the slices.
-    """
-    slices: Dict[int, dict] = {}
-    for event in trace_events:
-        slices[event["args"]["span_id"]] = event
-    events: List[dict] = []
-    flow_id = 0
-    for record in records:
-        if not isinstance(record, ProvEdge):
-            continue
-        src = slices.get(record.src)
-        dst = slices.get(record.dst)
-        if src is None or dst is None:
-            continue
-        flow_id += 1
-        common = {"cat": "provenance", "name": record.kind,
-                  "id": flow_id}
-        events.append(dict(common, ph="s", pid=src["pid"],
-                           tid=src["tid"], ts=src["ts"]))
-        events.append(dict(common, ph="f", bp="e", pid=dst["pid"],
-                           tid=dst["tid"], ts=dst["ts"]))
-    return events
 
 
 # --------------------------------------------------------------------

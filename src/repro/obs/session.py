@@ -23,9 +23,8 @@ from typing import Dict, List, Optional
 
 from .core import Observability
 from .metrics import merge_snapshots, render_snapshot
-from .export import to_trace_events
-from .provenance import (ProvEdge, ProvRecord, dumps_provenance,
-                         flow_events_between, to_dot)
+from .export import dumps_trace
+from .provenance import ProvEdge, ProvRecord, dumps_provenance, to_dot
 from .span import Span
 
 _ACTIVE: Optional["ObsSession"] = None
@@ -97,15 +96,8 @@ class ObsSession:
             self.snapshots.append(snapshot)
 
     def trace_json(self) -> str:
-        """Trace-event JSON; provenance runs gain flow-event arrows.
-
-        The span events are built once and the arrows bound to them.
-        """
-        payload = to_trace_events(self.spans)
-        events = payload["traceEvents"]
-        events.extend(flow_events_between(self.prov_records, events))
-        return json.dumps(payload, sort_keys=True,
-                          separators=(",", ":"))
+        """Trace-event JSON; provenance runs gain flow-event arrows."""
+        return dumps_trace(self.spans, self.prov_records)
 
     def provenance_jsonl(self) -> str:
         """The session's causal graph as provenance JSONL."""

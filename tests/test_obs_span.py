@@ -2,8 +2,7 @@
 
 import json
 
-from repro.obs.export import (LAYER_CATEGORIES, dumps_trace, loads_trace,
-                              to_trace_events)
+from repro.obs.export import LAYER_CATEGORIES, dumps_trace, loads_trace
 from repro.obs.span import (NULL_SPAN, NULL_TRACER, SpanTracer,
                             check_well_formed)
 
@@ -200,7 +199,7 @@ class TestTraceEventExport:
         return tracer.spans
 
     def test_structure(self):
-        payload = to_trace_events(self._spans())
+        payload = json.loads(dumps_trace(self._spans()))
         assert payload["otherData"]["generator"] == "repro.obs"
         events = payload["traceEvents"]
         assert len(events) == 2
@@ -218,7 +217,7 @@ class TestTraceEventExport:
             by_name["reader:f0"]["args"]["span_id"]
 
     def test_tids_follow_layer_stack_order(self):
-        payload = to_trace_events(self._spans())
+        payload = json.loads(dumps_trace(self._spans()))
         tids = {event["cat"]: event["tid"]
                 for event in payload["traceEvents"]}
         # bench precedes net.rpc in LAYER_CATEGORIES, so its track

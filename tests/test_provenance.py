@@ -36,8 +36,8 @@ from repro.diagnose.rootcause import (explain_op, explain_slowest, find_op,
 from repro.host.testbed import TestbedConfig
 from repro.obs import observe
 from repro.obs.provenance import (EDGE_KINDS, ProvEdge, ProvNote,
-                                  dumps_provenance, flow_events,
-                                  loads_provenance, to_dot)
+                                  dumps_provenance, loads_provenance,
+                                  to_dot)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -168,8 +168,9 @@ class TestRoundTrip:
         assert dot.startswith("digraph provenance")
 
     def test_flow_ids_unique_per_export(self, lossy_session):
-        events = flow_events(lossy_session.prov_records,
-                             lossy_session.spans)
+        events = [event for event in
+                  json.loads(lossy_session.trace_json())["traceEvents"]
+                  if event["cat"] == "provenance"]
         assert events, "a lossy provenance run must produce flow events"
         starts = [e["id"] for e in events if e["ph"] == "s"]
         assert len(starts) == len(set(starts))
