@@ -142,7 +142,7 @@ class DiskDrive:
                     lba=request.lba)
                 self._tcq_obs[request.id] = span
                 if self._prov.enabled:
-                    self._overtakes.arrive(request, span)
+                    self._overtakes.arrive(request)
         self.stats.arrival_order.append(request.id)
         self._queue.append(request)
         if self._wakeup is not None and not self._wakeup.triggered:

@@ -17,8 +17,7 @@ from typing import Any, Dict, List, Optional
 
 from ..disk.geometry import SECTOR_SIZE
 from ..disk.request import DiskRequest
-from ..obs.provenance import (EDGE_COALESCED_WITH, EDGE_ISSUED,
-                              EDGE_SERVED_FROM_CACHE)
+from ..obs.provenance import EDGE_COALESCED_WITH, EDGE_SERVED_FROM_CACHE
 from ..sim import Event, Simulator
 from .iosched import DiskIoScheduler
 
@@ -263,8 +262,6 @@ class BufferCache:
                                 detached=True, lba=request.lba,
                                 nsectors=request.nsectors)
             request.trace_ctx = span.id
-            if parent is not None:
-                self.sim.obs.prov.edge(EDGE_ISSUED, parent, span)
         else:
             span = None
         started = self.sim.now

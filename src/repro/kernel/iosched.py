@@ -67,7 +67,7 @@ class DiskIoScheduler:
                                     parent=request.trace_ctx,
                                     lba=request.lba)
                 if self.sim.obs.prov.enabled:
-                    self._overtakes.arrive(request, span)
+                    self._overtakes.arrive(request)
             else:
                 span = None
             self._pending_obs[request.id] = (span, self.sim.now)

@@ -28,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
-from ..obs.provenance import EDGE_ISSUED, EDGE_RETRIED_AS
+from ..obs.provenance import EDGE_RETRIED_AS
 from ..sim import Event, Simulator
 
 #: Approximate bytes of RPC + NFS call/reply headers on the wire.
@@ -165,10 +165,7 @@ class RpcClient:
                 lambda ev: span.finish(ok=ev.error is None))
             state = {"sent": [self.sim.now], "markers": [], "closed": set()}
             self._attempt_obs[xid] = state
-            prov = self.sim.obs.prov
-            if prov.enabled:
-                if parent is not None:
-                    prov.edge(EDGE_ISSUED, parent, span)
+            if self.sim.obs.prov.enabled:
                 # Instant marker span per transmission attempt: the
                 # provenance node retried-as edges point at.
                 marker = tracer.start("xmit", "net.rpc", parent=span,
@@ -360,9 +357,6 @@ class RpcServer:
             span = tracer.start(f"serve:{type(message.body).__name__}",
                                 "net.rpc", parent=message.trace_ctx,
                                 detached=True, xid=message.xid)
-            if message.trace_ctx is not None:
-                self.sim.obs.prov.edge(EDGE_ISSUED, message.trace_ctx,
-                                       span)
         else:
             span = None
         key = (message.client, message.xid)

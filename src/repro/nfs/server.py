@@ -28,7 +28,6 @@ from ..ffs import (ENTRIES_PER_BLOCK, Directory, FileSystem, FsckReport,
 from ..host.machine import Machine
 from ..kernel.buffercache import BLOCK_SIZE
 from ..net.rpc import RpcServer
-from ..obs.provenance import EDGE_ISSUED
 from ..readahead import DefaultHeuristic, Heuristic
 from ..sim import Resource, Simulator
 from .fhandle import FileHandle
@@ -383,7 +382,6 @@ class NfsServer:
                                      parent=span)
             prov = self.sim.obs.prov
             if prov.enabled and span is not None:
-                prov.edge(EDGE_ISSUED, span, nfsd_span)
                 # Pool occupancy at slot grant: how contended this op's
                 # nfsd slot was (pure reads of resource state).
                 prov.note(nfsd_span, nfsds_busy=self.nfsds.in_use,

@@ -27,7 +27,7 @@ from .metrics import (HISTOGRAM_BOUNDS, NULL_REGISTRY, Counter, Gauge,
                       NullMetricsRegistry, merge_snapshots,
                       render_snapshot)
 from .provenance import (EDGE_COALESCED_WITH, EDGE_DISPATCHED_AFTER,
-                         EDGE_ISSUED, EDGE_KINDS, EDGE_QUEUED_BEHIND,
+                         EDGE_KINDS, EDGE_QUEUED_BEHIND,
                          EDGE_RETRIED_AS, EDGE_SERVED_FROM_CACHE,
                          NULL_PROVENANCE, NullProvenanceGraph, ProvEdge,
                          ProvNote, ProvenanceGraph, dumps_provenance,
@@ -45,7 +45,7 @@ __all__ = [
     "merge_snapshots", "render_snapshot",
     "LAYER_CATEGORIES", "dumps_trace", "loads_trace",
     "ProvenanceGraph", "NullProvenanceGraph", "NULL_PROVENANCE",
-    "ProvEdge", "ProvNote", "EDGE_KINDS", "EDGE_ISSUED",
+    "ProvEdge", "ProvNote", "EDGE_KINDS",
     "EDGE_QUEUED_BEHIND", "EDGE_COALESCED_WITH", "EDGE_RETRIED_AS",
     "EDGE_SERVED_FROM_CACHE", "EDGE_DISPATCHED_AFTER",
     "dumps_provenance", "loads_provenance", "to_dot", "index_by_node",

@@ -9,11 +9,11 @@ carries its full lineage from the client vnode call through the RPC
 xid, the server nfsd slot, the buffer cache, the bufq, the drive's
 tagged command queue, and the disk mechanics.
 
-Edge vocabulary (the complete, closed set):
+The hand-off down the stack (vnode op → RPC call → nfsd serve →
+buffer-cache fetch → bufq residency → TCQ residency) is the span tree
+itself: each layer's span names its issuer as its parent, so the graph
+records no edge for it.  Edge vocabulary (the complete, closed set):
 
-``issued``
-    The causal hand-off down the stack: vnode op → RPC call → nfsd
-    serve → buffer-cache fetch → bufq residency → TCQ residency.
 ``retried-as``
     An RPC transmission superseded by its own retransmission (soft or
     hard mount watchdog).
@@ -60,9 +60,13 @@ from .span import Span, _NullSpan
 
 #: Format tag + version for the JSONL export header line.
 PROVENANCE_FORMAT = "repro-provenance"
-PROVENANCE_VERSION = 1
+PROVENANCE_VERSION = 2
+#: Versions :func:`loads_provenance` reads.  Version 1 has the same
+#: line format and also recorded ``issued`` edges, each joining a span
+#: to its own parent: they load as edges of that kind, and nothing
+#: reads them.
+READABLE_VERSIONS = (1, 2)
 
-EDGE_ISSUED = "issued"
 EDGE_QUEUED_BEHIND = "queued-behind"
 EDGE_COALESCED_WITH = "coalesced-with"
 EDGE_RETRIED_AS = "retried-as"
@@ -71,7 +75,6 @@ EDGE_DISPATCHED_AFTER = "dispatched-after"
 
 #: The closed edge vocabulary, in stack-walk order.
 EDGE_KINDS = (
-    EDGE_ISSUED,
     EDGE_RETRIED_AS,
     EDGE_COALESCED_WITH,
     EDGE_SERVED_FROM_CACHE,
@@ -221,9 +224,8 @@ class OvertakeLog:
     """Who left a request queue ahead of whom, as provenance.
 
     The kernel bufq and the drive's tagged queue each hold one, and
-    call it only on provenance runs.  :meth:`arrive` links the request
-    to its issuer and snapshots how many requests (and writes) had
-    already left; :meth:`depart` chains the request to the previous
+    call it only on provenance runs.  :meth:`arrive` snapshots how many
+    requests (and writes) had already left; :meth:`depart` chains the request to the previous
     departure (``dispatched-after``), names the most recent requests
     that left while it waited (``queued-behind``, a bounded ring), and
     notes the exact overtake counts.
@@ -241,9 +243,7 @@ class OvertakeLog:
         self._writes_departed = 0
         self._last: Optional[int] = None
 
-    def arrive(self, request, span: Span) -> None:
-        if request.trace_ctx is not None:
-            self._prov.edge(EDGE_ISSUED, request.trace_ctx, span)
+    def arrive(self, request) -> None:
         self._arrivals[request.id] = (self._departed,
                                       self._writes_departed)
 
@@ -325,7 +325,7 @@ def loads_provenance(text: str,
     if not isinstance(header, dict) \
             or header.get("format") != PROVENANCE_FORMAT:
         raise bad(0, "not a repro-provenance JSONL header")
-    if header.get("version") != PROVENANCE_VERSION:
+    if header.get("version") not in READABLE_VERSIONS:
         raise bad(0, f"unsupported provenance version "
                      f"{header.get('version')!r}")
     # One parse for every record line: they are objects, so joined by
@@ -375,25 +375,27 @@ def to_dot(records: List[ProvRecord],
     """Render the graph as a Graphviz digraph.
 
     When the matching span stream is supplied, nodes are labelled
-    ``layer/name`` instead of bare ids.  Notes become part of their
-    node's label; edge styles distinguish the hand-off skeleton
-    (``issued``, solid) from the contention and cache edges (dashed).
+    ``layer/name`` instead of bare ids, and the spans' parent links are
+    drawn as the hand-off skeleton (solid, unlabelled).  Notes become
+    part of their node's label; the dispatch order is solid too, and
+    the contention and cache edges are dashed.
     """
     labels: Dict[int, str] = {}
-    if spans:
-        for span in spans:
-            labels[span.id] = f"{span.cat}/{span.name}"
-    mentioned: List[int] = []
-    seen = set()
+    for span in spans or ():
+        labels[span.id] = f"{span.cat}/{span.name}"
+    spine = [(span.parent_id, span.id) for span in spans or ()
+             if span.parent_id in labels]
+    #: Every node, in first-mention order (a dict as an ordered set).
+    mentioned: Dict[int, None] = {}
     note_bits: Dict[int, List[str]] = {}
+    for parent, child in spine:
+        mentioned[parent] = mentioned[child] = None
     for record in records:
-        nodes = ((record.src, record.dst)
-                 if isinstance(record, ProvEdge) else (record.node,))
-        for node in nodes:
-            if node not in seen:
-                seen.add(node)
-                mentioned.append(node)
-        if isinstance(record, ProvNote) and record.args:
+        if isinstance(record, ProvEdge):
+            mentioned[record.src] = mentioned[record.dst] = None
+            continue
+        mentioned[record.node] = None
+        if record.args:
             bits = note_bits.setdefault(record.node, [])
             bits.extend(f"{k}={record.args[k]}"
                         for k in sorted(record.args))
@@ -405,11 +407,13 @@ def to_dot(records: List[ProvRecord],
         if extra:
             label += "\\n" + "\\n".join(extra)
         lines.append(f'  n{node} [label="#{node} {label}"];')
-    solid = {EDGE_ISSUED, EDGE_DISPATCHED_AFTER}
+    lines.extend(f"  n{parent} -> n{child} [style=solid];"
+                 for parent, child in spine)
     for record in records:
         if not isinstance(record, ProvEdge):
             continue
-        style = "solid" if record.kind in solid else "dashed"
+        style = ("solid" if record.kind == EDGE_DISPATCHED_AFTER
+                 else "dashed")
         lines.append(f'  n{record.src} -> n{record.dst} '
                      f'[label="{record.kind}", style={style}];')
     lines.append("}")

@@ -365,6 +365,51 @@ class TestObservabilityIdentity:
         assert digest(first) == pinned()[name], \
             f"{name}: artifact moved from its pinned digest"
 
+    def test_provenance_never_restates_the_span_tree(self, sessions):
+        from tests.test_provenance import census
+        assert census(sessions[0]) == {
+            "kinds": {"coalesced-with": 1368, "dispatched-after": 756,
+                      "note": 6623, "queued-behind": 97,
+                      "retried-as": 437, "served-from-cache": 3127},
+            "flow_events": 11570, "restating": 0}
+        assert len(sessions[0].spans) == 21175
+
+    def test_version_1_provenance_diagnoses_the_same(self, sessions,
+                                                      tmp_path):
+        """A version-1 file, which also held an ``issued`` edge per
+        hand-off, gives the chains and the report of version 2."""
+        from repro.cli import main
+        from repro.obs.provenance import ProvEdge, dumps_provenance
+        session = sessions[0]
+        issued = [ProvEdge("issued", span.parent_id, span.id, span.start,
+                           {}, span.args["run"])
+                  for span in session.spans if span.parent_id is not None]
+        v1_lines = dumps_provenance(
+            issued + session.prov_records).splitlines()
+        v1_lines[0] = v1_lines[0].replace('"version":2', '"version":1')
+        paths = {name: str(tmp_path / name) for name in
+                 ("t.json", "m.json", "v1.jsonl", "v2.jsonl")}
+        for name, text in (("t.json", session.trace_json()),
+                           ("m.json", session.metrics_json()),
+                           ("v1.jsonl", "\n".join(v1_lines) + "\n"),
+                           ("v2.jsonl", session.provenance_jsonl())):
+            with open(paths[name], "w") as handle:
+                handle.write(text)
+
+        def diagnose(provenance, *extra):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["diagnose", "--trace", paths["t.json"],
+                             "--metrics", paths["m.json"],
+                             "--provenance", paths[provenance], "--json",
+                             *extra])
+            return code, out.getvalue()
+
+        for extra in ((), ("--slowest", "10")):
+            v2 = diagnose("v2.jsonl", *extra)
+            assert v2[0] == 0
+            assert diagnose("v1.jsonl", *extra) == v2
+
     def test_diagnose_report_byte_identical(self):
         report = render_diagnose_report()
         assert render_diagnose_report() == report, \

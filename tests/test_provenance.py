@@ -35,9 +35,9 @@ from repro.diagnose.rootcause import (explain_op, explain_slowest, find_op,
                                       render_chains, slowest_ops)
 from repro.host.testbed import TestbedConfig
 from repro.obs import observe
-from repro.obs.provenance import (EDGE_KINDS, ProvEdge, ProvNote,
-                                  dumps_provenance, loads_provenance,
-                                  to_dot)
+from repro.obs.provenance import (EDGE_KINDS, PROVENANCE_VERSION,
+                                  ProvEdge, ProvNote, dumps_provenance,
+                                  loads_provenance, to_dot)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -74,6 +74,26 @@ def tcq_session():
 def inputs_from(session) -> DiagnosisInputs:
     return DiagnosisInputs(runs=split_runs(session.spans),
                            provenance=session.prov_records)
+
+
+def census(session) -> dict:
+    """Per-kind record counts, the trace's flow events, and the edges
+    that join a span to its own parent or child (the span tree already
+    holds those)."""
+    parent = {span.id: span.parent_id for span in session.spans}
+    kinds = {}
+    restating = 0
+    for record in session.prov_records:
+        kind = record.kind if isinstance(record, ProvEdge) else "note"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind != "note" and record.src is not None and (
+                parent.get(record.dst) == record.src
+                or parent.get(record.src) == record.dst):
+            restating += 1
+    flows = sum(1 for event in json.loads(session.trace_json())
+                ["traceEvents"] if event["ph"] in ("s", "f"))
+    return {"kinds": dict(sorted(kinds.items())), "flow_events": flows,
+            "restating": restating}
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +187,23 @@ class TestRoundTrip:
                      lossy_session.spans)
         assert dot.startswith("digraph provenance")
 
+    def test_dot_spine_is_the_span_tree(self, lossy_session):
+        spans = lossy_session.spans
+        dot = to_dot([], spans)
+        links = [span for span in spans if span.parent_id is not None]
+        assert dot.count("[style=solid];") == len(links)
+        child = links[0]
+        assert f"  n{child.parent_id} -> n{child.id} [style=solid];" in dot
+
+    def test_loads_reads_version_1(self):
+        edge = ProvEdge("issued", 1, 2, 0.5, {})
+        text = dumps_provenance([edge]).replace(
+            f'"version":{PROVENANCE_VERSION}', '"version":1')
+        assert '"version":1}' in text
+        assert [r.key() for r in loads_provenance(text)] == [edge.key()]
+        with pytest.raises(ValueError, match="unsupported"):
+            loads_provenance(text.replace('"version":1', '"version":3'))
+
     def test_flow_ids_unique_per_export(self, lossy_session):
         events = [event for event in
                   json.loads(lossy_session.trace_json())["traceEvents"]
@@ -182,6 +219,28 @@ class TestRoundTrip:
         payload = json.loads(lossy_session.trace_json())
         cats = {e.get("cat") for e in payload["traceEvents"]}
         assert "provenance" in cats
+
+
+# ---------------------------------------------------------------------------
+# Lineage: typed edges on top of the span tree
+
+
+class TestLineageCensus:
+    """The graph records only what the span tree does not already hold.
+
+    A hand-off down the stack is a span's parent link, so no edge may
+    join a span to its parent or child; the per-kind counts and the
+    trace's flow events are pinned exactly, like the kernel pushes of
+    ``tests/test_event_counts.py``.
+    """
+
+    def test_tcq_session(self, tcq_session):
+        assert census(tcq_session) == {
+            "kinds": {"coalesced-with": 1527, "dispatched-after": 434,
+                      "note": 3773, "queued-behind": 1130,
+                      "served-from-cache": 1393},
+            "flow_events": 8968, "restating": 0}
+        assert len(tcq_session.spans) == 12365
 
 
 # ---------------------------------------------------------------------------
