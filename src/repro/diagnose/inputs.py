@@ -106,15 +106,19 @@ def load_metrics_file(path: str) -> Tuple[List[dict], dict]:
     """
     payload = _load_json_object(path, "a metrics")
     if "snapshots" in payload:
-        snapshots = payload["snapshots"]
-        merged = payload.get("merged")
-        if not (isinstance(snapshots, list)
-                and all(isinstance(snap, dict) for snap in snapshots)
-                and isinstance(merged, (dict, type(None)))):
-            raise ValueError(f"{path}: expected snapshots as a list of "
-                             f"objects and merged as an object")
+        snapshots, merged = payload["snapshots"], payload.get("merged")
+    else:
+        snapshots, merged = [payload], None
+    if not (isinstance(snapshots, list)
+            and all(isinstance(snap, dict) for snap in snapshots)
+            and isinstance(merged, (dict, type(None)))):
+        raise ValueError(f"{path}: expected snapshots as a list of "
+                         f"objects and merged as an object")
+    try:
         return snapshots, merged or merge_snapshots(snapshots)
-    return [payload], merge_snapshots([payload])
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(f"{path}: a snapshot's counters, gauges or "
+                         f"histograms are not objects of numbers") from None
 
 
 def load_provenance_file(path: str) -> List[ProvRecord]:

@@ -42,18 +42,6 @@ LAYER_CATEGORIES = (
 )
 
 
-def _layer_tids(categories: List[str]) -> Dict[str, int]:
-    """Track number per category: the layer stack first, then extras."""
-    tids: Dict[str, int] = {}
-    for cat in LAYER_CATEGORIES:
-        if cat in categories:
-            tids[cat] = len(tids) + 1
-    for cat in categories:          # any category outside the known set
-        if cat not in tids:
-            tids[cat] = len(tids) + 1
-    return tids
-
-
 def dumps_trace(spans: List[Span],
                 records: Iterable[ProvRecord] = ()) -> str:
     """Serialize a span stream as deterministic trace_event JSON.
@@ -70,7 +58,13 @@ def dumps_trace(spans: List[Span],
     are the 1-based ordinals of the drawn edges, unique per export.
     """
     categories = sorted({span.cat for span in spans})
-    tids = _layer_tids(categories)
+    tids: Dict[str, int] = {}
+    for cat in LAYER_CATEGORIES:
+        if cat in categories:
+            tids[cat] = len(tids) + 1
+    for cat in categories:          # any category outside the known set
+        if cat not in tids:
+            tids[cat] = len(tids) + 1
     encode = encode_compact
     quote = encode_basestring_ascii
     parts: List[str] = []

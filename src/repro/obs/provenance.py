@@ -225,10 +225,10 @@ class OvertakeLog:
 
     The kernel bufq and the drive's tagged queue each hold one, and
     call it only on provenance runs.  :meth:`arrive` snapshots how many
-    requests (and writes) had already left; :meth:`depart` chains the request to the previous
-    departure (``dispatched-after``), names the most recent requests
-    that left while it waited (``queued-behind``, a bounded ring), and
-    notes the exact overtake counts.
+    requests (and writes) had already left; :meth:`depart` chains the
+    request to the previous departure (``dispatched-after``), names the
+    most recent requests that left while it waited (``queued-behind``,
+    a bounded ring), and notes the exact overtake counts.
     """
 
     __slots__ = ("_prov", "_arrivals", "_recent", "_departed",

@@ -42,6 +42,8 @@ CASES = [
     ("--trace", json.dumps({"traceEvents": [without(SPAN, "args", "t1")]})),
     ("--metrics", "[1,2]"),
     ("--metrics", '{"snapshots":3}'),
+    ("--metrics", '{"snapshots":[{"gauges":3}]}'),
+    ("--metrics", '{"histograms":{"x":3}}'),
     ("--provenance", "[1]\n"),
     ("--provenance", f"{HEADER}\n[1]\n"),
     ("--provenance", f"{HEADER}\n{json.dumps(without(EDGE, 'kind'))}\n"),

@@ -86,9 +86,8 @@ def census(session) -> dict:
     for record in session.prov_records:
         kind = record.kind if isinstance(record, ProvEdge) else "note"
         kinds[kind] = kinds.get(kind, 0) + 1
-        if kind != "note" and record.src is not None and (
-                parent.get(record.dst) == record.src
-                or parent.get(record.src) == record.dst):
+        if kind != "note" and (parent.get(record.dst) == record.src
+                               or parent.get(record.src) == record.dst):
             restating += 1
     flows = sum(1 for event in json.loads(session.trace_json())
                 ["traceEvents"] if event["ph"] in ("s", "f"))
