@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim import Event, RateLimiter, Simulator
-from ..sim.events import TRIGGERED
 
 GIGABIT = 125_000_000          # 1 Gb/s in bytes/s
 #: Measured DMA ceiling of the server's PCI bus (§4.1).
@@ -61,11 +60,8 @@ class Link:
             nic._busy_until = max(nic._busy_until,
                                   bus_finish - wire_bytes / nic.rate)
         finish = nic.reserve(wire_bytes)
-        sim = self.sim
-        now = sim.now
-        done = Event(sim, self._delivery_name)
-        done.state = TRIGGERED
+        now = self.sim.now
         # Grouped as a serialization wait, then a latency wait: the
         # pinned golden digests depend on this float rounding.
-        sim._push((now + (finish - now)) + LINK_LATENCY, done)
-        return done
+        return self.sim.at((now + (finish - now)) + LINK_LATENCY,
+                           self._delivery_name)

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from ..obs import NULL_OBS, Observability
 from .errors import SchedulingError, SimulationError
-from .events import AllOf, Event, EventQueue, Timeout
+from .events import TRIGGERED, AllOf, Event, EventQueue, Timeout
 from .process import Process
 
 
@@ -71,6 +71,22 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
+
+    def at(self, when: float, name: Optional[str] = None) -> Event:
+        """An event that fires at the absolute simulated time ``when``.
+
+        For a caller that computes a finish time itself, as a FIFO
+        server does when it books work: one pre-triggered event and one
+        queue entry, pushed at exactly ``when``.
+        """
+        if when < self.now:
+            raise SchedulingError(
+                f"cannot schedule an event at {when} before now "
+                f"({self.now})")
+        event = Event(self, name)
+        event.state = TRIGGERED
+        self._push(when, event)
+        return event
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
