@@ -2,7 +2,9 @@
 
 A :class:`Machine` owns one CPU (the testbed's Pentium IIIs are
 uniprocessors).  Simulated work runs through :meth:`execute`, which
-serialises on the CPU and charges a *dilated* cost:
+books the CPU as a FIFO server (a charge starts when the CPU is free
+and nothing can interrupt it, so its finish time is arithmetic at the
+booking) and charges a *dilated* cost:
 
 * dilation models competing compute-bound processes — the paper's "four
   infinite-loop processes" (§6.1) — stealing cycles from interactive
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..sim import Resource, Simulator
+from ..sim import Simulator
 
 #: CPU work dilation added by each busy-loop process.
 SLOWDOWN_PER_HOG = 0.25
@@ -51,7 +53,8 @@ class Machine:
         self.busy_processes = busy_processes
         self.dilation = 1.0 + busy_processes * SLOWDOWN_PER_HOG
         self._jitter_ceiling = BASE_JITTER + busy_processes * JITTER_PER_HOG
-        self.cpu = Resource(sim, capacity=1)
+        #: When the last booked charge finishes.
+        self._busy_until = 0.0
         self.cpu_time_consumed = 0.0
 
     # ------------------------------------------------------------------
@@ -63,28 +66,25 @@ class Machine:
     # ------------------------------------------------------------------
 
     def execute(self, seconds: float, jitter: bool = False):
-        """Run ``seconds`` of CPU work (generator; serialises on the CPU).
+        """Run ``seconds`` of CPU work (generator; FIFO on the CPU).
 
         With ``jitter=True``, a scheduling-jitter delay is added *before*
-        the CPU is acquired — modelling the wakeup race among daemons.
-        Positive work on an idle CPU takes it at once; only a charge
-        that must queue (or a zero charge, whose instant hold others
-        can observe) waits on a grant event.
+        the CPU is booked, modelling the wakeup race among daemons.  The
+        charge then starts once every earlier booking has finished and
+        runs for its dilated cost: one queue entry, at its finish time.
+        The CPU time is counted when the charge completes, so it never
+        runs ahead of the clock.
         """
         if seconds < 0:
             raise ValueError("cannot execute negative work")
+        sim = self.sim
         if jitter:
             wait = self.scheduling_jitter()
             if wait > 0:
-                yield self.sim.timeout(wait)
-        cpu = self.cpu
+                yield sim.timeout(wait)
         cost = seconds * self.dilation
-        if not (cost > 0 and cpu.try_acquire()):
-            yield cpu.acquire()
-        try:
-            self.cpu_time_consumed += cost
-            if cost > 0:
-                yield self.sim.timeout(cost)
-        finally:
-            cpu.release()
+        finish = max(sim.now, self._busy_until) + cost
+        self._busy_until = finish
+        yield sim.at(finish)
+        self.cpu_time_consumed += cost
         return None

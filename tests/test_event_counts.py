@@ -21,8 +21,8 @@ from repro.sim import Process, RateLimiter, Simulator
 
 #: target transport -> (kernel pushes, Process constructions, ops).
 EXPECTED = {
-    "tcp": (23_947, 2_187, 130),
-    "udp": (18_177, 2_216, 130),
+    "tcp": (22_375, 2_187, 130),
+    "udp": (17_563, 2_216, 130),
 }
 
 
