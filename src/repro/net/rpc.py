@@ -176,34 +176,40 @@ class RpcClient:
                              client=self.name, trace_ctx=trace_ctx)
         self.out.send(message, message.payload_bytes)
         if self.retransmit_timeout is not None:
-            self.sim.spawn(self._watchdog(message, reply),
-                           name=f"{self.name}.retry{xid}")
+            self._arm(message, reply, self.sim.now, 0)
         return reply
 
-    def _watchdog(self, message: RpcMessage, reply: Event):
-        started = self.sim.now
-        attempt = 0
-        while True:
-            delay = self.backoff_schedule(attempt)
-            if self.jitter > 0.0 and self._rng is not None:
-                delay *= 1.0 + self.jitter * self._rng.random()
-            yield self.sim.timeout(delay)
-            if reply.triggered:
-                return None
-            if (self.max_retransmits is not None
-                    and attempt >= self.max_retransmits):
-                # Terminal failure: deliver RpcTimeout to the waiter and
-                # forget the xid (a late reply is dropped as unknown).
-                self._pending.pop(message.xid, None)
-                self.timeouts += 1
-                self._finish_attempts(message.xid, "timeout")
-                reply.fail(RpcTimeout(message.xid, attempt + 1,
-                                      self.sim.now - started))
-                return None
-            attempt += 1
-            self.retransmitted += 1
-            self._retry_attempt(message.xid)
-            self.out.send(message, message.payload_bytes)
+    def _arm(self, message: RpcMessage, reply: Event, started: float,
+             attempt: int) -> None:
+        """Start the retransmission timer for ``attempt`` (0-based).
+
+        The timer is a callback chain, not a process: arm, expire, then
+        retransmit and re-arm.  Each arming takes one jitter draw.
+        """
+        delay = self.backoff_schedule(attempt)
+        if self.jitter > 0.0 and self._rng is not None:
+            delay *= 1.0 + self.jitter * self._rng.random()
+        self.sim.call_later(delay, self._expire, message, reply, started,
+                            attempt)
+
+    def _expire(self, message: RpcMessage, reply: Event, started: float,
+                attempt: int) -> None:
+        if reply.triggered:
+            return
+        if (self.max_retransmits is not None
+                and attempt >= self.max_retransmits):
+            # Terminal failure: deliver RpcTimeout to the waiter and
+            # forget the xid (a late reply is dropped as unknown).
+            self._pending.pop(message.xid, None)
+            self.timeouts += 1
+            self._finish_attempts(message.xid, "timeout")
+            reply.fail(RpcTimeout(message.xid, attempt + 1,
+                                  self.sim.now - started))
+            return
+        self.retransmitted += 1
+        self._retry_attempt(message.xid)
+        self.out.send(message, message.payload_bytes)
+        self._arm(message, reply, started, attempt + 1)
 
     def _close_attempt(self, xid: int, reason: str) -> None:
         """Close the xid's newest attempt window, exactly once.
