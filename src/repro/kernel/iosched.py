@@ -93,12 +93,8 @@ class DiskIoScheduler:
             self._in_flight += 1
             self.dispatched += 1
             request.done.add_callback(self._on_complete)
-            self.sim.spawn(self._dispatch_later(request),
-                           name="iosched.dispatch")
-
-    def _dispatch_later(self, request: DiskRequest):
-        yield self.sim.timeout(DISPATCH_OVERHEAD)
-        self.drive.submit(request)
+            self.sim.call_later(DISPATCH_OVERHEAD, self.drive.submit,
+                                request)
 
     def _on_complete(self, event: Event) -> None:
         self._in_flight -= 1
