@@ -226,13 +226,13 @@ class DiskDrive:
             if self.bus is not None:
                 # The data must also cross the host bus; completion is
                 # whichever finishes later (DMA overlaps the media read).
-                bus_done = self.bus.transfer(
+                # Both finish times are grouped as the timeouts that
+                # once carried them computed them.
+                now = self.sim.now
+                bus_finish = self.bus.reserve(
                     request.nsectors * SECTOR_SIZE)
-                if duration > 0:
-                    yield self.sim.all_of(
-                        [self.sim.timeout(duration), bus_done])
-                else:
-                    yield bus_done
+                yield self.sim.at(max(now + duration,
+                                      now + (bus_finish - now)))
             elif duration > 0:
                 yield self.sim.timeout(duration)
             self._busy = False

@@ -21,8 +21,8 @@ from repro.sim import Process, RateLimiter, Simulator
 
 #: target transport -> (kernel pushes, Process constructions, ops).
 EXPECTED = {
-    "tcp": (22_111, 2_055, 130),
-    "udp": (17_293, 2_081, 130),
+    "tcp": (21_847, 2_055, 130),
+    "udp": (17_023, 2_081, 130),
 }
 
 
