@@ -374,7 +374,8 @@ class NfsServer:
             service = self._m_service[op] = \
                 self.sim.obs.registry.histogram(f"nfs.server.service_s.{op}")
         queued = self.sim.now
-        yield self.nfsds.acquire()
+        if not self.nfsds.try_acquire():
+            yield self.nfsds.acquire()
         self._m_wait.observe(self.sim.now - queued)
         tracer = self.sim.obs.tracer
         if tracer.enabled:
