@@ -9,7 +9,9 @@ The resume/step trampoline here is the single hottest code path in the
 kernel — every event a process waits on funnels through it — so it is
 written flat: ``send``/``throw`` are bound once at spawn, the resume
 callback is pre-bound, the bootstrap is a direct queue entry instead of
-a throwaway event, and the yielded event is subscribed to inline.
+a throwaway event, the yielded event is subscribed to inline, and a
+process that returns while nothing waits on it finishes without a
+completion entry (one that dies with an exception keeps its entry).
 """
 
 from __future__ import annotations
@@ -76,9 +78,15 @@ class Process(Event):
             else:
                 yielded = self._send(value)
         except StopIteration as stop:
+            self.value = stop.value
+            if self.callbacks is None:
+                # Nothing waits on this process, so its completion needs
+                # no queue entry: a later ``yield process`` finds it
+                # processed and resumes at once.
+                self.state = PROCESSED
+                return
             # Completion is a plain succeed(), flattened.
             self.state = TRIGGERED
-            self.value = stop.value
             sim = self.sim
             sim._push(sim.now, self)
             return

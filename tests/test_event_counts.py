@@ -21,8 +21,8 @@ from repro.sim import Process, RateLimiter, Simulator
 
 #: target transport -> (kernel pushes, Process constructions, ops).
 EXPECTED = {
-    "tcp": (20_863, 2_055, 130),
-    "udp": (16_068, 2_081, 130),
+    "tcp": (18_813, 2_055, 130),
+    "udp": (13_988, 2_081, 130),
 }
 
 
