@@ -351,12 +351,12 @@ class RpcServer:
             else:
                 self._executed_keys.add(key)
         self.executed += 1
-        self.sim.spawn(self._handle(message),
+        self.sim.start(self._handle(message),
                        name=f"{self.name}.req{message.xid}")
 
     def _handle(self, message: RpcMessage):
-        # The spawned process bootstraps at zero delay, so ``now`` here
-        # is still the request's arrival time at the server.
+        # The process starts inside the request's delivery, so ``now``
+        # here is the request's arrival time at the server.
         arrived = self.sim.now
         tracer = self.sim.obs.tracer
         if tracer.enabled:

@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Optional
 from ..obs import NULL_OBS, Observability
 from .errors import SchedulingError, SimulationError
 from .events import TRIGGERED, AllOf, Event, EventQueue, Timeout
-from .process import Process
+from .process import Process, _Bootstrap
 
 
 class Simulator:
@@ -92,8 +92,26 @@ class Simulator:
         return AllOf(self, events)
 
     def spawn(self, generator, name: Optional[str] = None) -> Process:
-        """Start a new process from a generator; returns its Process."""
-        return Process(self, generator, name=name)
+        """Start a new process from a generator; returns its Process.
+
+        The first step runs from a bootstrap entry at the current time,
+        after every entry already queued for this instant.
+        """
+        process = Process(self, generator, name=name)
+        self._push(self.now, _Bootstrap(process))
+        return process
+
+    def start(self, generator, name: Optional[str] = None) -> Process:
+        """Start a new process and run its first step before returning.
+
+        No bootstrap entry: the generator runs to its first ``yield``
+        inside the caller, so the caller's own entry must be where the
+        process belongs in the queue order (an RPC handler started by
+        its request's delivery).
+        """
+        process = Process(self, generator, name=name)
+        process._step(None)
+        return process
 
     def call_later(self, delay: float, callback: Callable[..., Any],
                    *args: Any) -> None:

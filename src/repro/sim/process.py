@@ -49,10 +49,8 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self._resume_cb = self._resume
-        # Kick off on the next scheduler step at the current time: the
-        # bootstrap consumes one queue slot, exactly as the old
-        # bootstrap event did, so FIFO tie-break order is unchanged.
-        sim._push(sim.now, _Bootstrap(self))
+        # Not started yet: Simulator.spawn queues a bootstrap entry for
+        # the first step, Simulator.start runs it inline.
 
     # ------------------------------------------------------------------
 

@@ -21,8 +21,8 @@ from repro.sim import Process, RateLimiter, Simulator
 
 #: target transport -> (kernel pushes, Process constructions, ops).
 EXPECTED = {
-    "tcp": (18_813, 2_055, 130),
-    "udp": (13_988, 2_081, 130),
+    "tcp": (17_787, 2_055, 130),
+    "udp": (12_946, 2_081, 130),
 }
 
 
