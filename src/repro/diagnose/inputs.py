@@ -115,10 +115,15 @@ def load_metrics_file(path: str) -> Tuple[List[dict], dict]:
         raise ValueError(f"{path}: expected snapshots as a list of "
                          f"objects and merged as an object")
     try:
-        return snapshots, merged or merge_snapshots(snapshots)
+        computed = merge_snapshots(snapshots)
+        if merged:
+            # The file's own merge is used as written, so it gets the
+            # same shape check the merge gives every snapshot.
+            merge_snapshots([merged])
     except (AttributeError, KeyError, TypeError):
         raise ValueError(f"{path}: a snapshot's counters, gauges or "
                          f"histograms are not objects of numbers") from None
+    return snapshots, merged or computed
 
 
 def load_provenance_file(path: str) -> List[ProvRecord]:

@@ -105,6 +105,10 @@ def dumps_trace(spans: List[Span],
             + ",".join(parts) + "]}")
 
 
+#: What a span's ``t0``/``t1`` may be: its duration subtracts them.
+_SECONDS = (int, float)
+
+
 def loads_trace(text: str, source: str = "trace") -> List[Span]:
     """Reconstruct the span stream from exported trace_event JSON.
 
@@ -134,6 +138,11 @@ def loads_trace(text: str, source: str = "trace") -> List[Span]:
             detached = args.pop("detached", False)
             start = args.pop("t0")
             end = args.pop("t1")
+            if not (isinstance(start, _SECONDS)
+                    and isinstance(end, _SECONDS)):
+                field = "t1" if isinstance(start, _SECONDS) else "t0"
+                raise ValueError(f"{source}: trace event {index}: "
+                                 f"{field!r} is not a number")
             span = Span(None, span_id, event["name"], event["cat"],
                         parent_id, start, detached, args)
             span.end = end

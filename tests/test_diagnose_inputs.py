@@ -48,6 +48,10 @@ CASES = [
     ("--provenance", f"{HEADER}\n[1]\n"),
     ("--provenance", f"{HEADER}\n{json.dumps(without(EDGE, 'kind'))}\n"),
     ("--provenance", f"{HEADER}\n{json.dumps(without(NOTE, 't'))}\n"),
+    ("--trace", json.dumps({"traceEvents": [
+        {"ph": "X", "name": "a", "cat": "bench",
+         "args": {"span_id": 1, "t0": "x", "t1": 0.0}}]})),
+    ("--metrics", '{"snapshots":[{"gauges":3}],"merged":{"gauges":{}}}'),
 ]
 
 
@@ -80,3 +84,13 @@ def test_jsonl_errors_name_the_line(tmp_path, capsys):
     assert main(["diagnose", "--trace", str(trace),
                  "--provenance", str(bad)]) == 2
     assert f"{bad}:4: record has no 'kind' field" in capsys.readouterr().err
+
+
+def test_trace_errors_name_the_event_and_field(tmp_path, capsys):
+    late = json.loads(json.dumps(SPAN))
+    late["args"]["t1"] = [0.0]
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps({"traceEvents": [SPAN, late]}))
+    assert main(["diagnose", "--trace", str(bad)]) == 2
+    assert (f"{bad}: trace event 1: 't1' is not a number"
+            in capsys.readouterr().err)
