@@ -226,8 +226,8 @@ class DiskDrive:
             if self.bus is not None:
                 # The data must also cross the host bus; completion is
                 # whichever finishes later (DMA overlaps the media read).
-                # Both finish times are grouped as the timeouts that
-                # once carried them computed them.
+                # Each finish is grouped as now + delay: the pinned
+                # golden digests depend on this float rounding.
                 now = self.sim.now
                 bus_finish = self.bus.reserve(
                     request.nsectors * SECTOR_SIZE)

@@ -15,8 +15,8 @@ itself: each layer's span names its issuer as its parent, so the graph
 records no edge for it.  Edge vocabulary (the complete, closed set):
 
 ``retried-as``
-    An RPC transmission superseded by its own retransmission (soft or
-    hard mount watchdog).
+    An RPC transmission superseded by its own retransmission (the soft
+    or hard mount's retransmission timer).
 ``coalesced-with``
     A reader piggybacking on an I/O already in flight (client block
     cache or server buffer cache) instead of issuing its own.

@@ -10,10 +10,17 @@ There is one scheduler: a binary heap of ``(when, seq, entry)`` tuples
 (:class:`~repro.sim.events.EventQueue`), where ``seq`` is a monotone
 insertion counter, so entries fire in exactly ``(time, insertion-order)``
 sequence and every run is deterministic.  :meth:`Simulator.run` pops
-the heap and fires each entry inline.  Every entry — event, timeout,
-process bootstrap or completion, :meth:`Simulator.call_later` callback —
-is scheduled through the instance attribute ``sim._push``, so a caller
-that wants to count or trace scheduling wraps that one attribute.
+the heap and fires each entry inline.  Every entry is scheduled through
+the instance attribute ``sim._push``, so a caller that wants to count or
+trace scheduling wraps that one attribute.  The entries are:
+
+* an event fired by ``succeed``/``fail``, or pushed pre-triggered at an
+  absolute time by :meth:`Simulator.at` (a FIFO server's finish);
+* a timeout;
+* a :meth:`Simulator.spawn` bootstrap (:meth:`Simulator.start` runs the
+  first step inline and queues none);
+* a process completion, only when something waits on the process;
+* a :meth:`Simulator.call_later` callback.
 """
 
 from __future__ import annotations

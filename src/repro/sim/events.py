@@ -4,8 +4,7 @@ An :class:`Event` is a one-shot occurrence that processes can wait on.
 Events move through three states: *pending* (created, not yet fired),
 *triggered* (scheduled to fire at a known simulation time), and
 *processed* (callbacks have run).  Waiting on an already-processed event
-resumes the waiter immediately on the next scheduler step, so there is no
-lost-wakeup race.
+resumes the waiter at once, so there is no lost-wakeup race.
 
 This module sits on the kernel's hottest path — a replay run processes
 hundreds of events per NFS operation — so the primitives are written
