@@ -45,7 +45,7 @@ FAULTED_UDP = (18_216, 2_604, 1_347)
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count every kernel push and every Process built while active."""
+    """Count every kernel push, Process built and RPC call while active."""
     counter = Counter()
     sim_init = Simulator.__init__
     process_init = Process.__init__
