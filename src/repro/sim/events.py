@@ -7,7 +7,7 @@ Events move through three states: *pending* (created, not yet fired),
 resumes the waiter at once, so there is no lost-wakeup race.
 
 This module sits on the kernel's hottest path — a replay run processes
-hundreds of events per NFS operation — so the primitives are written
+over a hundred events per NFS operation — so the primitives are written
 flat: callback lists materialize only when a subscriber appears, event
 labels are computed lazily, and scheduling goes through the simulator's
 single ``_push`` indirection (see :mod:`repro.sim.core`).

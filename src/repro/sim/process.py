@@ -29,7 +29,9 @@ class Process(Event):
     finishes, with the generator's return value as the event value.  This
     lets processes wait on each other with a plain ``yield child``.  A
     child that dies with an exception propagates it: the parent's yield
-    raises (catchable), mirroring :meth:`Event.fail`.
+    raises (catchable), mirroring :meth:`Event.fail`.  Build one with
+    :meth:`Simulator.spawn` or :meth:`Simulator.start`; the constructor
+    alone does not start it.
     """
 
     __slots__ = ("generator", "_send", "_throw", "_resume_cb")
