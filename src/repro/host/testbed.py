@@ -113,9 +113,11 @@ class TestbedConfig:
     mount_verifier_recovery: bool = True
     #: Metadata intent log: CREATE/MKDIR/REMOVE/RENAME journal an
     #: intent to stable storage before the reply leaves, so a crash
-    #: never loses an acknowledged namespace mutation.  Off reproduces
-    #: async-metadata servers (the namespace reverts to the last
-    #: journaled prefix — i.e. loses everything volatile).
+    #: never loses an acknowledged namespace mutation.  Off, a crash
+    #: undoes nothing (namespace RAM is implicitly durable), but no
+    #: reply outlives a reboot: a retransmitted mutation re-executes
+    #: against the new boot, e.g. a retried REMOVE answers noent for
+    #: a remove the server already acknowledged.
     metadata_journal: bool = True
     #: BUG-REINTRODUCTION HOOK: acknowledge metadata ops without
     #: forcing the intent log (write-behind journal).  Any crash after

@@ -365,8 +365,7 @@ class NfsMount:
                 blk_span = None
             started = self.sim.now
             try:
-                yield from self._ensure_block(nfile, block, sync=True,
-                                              parent=blk_span)
+                yield from self._ensure_block(nfile, block, parent=blk_span)
             except OSError:
                 # Soft-mount timeout: the span must still be closed, or
                 # the RPC call spans beneath it become orphans in the
@@ -966,8 +965,7 @@ class NfsMount:
             span.finish()
         return None
 
-    def _ensure_block(self, nfile: NfsFile, block: int, sync: bool,
-                      parent=None):
+    def _ensure_block(self, nfile: NfsFile, block: int, parent=None):
         key = (nfile.fh.id, block)
         entry = self._cache.get(key)
         prov = self.sim.obs.prov

@@ -105,12 +105,11 @@ class Store:
 class RateLimiter:
     """A fixed-bandwidth pipe shared by many transfers.
 
-    ``transfer(nbytes)`` returns an event that fires when the transfer
-    completes; ``reserve(nbytes)`` books the same transfer and only
-    returns its finish time, for callers that schedule the completion
-    themselves.  Transfers are serialised FIFO, which models a bus or a
-    half-duplex link: the pipe's finish time advances by
-    ``nbytes / rate`` per transfer and never runs ahead of ``sim.now``.
+    ``reserve(nbytes)`` books a transfer and returns its finish time;
+    the caller schedules the completion itself (``sim.at(finish)``).
+    Transfers are serialised FIFO, which models a bus or a half-duplex
+    link: the pipe's finish time advances by ``nbytes / rate`` per
+    transfer and never runs ahead of ``sim.now``.
     """
 
     def __init__(self, sim, rate_bytes_per_sec: float):
@@ -131,7 +130,3 @@ class RateLimiter:
         self._busy_until = finish
         self.bytes_moved += nbytes
         return finish
-
-    def transfer(self, nbytes: int) -> Event:
-        finish = self.reserve(nbytes)
-        return self.sim.timeout(finish - self.sim.now)

@@ -77,7 +77,7 @@ def test_rate_limiter_total_time_is_sum_of_parts(sizes, rate):
     sim = Simulator()
     limiter = RateLimiter(sim, rate)
     for size in sizes:
-        limiter.transfer(size)
+        sim.at(limiter.reserve(size))
     sim.run()
     expected = sum(sizes) / rate
     assert sim.now <= expected * (1 + 1e-9) + 1e-12

@@ -115,7 +115,7 @@ class TestRateLimiter:
         done = []
 
         def mover(sim):
-            yield limiter.transfer(500)
+            yield sim.at(limiter.reserve(500))
             done.append(sim.now)
 
         sim.spawn(mover(sim))
@@ -128,7 +128,7 @@ class TestRateLimiter:
         done = []
 
         def mover(sim, tag):
-            yield limiter.transfer(1000)
+            yield sim.at(limiter.reserve(1000))
             done.append((tag, sim.now))
 
         sim.spawn(mover(sim, "a"))
@@ -144,7 +144,7 @@ class TestRateLimiter:
 
         def mover(sim):
             yield sim.timeout(10.0)
-            yield limiter.transfer(1000)
+            yield sim.at(limiter.reserve(1000))
             done.append(sim.now)
 
         sim.spawn(mover(sim))
@@ -160,11 +160,11 @@ class TestRateLimiter:
         sim = Simulator()
         limiter = RateLimiter(sim, 1000.0)
         with pytest.raises(ValueError):
-            limiter.transfer(-1)
+            limiter.reserve(-1)
 
     def test_bytes_moved_accumulates(self):
         sim = Simulator()
         limiter = RateLimiter(sim, 1000.0)
-        limiter.transfer(100)
-        limiter.transfer(200)
+        limiter.reserve(100)
+        limiter.reserve(200)
         assert limiter.bytes_moved == 300
