@@ -19,6 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..host.testbed import (NfsTestbed, TestbedConfig,
                             build_local_testbed, build_nfs_testbed)
+from ..sim.rand import run_seed
 from ..stats import Summary, summarize
 from .fileset import FileSpec, files_for_readers
 from .readers import (ReaderResult, resilient_sequential_reader,
@@ -228,12 +229,12 @@ def collect_metric(run_once: Callable[[TestbedConfig], object],
     """Per-seed values of ``metric`` (an attribute of ``run_once``'s
     result) for ``runs`` repeats, in seed order.
 
-    Repeat ``index`` runs with seed ``config.seed + 1000 * index``, the
-    spacing every campaign cell uses (:mod:`repro.campaign`).
+    Repeat ``index`` runs with seed ``run_seed(config.seed, index)``,
+    as every campaign cell does (:mod:`repro.campaign`).
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    seeds = [config.with_seed(config.seed + 1000 * index)
+    seeds = [config.with_seed(run_seed(config.seed, index))
              for index in range(runs)]
     return [getattr(run_once(seeded), metric) for seeded in seeds]
 

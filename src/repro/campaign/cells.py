@@ -71,11 +71,10 @@ class CampaignSpec:
 
 def _testbed_config(params: dict, index: int):
     from ..host.testbed import TestbedConfig
+    from ..sim.rand import run_seed
     kwargs = {key: params[key] for key in _TESTBED_KEYS if key in params}
-    base_seed = kwargs.pop("seed", 0)
-    # The serial paths space per-run seeds 1000 apart; cells match them
-    # exactly so a sharded fold is byte-identical to a serial one.
-    return TestbedConfig(seed=base_seed + 1000 * index, **kwargs)
+    return TestbedConfig(seed=run_seed(kwargs.pop("seed", 0), index),
+                         **kwargs)
 
 
 def namespace_point(params: dict):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..host.testbed import TestbedConfig, build_nfs_testbed
-from ..sim.rand import derive_seed
+from ..sim.rand import derive_seed, run_seed
 from .metadata import (MetadataWorkload, MetaOpsJournal, MixedWorkload,
                        metadata_verifier, metadata_worker)
 from .oracles import (MetadataOracleInputs, OracleInputs, OracleResult,
@@ -261,15 +261,14 @@ def run_campaign(config: TestbedConfig, fuzzer: ScheduleFuzzer,
                  on_result=None) -> List[CampaignRun]:
     """Run ``budget`` fuzzed schedules; returns every run's outcome.
 
-    Run ``i`` uses config seed ``seed + 1000*i`` (spacing keeps the
-    derived streams of different runs far apart) while the schedule
+    Run ``i`` uses config seed ``run_seed(seed, i)`` while the schedule
     itself depends only on the fuzzer's own seed and ``i``.
     """
     workload = workload or ChaosWorkload()
     runs: List[CampaignRun] = []
     for index in range(budget):
         schedule = fuzzer.schedule(index)
-        run_config = config.with_seed(config.seed + 1000 * index)
+        run_config = config.with_seed(run_seed(config.seed, index))
         result = run_chaos(run_config, schedule, workload)
         run = CampaignRun(index=index, schedule=schedule, result=result)
         runs.append(run)

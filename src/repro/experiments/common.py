@@ -8,6 +8,7 @@ from typing import Callable, Sequence, Tuple
 from ..bench.runner import run_local_once
 from ..host.testbed import TestbedConfig
 from ..obs.session import active_session
+from ..sim.rand import run_seed
 from ..stats import RunningSummary, SeriesSet
 
 
@@ -42,7 +43,7 @@ def sweep(figure: SeriesSet,
 
     Each point is the mean (σ) of ``runs`` repeats, every repeat on a
     fresh testbed: repeat ``run`` of ``x`` calls
-    ``point(config.with_seed(seed + 1000*run + offset(x)), x)`` and
+    ``point(config.with_seed(run_seed(seed, run) + offset(x)), x)`` and
     folds the result's ``metric`` attribute.  Metric snapshots recorded
     meanwhile are stamped ``{"series": label, figure.xlabel: x}``.
     """
@@ -53,7 +54,7 @@ def sweep(figure: SeriesSet,
             with _sweep_context({"series": label, figure.xlabel: x}):
                 for run in range(runs):
                     result = point(
-                        config.with_seed(seed + 1000 * run + offset(x)),
+                        config.with_seed(run_seed(seed, run) + offset(x)),
                         x)
                     acc.add(getattr(result, metric))
             series.add(x, acc.freeze())
@@ -77,7 +78,7 @@ def completion_distribution(title: str,
         accumulators = [RunningSummary() for _ in range(nreaders)]
         with _sweep_context({"series": label, "readers": nreaders}):
             for run_index in range(runs):
-                run_config = config.with_seed(seed + 1000 * run_index)
+                run_config = config.with_seed(run_seed(seed, run_index))
                 result = run_local_once(run_config, nreaders, scale=scale)
                 for position, finish in \
                         enumerate(result.completion_times()):

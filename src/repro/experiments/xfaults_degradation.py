@@ -26,6 +26,7 @@ from __future__ import annotations
 from ..bench.runner import run_faulted_once
 from ..faults import FaultSpec, NetworkFaults
 from ..host.testbed import TestbedConfig
+from ..sim.rand import run_seed
 from ..stats import RunningSummary, SeriesSet
 from .registry import Claim, register
 
@@ -87,9 +88,9 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
             acc = RunningSummary()
             err_acc = RunningSummary()
             for run_index in range(runs):
-                run_seed = (seed + 1000 * run_index
-                            + int(mean_loss * 100_000))
-                config = _config(transport, soft, mean_loss, run_seed)
+                config_seed = (run_seed(seed, run_index)
+                               + int(mean_loss * 100_000))
+                config = _config(transport, soft, mean_loss, config_seed)
                 result = run_faulted_once(config, READERS, scale=scale)
                 if result.duplicate_executions:
                     raise AssertionError(
@@ -104,7 +105,7 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
                 figure.detail.append({
                     "label": label, "transport": transport,
                     "soft": soft, "mean_loss": mean_loss,
-                    "run_index": run_index, "seed": run_seed,
+                    "run_index": run_index, "seed": config_seed,
                     "goodput_mb_s": result.goodput_mb_s,
                     "error_rate": result.error_rate,
                     "rpc_timeouts": result.rpc_timeouts,

@@ -24,6 +24,7 @@ from dataclasses import replace
 from ..host.testbed import TestbedConfig
 from ..replay import capture_nfs_run, replay_trace
 from ..replay.engine import CLOSED_LOOP
+from ..sim.rand import run_seed
 from ..stats import RunningSummary, SeriesSet
 from .registry import register
 
@@ -56,7 +57,7 @@ def run(scale: float = 0.125, runs: int = 3, seed: int = 0) -> SeriesSet:
             for run_index in range(runs):
                 result = replay_trace(
                     trace,
-                    target.with_seed(seed + 1000 * run_index + clients),
+                    target.with_seed(run_seed(seed, run_index) + clients),
                     mode=CLOSED_LOOP, clients=clients)
                 acc.add(result.throughput_mb_s)
             series.add(clients, acc.freeze())

@@ -12,11 +12,22 @@ import hashlib
 import random
 
 
+#: Seed distance between the repeats of one point: wide enough that
+#: the streams derived from one repeat's seed never meet another's.
+RUN_SEED_SPACING = 1000
+
+
 def derive_seed(master_seed: int, stream_name: str) -> int:
     """Derive a 64-bit child seed from a master seed and a stream name."""
     digest = hashlib.sha256(
         f"{master_seed}:{stream_name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def run_seed(seed: int, run: int) -> int:
+    """The testbed seed of repeat ``run`` of a point seeded ``seed``:
+    every sweep, bench repeat, campaign cell and chaos schedule."""
+    return seed + RUN_SEED_SPACING * run
 
 
 class RandomStreams:
