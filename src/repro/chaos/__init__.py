@@ -19,7 +19,7 @@ from .metadata import (MetadataWorkload, MetaOpsJournal, MixedWorkload,
 from .oracles import (METADATA_ORACLE_NAMES, MetadataOracleInputs,
                       ORACLE_NAMES, OracleInputs, OracleResult,
                       evaluate_metadata_oracles, evaluate_oracles,
-                      failed_oracle_names)
+                      failed_oracle_names, liveness_oracle)
 from .schedule import (ChaosSchedule, FAULT_KINDS, FaultEvent,
                        ScheduleFuzzer)
 from .shrink import ShrinkResult, shrink
@@ -36,7 +36,8 @@ __all__ = [
     "ScheduleFuzzer", "ShrinkResult", "bundle_dict",
     "chaos_verifier", "chaos_worker", "config_from_bundle",
     "evaluate_metadata_oracles",
-    "evaluate_oracles", "failed_oracle_names", "metadata_verifier",
+    "evaluate_oracles", "failed_oracle_names", "liveness_oracle",
+    "metadata_verifier",
     "metadata_worker", "read_bundle",
     "replay_bundle", "run_campaign", "run_chaos", "shrink",
     "workload_from_jsonable", "write_bundle",

@@ -27,7 +27,7 @@ from .metadata import (MetadataWorkload, MetaOpsJournal, MixedWorkload,
                        metadata_verifier, metadata_worker)
 from .oracles import (MetadataOracleInputs, OracleInputs, OracleResult,
                       evaluate_metadata_oracles, evaluate_oracles,
-                      failed_oracle_names)
+                      failed_oracle_names, liveness_oracle)
 from .schedule import ChaosSchedule, ScheduleFuzzer
 from .workload import (ChaosJournal, ChaosWorkload, chaos_verifier,
                        chaos_worker)
@@ -155,7 +155,7 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
     server = testbed.server
     duplicate_executions = sum(s.duplicate_executions
                                for s in testbed.rpc_servers)
-    shared_counters = {
+    counters: Dict[str, int] = {
         "reboots_observed": sum(m.stats.server_reboots_observed
                                 for m in mounts),
         "server_boot_epoch": server.boot_epoch,
@@ -168,8 +168,10 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
         "duplicate_executions": duplicate_executions,
     }
 
-    oracles: Tuple[OracleResult, ...] = ()
-    counters: Dict[str, int] = {}
+    # One liveness verdict over every process; each family's other
+    # oracles follow it, the write family first.
+    liveness = liveness_oracle(processes)
+    oracles: Tuple[OracleResult, ...] = (liveness,)
     payload = {
         "schedule": schedule.to_jsonable(),
         "workload": workload.to_jsonable(),
@@ -177,12 +179,11 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
 
     if write_wl is not None:
         inputs = OracleInputs(
-            processes=processes,
             journal_durable=dict(journal.durable),
             final_reads=dict(final_reads),
             ryw_violations=list(journal.ryw_violations),
             duplicate_executions=duplicate_executions)
-        oracles += evaluate_oracles(inputs)
+        oracles += evaluate_oracles(inputs, liveness.passed)
         counters.update({
             "writes": sum(m.stats.writes for m in mounts),
             "stable_writes": sum(m.stats.stable_writes
@@ -194,7 +195,6 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
             "commit_retries": sum(m.stats.commit_retries
                                   for m in mounts),
         })
-        counters.update(shared_counters)
         payload["journal"] = {f"{name}:{block}": token
                               for (name, block), token
                               in sorted(journal.durable.items())}
@@ -206,7 +206,6 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
         recovery = [report.to_jsonable()
                     for report in server.recovery_reports]
         meta_inputs = MetadataOracleInputs(
-            processes=processes,
             expected=dict(meta_journal.expected),
             observed=dict(meta_observed),
             anomalies=list(meta_journal.anomalies),
@@ -214,9 +213,8 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
             recovery_reports=recovery,
             cross_boot_reexecutions=(
                 server.stats.cross_boot_meta_reexecutions))
-        meta_oracles = evaluate_metadata_oracles(meta_inputs)
-        # A mixed run shares one liveness verdict (all processes).
-        oracles += meta_oracles[1:] if oracles else meta_oracles
+        oracles += evaluate_metadata_oracles(meta_inputs,
+                                             liveness.passed)
         counters.update({
             "creates": sum(m.stats.creates for m in mounts),
             "mkdirs": sum(m.stats.mkdirs for m in mounts),
@@ -230,7 +228,6 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
                 server.stats.cross_boot_meta_reexecutions),
             "recovery_fscks": len(recovery),
         })
-        counters.update(shared_counters)
         payload["meta_expected"] = dict(
             sorted(meta_journal.expected.items()))
         payload["meta_observed"] = dict(sorted(meta_observed.items()))

@@ -59,10 +59,9 @@ class OracleResult:
 
 @dataclass
 class OracleInputs:
-    """Everything the oracles need, gathered by the engine."""
+    """Everything the write oracles after liveness need, gathered by
+    the engine."""
 
-    #: (process name, finished?) for every worker plus the verifier.
-    processes: List[Tuple[str, bool]] = field(default_factory=list)
     #: The journal's durability claims: (file, block) -> token.
     journal_durable: dict = field(default_factory=dict)
     #: End-of-run readback: (file, block) -> token.
@@ -73,15 +72,19 @@ class OracleInputs:
     duplicate_executions: int = 0
 
 
-def evaluate_oracles(inputs: OracleInputs) -> Tuple[OracleResult, ...]:
-    """All four oracles, in canonical order."""
+def liveness_oracle(processes: List[Tuple[str, bool]]) -> OracleResult:
+    """The one liveness verdict of a run, over ``(process name,
+    finished?)`` for every worker and verifier of every workload."""
     unfinished = tuple(f"{name} did not finish"
-                       for name, finished in inputs.processes
-                       if not finished)
-    live = not unfinished
-    liveness = OracleResult("liveness", passed=live,
-                            violations=unfinished)
+                       for name, finished in processes if not finished)
+    return OracleResult("liveness", passed=not unfinished,
+                        violations=unfinished)
 
+
+def evaluate_oracles(inputs: OracleInputs,
+                     live: bool) -> Tuple[OracleResult, ...]:
+    """The write oracles after liveness, in canonical order; ``live``
+    is the run's liveness verdict."""
     if live:
         lost = []
         for key in sorted(inputs.journal_durable):
@@ -106,7 +109,7 @@ def evaluate_oracles(inputs: OracleInputs) -> Tuple[OracleResult, ...]:
         "dupreq_idempotency", passed=dup == 0,
         violations=((f"{dup} non-idempotent re-executions",)
                     if dup else ()))
-    return (liveness, no_lost, ryw, dupreq)
+    return (no_lost, ryw, dupreq)
 
 
 def failed_oracle_names(oracles) -> Tuple[str, ...]:
@@ -121,10 +124,9 @@ def failed_oracle_names(oracles) -> Tuple[str, ...]:
 
 @dataclass
 class MetadataOracleInputs:
-    """Everything the metadata oracles need, gathered by the engine."""
+    """Everything the metadata oracles after liveness need, gathered
+    by the engine."""
 
-    #: (process name, finished?) for every worker plus the verifier.
-    processes: List[Tuple[str, bool]] = field(default_factory=list)
     #: The journal's acknowledged namespace claims: path -> state.
     expected: dict = field(default_factory=dict)
     #: End-of-run stat sweep through a cold cache: path -> state.
@@ -139,9 +141,10 @@ class MetadataOracleInputs:
     cross_boot_reexecutions: int = 0
 
 
-def evaluate_metadata_oracles(
-        inputs: MetadataOracleInputs) -> Tuple[OracleResult, ...]:
-    """All five metadata oracles, in canonical order.
+def evaluate_metadata_oracles(inputs: MetadataOracleInputs,
+                              live: bool) -> Tuple[OracleResult, ...]:
+    """The metadata oracles after liveness, in canonical order;
+    ``live`` is the run's liveness verdict.
 
     ``no_lost_acked_metadata`` and ``rename_atomicity`` need the final
     stat sweep, so — like ``no_lost_acked_data`` — they are undecidable
@@ -149,13 +152,6 @@ def evaluate_metadata_oracles(
     idempotency oracles judge evidence collected during the run and are
     always decided.
     """
-    unfinished = tuple(f"{name} did not finish"
-                       for name, finished in inputs.processes
-                       if not finished)
-    live = not unfinished
-    liveness = OracleResult("liveness", passed=live,
-                            violations=unfinished)
-
     if live:
         lost = list(inputs.anomalies)
         for path in sorted(inputs.expected):
@@ -212,4 +208,4 @@ def evaluate_metadata_oracles(
         "cross_boot_meta_idempotency", passed=redo == 0,
         violations=((f"{redo} acked metadata ops re-executed across "
                      f"a reboot",) if redo else ()))
-    return (liveness, no_lost, consistency, atomic, idem)
+    return (no_lost, consistency, atomic, idem)

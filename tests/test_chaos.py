@@ -7,7 +7,7 @@ import pytest
 from repro.chaos import (ChaosSchedule, ChaosWorkload, FaultEvent,
                          ORACLE_NAMES, OracleInputs, ScheduleFuzzer,
                          evaluate_oracles, failed_oracle_names,
-                         read_bundle, replay_bundle, run_campaign,
+                         liveness_oracle, read_bundle, replay_bundle, run_campaign,
                          run_chaos, shrink, write_bundle)
 from repro.host.testbed import TestbedConfig
 
@@ -82,21 +82,22 @@ class TestSchedules:
 
 class TestOracles:
     def test_liveness_failure_undecides_data_oracle(self):
-        inputs = OracleInputs(
-            processes=[("worker0", False)],
-            journal_durable={("f", 0): 1}, final_reads={})
-        oracles = evaluate_oracles(inputs)
+        liveness = liveness_oracle([("worker0", False)])
+        inputs = OracleInputs(journal_durable={("f", 0): 1},
+                              final_reads={})
+        oracles = (liveness,) + evaluate_oracles(inputs, liveness.passed)
         by_name = {o.name: o for o in oracles}
         assert not by_name["liveness"].passed
         assert not by_name["no_lost_acked_data"].evaluated
         assert failed_oracle_names(oracles) == ("liveness",)
 
     def test_lost_data_and_duplicates_reported_in_order(self):
+        liveness = liveness_oracle([("worker0", True)])
         inputs = OracleInputs(
-            processes=[("worker0", True)],
             journal_durable={("f", 0): 2}, final_reads={("f", 0): 1},
             ryw_violations=["stale"], duplicate_executions=3)
-        names = failed_oracle_names(evaluate_oracles(inputs))
+        names = failed_oracle_names(
+            (liveness,) + evaluate_oracles(inputs, liveness.passed))
         assert names == ("no_lost_acked_data", "read_your_writes",
                          "dupreq_idempotency")
         assert tuple(n for n in ORACLE_NAMES if n in names) == names
