@@ -19,7 +19,7 @@ from .drivers import (CampaignIncomplete, bench_results, bench_spec,
                       chaos_spec, complete_results, fold_bench,
                       fold_chaos, run_bench_campaign,
                       run_chaos_campaign, run_spec_campaign,
-                      shrink_and_bundle, shrink_failure)
+                      shrink_and_bundle)
 from .journal import (CampaignJournal, JournalError, LoadedJournal,
                       atomic_write_text, fold_records)
 from .orchestrator import (CampaignOptions, CampaignOutcome,
@@ -36,5 +36,5 @@ __all__ = [
     "report_html", "run_bench_campaign",
     "run_bench_cell", "run_chaos_campaign", "run_chaos_cell",
     "run_sharded", "run_spec_campaign", "run_spec_cell",
-    "shrink_and_bundle", "shrink_failure", "write_report",
+    "shrink_and_bundle", "write_report",
 ]

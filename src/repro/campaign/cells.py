@@ -111,8 +111,8 @@ def run_bench_cell(spec: CampaignSpec, index: int) -> dict:
 
 def chaos_cell(spec: CampaignSpec, index: int):
     """Cell ``index`` of a chaos campaign as ``(config, schedule,
-    workload)``: the one setup that serial `chaos fuzz`, the sharded
-    cells and the shrinker all run."""
+    workload)``: the one setup that every chaos cell and the shrinker
+    run."""
     from ..chaos import (ChaosWorkload, ScheduleFuzzer,
                          workload_from_jsonable)
     params = spec.params

@@ -1,13 +1,14 @@
 """Campaign drivers: bench and chaos campaigns end to end.
 
 These functions connect the generic orchestrator to the two verb-level
-folds the repository already speaks:
+folds the repository already speaks.  Every verb gets a spec's cells
+from :func:`run_spec_campaign`, in this process or sharded:
 
-* :func:`run_bench_campaign` — shards seeded benchmark repeats and
+* :func:`run_bench_campaign` — runs seeded benchmark repeats and
   folds them with :func:`fold_bench` into the record `bench` prints
   (`bench` adds only its ``jobs``), then optionally streams the record
   into the bench history store;
-* :func:`run_chaos_campaign` — shards fuzzed schedules, dedupes
+* :func:`run_chaos_campaign` — runs fuzzed schedules, dedupes
   failures by their SHA-256 run fingerprint (a 100k-schedule campaign
   typically rediscovers the same bug thousands of times), and shrinks
   + bundles one representative per distinct fingerprint.
@@ -21,12 +22,12 @@ from __future__ import annotations
 import functools
 import os
 import tempfile
+from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
-from .cells import (CampaignSpec, chaos_cell, run_bench_cell,
-                    run_spec_cell)
+from .cells import CampaignSpec, chaos_cell, run_spec_cell
 from .orchestrator import (CampaignOptions, CampaignOutcome,
-                           run_sharded)
+                           run_in_process, run_sharded)
 
 
 class CampaignIncomplete(RuntimeError):
@@ -49,13 +50,30 @@ def _spec_header(spec: CampaignSpec) -> dict:
             "fingerprint": spec.fingerprint()}
 
 
-def run_spec_campaign(spec: CampaignSpec, journal_path: str,
+def run_spec_campaign(spec: CampaignSpec,
+                      journal_path: Optional[str] = None,
                       options: Optional[CampaignOptions] = None,
                       resume: bool = False,
                       progress: Optional[Callable[[dict], None]] = None
                       ) -> CampaignOutcome:
-    """Run (or resume) a JSON-spec campaign over its journal."""
+    """Run (or resume) a JSON-spec campaign: every verb's cells.
+
+    With one worker (``min(options.workers, spec.cells)``), no journal
+    and every other option at its default, the cells run in this
+    process; otherwise :func:`run_sharded` runs them over the journal,
+    a temporary one if none is given, and its workers enforce the
+    options.  Cells are pure in (spec, index): both give one fold.
+    """
+    options = options or CampaignOptions()
+    options = replace(options, workers=min(options.workers, spec.cells))
     runner = functools.partial(run_spec_cell, spec.to_jsonable())
+    if journal_path is None and options == CampaignOptions(workers=1):
+        return run_in_process(runner, spec.cells, progress)
+    if journal_path is None:
+        with tempfile.TemporaryDirectory(prefix="campaign-") as tmp:
+            return run_spec_campaign(
+                spec, os.path.join(tmp, "journal.jsonl"), options,
+                resume, progress)
     return run_sharded(runner, spec.cells, journal_path,
                        _spec_header(spec), options=options,
                        resume=resume, progress=progress)
@@ -97,20 +115,10 @@ def complete_results(outcome: CampaignOutcome, what: str) -> List[dict]:
 
 
 def bench_results(spec: CampaignSpec, jobs: int = 1) -> List[dict]:
-    """Every cell of a bench spec, in cell order.
-
-    With one job or one run the cells run in this process; otherwise
-    they are sharded across ``min(jobs, runs)`` workers under a
-    temporary journal.  A cell is a pure function of (spec, index),
-    so both give the same list.
-    """
-    if jobs == 1 or spec.cells == 1:
-        return [run_bench_cell(spec, index)
-                for index in range(spec.cells)]
-    with tempfile.TemporaryDirectory(prefix="bench-jobs-") as tmp:
-        outcome = run_spec_campaign(
-            spec, os.path.join(tmp, "journal.jsonl"),
-            options=CampaignOptions(workers=min(jobs, spec.cells)))
+    """Every cell of a bench spec, in cell order, from ``jobs``
+    workers (:func:`run_spec_campaign`)."""
+    outcome = run_spec_campaign(spec,
+                                options=CampaignOptions(workers=jobs))
     return complete_results(outcome, "bench --jobs")
 
 
@@ -149,7 +157,8 @@ def fold_bench(spec: CampaignSpec, results: List[dict]) -> dict:
     return record
 
 
-def run_bench_campaign(spec: CampaignSpec, journal_path: str,
+def run_bench_campaign(spec: CampaignSpec,
+                       journal_path: Optional[str] = None,
                        options: Optional[CampaignOptions] = None,
                        resume: bool = False,
                        progress=None,
@@ -232,57 +241,45 @@ def fold_chaos(spec: CampaignSpec, outcome: CampaignOutcome,
             "horizon": params["horizon"],
             "max_events": params["max_events"],
             "recovery": params["mount_verifier_recovery"],
+            "workload": params.get("workload", {}).get("kind", "write"),
+            "ack_before_intent": params.get("meta_ack_before_intent",
+                                            False),
             "runs": judged,
             "failing_cells": sum(f["occurrences"] for f in distinct),
             "distinct_failures": distinct,
             "ok": not distinct}
 
 
-def shrink_failure(spec: CampaignSpec, index: int, oracle: str,
-                   max_runs: int = 48,
-                   bundle_dir: Optional[str] = None) -> dict:
-    """Shrink cell ``index`` to a minimal schedule that still fails
-    ``oracle``, and bundle it into ``bundle_dir`` if one is given.
-
-    Returns the failure record's shrink fields: ``shrunk_events``,
-    ``shrink_runs`` and ``bundle`` (the bundle path, or None).
-    """
-    from ..chaos import run_chaos, shrink, write_bundle
-    config, schedule, workload = chaos_cell(spec, index)
-    shrunk = shrink(config, schedule, oracle, workload=workload,
-                    max_runs=max_runs)
-    path = None
-    if bundle_dir is not None:
-        final = run_chaos(config, shrunk.schedule, workload)
-        os.makedirs(bundle_dir, exist_ok=True)
-        path = os.path.join(bundle_dir, f"chaos-{index}.json")
-        write_bundle(path, config, workload, shrunk.schedule, final)
-    return {"shrunk_events": [event.to_jsonable()
-                              for event in shrunk.schedule.events],
-            "shrink_runs": shrunk.runs,
-            "bundle": path}
-
-
 def shrink_and_bundle(spec: CampaignSpec, record: dict,
                       bundle_dir: str, shrink_runs: int = 48,
                       progress=None) -> None:
-    """Shrink + bundle one representative per distinct fingerprint.
+    """Shrink + bundle one representative per distinct fingerprint:
+    its first cell, to a schedule that still fails its first oracle.
 
     Mutates ``record``'s failure entries in place with the shrink and
     bundle details (this part is post-fold reporting, not the fold).
     """
+    from ..chaos import run_chaos, shrink, write_bundle
+    os.makedirs(bundle_dir, exist_ok=True)
     for entry in record["distinct_failures"]:
         index = entry["first_index"]
-        entry.update(shrink_failure(spec, index,
-                                    entry["failed_oracles"][0],
-                                    shrink_runs, bundle_dir))
+        config, schedule, workload = chaos_cell(spec, index)
+        shrunk = shrink(config, schedule, entry["failed_oracles"][0],
+                        workload=workload, max_runs=shrink_runs)
+        path = os.path.join(bundle_dir, f"chaos-{index}.json")
+        write_bundle(path, config, workload, shrunk.schedule,
+                     run_chaos(config, shrunk.schedule, workload))
+        entry.update({"shrunk_events": [event.to_jsonable() for event
+                                        in shrunk.schedule.events],
+                      "shrink_runs": shrunk.runs, "bundle": path})
         if progress is not None:
             progress({"event": "bundle", "cell": index,
                       "bundle": entry["bundle"],
                       "events": len(entry["shrunk_events"])})
 
 
-def run_chaos_campaign(spec: CampaignSpec, journal_path: str,
+def run_chaos_campaign(spec: CampaignSpec,
+                       journal_path: Optional[str] = None,
                        options: Optional[CampaignOptions] = None,
                        resume: bool = False, progress=None,
                        bundle_dir: Optional[str] = None,

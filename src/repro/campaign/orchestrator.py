@@ -44,6 +44,9 @@ POLL_INTERVAL = 0.05
 #: An in-flight cell slower than this multiple of the median
 #: completed-cell time is counted as a straggler.
 STRAGGLER_FACTOR = 4.0
+#: The session's failure counters, each a coverage bucket.
+_COUNTERS = ("timeouts", "worker_crashes", "cell_errors", "stragglers",
+             "late_results")
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,7 @@ class Orchestrator:
         self.prior_attempts: Dict[int, int] = dict(prior_attempts or {})
         self.session_attempts: Dict[int, int] = {}
         self.abandoned: Dict[int, str] = {}
-        self.counters: Dict[str, int] = {
-            "timeouts": 0, "worker_crashes": 0, "cell_errors": 0,
-            "stragglers": 0, "late_results": 0}
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
         for key, value in (prior_counters or {}).items():
             if key in self.counters:
                 self.counters[key] += value
@@ -182,8 +183,7 @@ class Orchestrator:
                        lambda: float(sum(
                            1 for w in self._workers.values()
                            if w.process.is_alive())))
-        for name in ("timeouts", "worker_crashes", "cell_errors",
-                     "stragglers", "late_results"):
+        for name in _COUNTERS:
             registry.gauge(f"campaign.{name}",
                            lambda key=name: float(self.counters[key]))
 
@@ -409,31 +409,66 @@ class Orchestrator:
                 outcomes.append(CellOutcome(
                     index=index, status="pending", attempts=attempts,
                     reason=reason))
-        coverage = self.coverage(outcomes)
+        coverage = coverage_accounting(outcomes, self.counters)
         if interrupted:
             coverage["interrupted"] = 1
         return CampaignOutcome(outcomes=outcomes, coverage=coverage,
                                elapsed=elapsed)
 
-    def coverage(self, outcomes: List[CellOutcome]) -> Dict[str, int]:
-        """Explicit accounting: every cell is in exactly one bucket."""
-        done = sum(1 for o in outcomes if o.status == "done")
-        abandoned = sum(1 for o in outcomes if o.status == "abandoned")
-        pending = sum(1 for o in outcomes if o.status == "pending")
-        retried = sum(1 for o in outcomes if o.attempts > 1)
-        return {
-            "cells": self.cells,
-            "done": done,
-            "retried": retried,
-            "timed_out": self.counters["timeouts"],
-            "abandoned": abandoned,
-            "not_run": pending,
-            "worker_crashes": self.counters["worker_crashes"],
-            "cell_errors": self.counters["cell_errors"],
-            "stragglers": self.counters["stragglers"],
-            "late_results": self.counters["late_results"],
-            "attempts": sum(o.attempts for o in outcomes),
-        }
+
+def coverage_accounting(outcomes: List[CellOutcome],
+                        counters: Dict[str, int]) -> Dict[str, int]:
+    """Explicit accounting: every cell is in exactly one bucket;
+    ``counters`` are the session's, keyed by :data:`_COUNTERS`."""
+    done = sum(1 for o in outcomes if o.status == "done")
+    abandoned = sum(1 for o in outcomes if o.status == "abandoned")
+    pending = sum(1 for o in outcomes if o.status == "pending")
+    retried = sum(1 for o in outcomes if o.attempts > 1)
+    return {
+        "cells": len(outcomes),
+        "done": done,
+        "retried": retried,
+        "timed_out": counters["timeouts"],
+        "abandoned": abandoned,
+        "not_run": pending,
+        "worker_crashes": counters["worker_crashes"],
+        "cell_errors": counters["cell_errors"],
+        "stragglers": counters["stragglers"],
+        "late_results": counters["late_results"],
+        "attempts": sum(o.attempts for o in outcomes),
+    }
+
+
+def run_in_process(runner: Callable[[int], dict], cells: int,
+                   progress: Optional[Callable[[dict], None]] = None
+                   ) -> CampaignOutcome:
+    """Every cell in this process, in index order, with no journal:
+    the same fold, ``result`` events and coverage accounting as a
+    sharded session in which nothing failed.  An interrupt leaves the
+    rest pending, as it does the orchestrator; a cell that raises ends
+    the session, and timeouts, retries and budgets need
+    :func:`run_sharded`.
+    """
+    progress = progress or (lambda event: None)
+    start = time.monotonic()
+    outcomes: List[CellOutcome] = []
+    try:
+        for index in range(cells):
+            result = runner(index)
+            outcomes.append(CellOutcome(index=index, status="done",
+                                        attempts=1, result=result))
+            progress({"event": "result", "cell": index, "attempt": 1,
+                      "result": result, "done": index + 1,
+                      "total": cells})
+    except KeyboardInterrupt:
+        outcomes += [CellOutcome(index=index, status="pending",
+                                 reason="interrupted")
+                     for index in range(len(outcomes), cells)]
+    coverage = coverage_accounting(outcomes, dict.fromkeys(_COUNTERS, 0))
+    if coverage["not_run"]:
+        coverage["interrupted"] = 1
+    return CampaignOutcome(outcomes=outcomes, coverage=coverage,
+                           elapsed=time.monotonic() - start)
 
 
 def run_sharded(runner: Callable[[int], dict], cells: int,

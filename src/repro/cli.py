@@ -239,16 +239,19 @@ def _bench_flags(parser: argparse.ArgumentParser, runs: int) -> None:
 def _orchestrator_flags(parser: argparse.ArgumentParser,
                         jobs: int) -> None:
     """The sharding/robustness knobs of `campaign` and `chaos fuzz`,
-    and their ``--json``."""
+    their ``--json``, and their one handler."""
+    parser.set_defaults(handler=functools.partial(_main_campaign, parser))
     parser.add_argument("--jobs", type=_positive_int, default=jobs,
-                        help="worker processes to shard cells across")
+                        help="worker processes to shard cells across "
+                             "(one runs them in this process unless a "
+                             "journal or a worker-enforced limit is set)")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         type=_journal_file,
                         help="campaign journal (JSONL); every completed "
                              "cell is committed here before anything "
                              "else happens, making the campaign "
-                             "resumable (default: an ephemeral "
-                             "temporary journal)")
+                             "resumable (default: none in process, "
+                             "else an ephemeral temporary journal)")
     parser.add_argument("--resume", action="store_true",
                         help="resume an interrupted campaign from "
                              "--journal: cells already journalled are "
@@ -465,15 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chaos-test the NFS stack: fuzz seeded fault "
                     "schedules against the correctness oracles, shrink "
                     "any failure to a minimal schedule, and replay "
-                    "repro bundles deterministically.  'fuzz' exits 1 "
-                    "if any oracle failed; 'replay' exits 1 if the "
+                    "repro bundles deterministically.  'fuzz' exits "
+                    "as 'campaign chaos' does (1 if any oracle "
+                    "failed); 'replay' exits 1 if the "
                     "bundle's failure did not reproduce bit-identically "
                     "and 3 if the bundle file is missing, truncated, "
                     "or corrupt.")
     modes = chaos.add_subparsers(dest="mode", required=True)
-    fuzz = _leaf(modes, "fuzz", _main_chaos_fuzz,
-                 "run a fixed-seed campaign of fuzzed schedules; with "
-                 "--jobs or --journal it runs as 'campaign chaos'")
+    fuzz = _leaf(modes, "fuzz", None,
+                 "run a fixed-seed campaign of fuzzed schedules: "
+                 "'campaign chaos' with a smaller budget and one job")
     fuzz.set_defaults(kind="chaos")
     _chaos_flags(fuzz, budget=30, jobs=1)
     bundle = _leaf(modes, "replay", _main_chaos_replay,
@@ -493,11 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_bench = _leaf(kinds, "bench", None,
                            "shard seeded benchmark repeats; the fold is "
                            "byte-identical to a serial `bench` run")
-    campaign_bench.set_defaults(handler=functools.partial(
-        _main_campaign, parser=campaign_bench))
     _bench_flags(campaign_bench, runs=10)
     _orchestrator_flags(campaign_bench, jobs=2)
-    _chaos_flags(_leaf(kinds, "chaos", _main_campaign,
+    _chaos_flags(_leaf(kinds, "chaos", None,
                        "shard fuzzed fault schedules; failures are "
                        "deduped by run fingerprint and shrunk once per "
                        "distinct failure"), budget=1000, jobs=2)
@@ -819,15 +821,16 @@ def _chaos_spec(args):
                       ack_before_intent=args.ack_before_intent)
 
 
-def _main_campaign(args, parser=None) -> int:
-    """`campaign bench` or `campaign chaos`.  ``parser`` is the
-    `campaign bench` leaf, which reports a scale that leaves a reader
-    without a file as a usage error."""
-    import tempfile
+def _main_campaign(parser: argparse.ArgumentParser, args) -> int:
+    """`campaign bench`, `campaign chaos` and `chaos fuzz`.  ``parser``
+    is the leaf, which reports ``--resume`` without ``--journal``, and a
+    scale that leaves a reader without a file, as usage errors."""
     from .campaign import (CampaignIncomplete, CampaignOptions,
                            JournalError, run_bench_campaign,
                            run_chaos_campaign, write_report)
     from .diagnose import DEFAULT_HISTORY_PATH
+    if args.resume and args.journal is None:
+        parser.error("--resume needs --journal")
     if args.kind == "bench":
         _check_fileset(parser, args.readers, args.scale)
         spec = _bench_spec(args)
@@ -845,11 +848,6 @@ def _main_campaign(args, parser=None) -> int:
                               max_attempts=args.max_attempts,
                               wall_budget=args.wall_budget)
     progress = _campaign_progress(spec.cells, quiet=args.json)
-    tmp_dir = None
-    journal = args.journal
-    if journal is None:
-        tmp_dir = tempfile.TemporaryDirectory(prefix="campaign-")
-        journal = os.path.join(tmp_dir.name, "journal.jsonl")
     try:
         if args.kind == "bench":
             history = None
@@ -857,11 +855,11 @@ def _main_campaign(args, parser=None) -> int:
                 history = (DEFAULT_HISTORY_PATH if args.history is True
                            else args.history)
             record, outcome = run_bench_campaign(
-                spec, journal, options=options, resume=args.resume,
+                spec, args.journal, options=options, resume=args.resume,
                 progress=progress, history=history)
         else:
             record, outcome = run_chaos_campaign(
-                spec, journal, options=options, resume=args.resume,
+                spec, args.journal, options=options, resume=args.resume,
                 progress=progress, bundle_dir=args.bundle_dir,
                 shrink_runs=args.shrink_runs)
     except JournalError as error:
@@ -876,9 +874,6 @@ def _main_campaign(args, parser=None) -> int:
             print(f"campaign: journal kept at {args.journal}; "
                   f"re-run with --resume to continue", file=sys.stderr)
         return 4
-    finally:
-        if tmp_dir is not None:
-            tmp_dir.cleanup()
     payload = {"record": record, "coverage": outcome.coverage}
     if args.report is not None:
         paths = write_report(args.report, outcome, title,
@@ -910,56 +905,6 @@ def _main_campaign(args, parser=None) -> int:
     if args.kind == "chaos" and not record["ok"]:
         return 1
     return 0
-
-
-def _main_chaos_fuzz(args) -> int:
-    """`chaos fuzz`: serial, or the `campaign chaos` path under
-    ``--jobs``/``--journal``, which shards cells across workers,
-    journals every verdict, and shrinks each distinct failure once."""
-    if args.jobs > 1 or args.journal is not None:
-        return _main_campaign(args)
-    from .campaign import run_chaos_cell, shrink_failure
-    spec = _chaos_spec(args)
-    failures = []
-    for index in range(args.budget):
-        cell = run_chaos_cell(spec, index)
-        if cell["ok"]:
-            continue
-        failures.append({"index": index,
-                         "failed_oracles": cell["failed_oracles"],
-                         "fingerprint": cell["fingerprint"]})
-        if not args.json:
-            print(f"schedule {index}: FAILED "
-                  f"{', '.join(cell['failed_oracles'])} "
-                  f"({cell['events']} events)")
-    for failure in failures:
-        failure.update(shrink_failure(
-            spec, failure["index"], failure["failed_oracles"][0],
-            args.shrink_runs, args.bundle_dir))
-        if not args.json:
-            where = (f" -> {failure['bundle']}" if failure["bundle"]
-                     else "")
-            print(f"  shrunk to {len(failure['shrunk_events'])} "
-                  f"event(s) in {failure['shrink_runs']} runs{where}")
-    record = {"verb": "chaos-fuzz", "budget": args.budget,
-              "seed": args.seed, "transport": args.transport,
-              "heuristic": args.heuristic, "nfsheur": args.nfsheur,
-              "clients": args.clients, "horizon": args.horizon,
-              "max_events": args.max_events,
-              "recovery": not args.no_recovery,
-              "workload": args.workload,
-              "ack_before_intent": args.ack_before_intent,
-              "runs": args.budget,
-              "failures": failures,
-              "ok": not failures}
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        verdict = ("all oracles green" if not failures
-                   else f"{len(failures)} failing schedule(s)")
-        print(f"chaos fuzz: {args.budget} schedules on "
-              f"{args.transport}/{args.heuristic}: {verdict}")
-    return 1 if failures else 0
 
 
 def _main_chaos_replay(args) -> int:

@@ -496,6 +496,21 @@ class TestOrchestrator:
                 if o.status == "done"]
         assert set(done) == {0, 1, 3}
 
+    def test_in_process_interrupt_leaves_the_rest_pending(self):
+        from repro.campaign.orchestrator import run_in_process
+
+        def interrupted_at_two(index):
+            if index == 2:
+                raise KeyboardInterrupt
+            return square_cell(index)
+
+        outcome = run_in_process(interrupted_at_two, 4)
+        assert not outcome.complete
+        assert [o.status for o in outcome.outcomes] == \
+            ["done", "done", "pending", "pending"]
+        assert outcome.coverage["not_run"] == 2
+        assert outcome.coverage["interrupted"] == 1
+
     def test_existing_journal_without_resume_is_refused(self, tmp_path):
         journal_path = str(tmp_path / "j.jsonl")
         run_sharded(square_cell, 2, journal_path,
@@ -638,6 +653,44 @@ class TestDrivers:
         record = fold_chaos(spec, outcome)
         assert record["runs"] == 2  # only judged cells count
 
+    @pytest.mark.parametrize("options,journal,where", [
+        (CampaignOptions(workers=1), False, "in-process"),
+        (CampaignOptions(workers=4), False, "sharded"),
+        (CampaignOptions(workers=1), True, "sharded"),
+        (CampaignOptions(workers=1, cell_timeout=9.0), False, "sharded"),
+        (CampaignOptions(workers=1, max_attempts=1), False, "sharded"),
+        (CampaignOptions(workers=1, wall_budget=9.0), False, "sharded"),
+    ], ids=["one-job", "four-jobs", "journal", "cell-timeout",
+            "max-attempts", "wall-budget"])
+    def test_spec_campaign_runs_in_process_only_without_worker_needs(
+            self, options, journal, where, tmp_path, monkeypatch):
+        from repro.campaign import drivers
+        monkeypatch.setattr(drivers, "run_in_process",
+                            lambda *args, **kwargs: "in-process")
+        monkeypatch.setattr(drivers, "run_sharded",
+                            lambda *args, **kwargs: "sharded")
+        path = str(tmp_path / "j.jsonl") if journal else None
+        spec = chaos_spec(4, seed=0)
+        assert run_spec_campaign(spec, path, options=options) == where
+        # One cell is one job, however many workers were asked for.
+        one_cell = chaos_spec(1, seed=0)
+        assert run_spec_campaign(
+            one_cell, path, options=CampaignOptions(workers=4)) == \
+            ("sharded" if journal else "in-process")
+
+    def test_in_process_outcome_is_the_sharded_outcome(self, tmp_path):
+        spec = chaos_spec(3, recovery=False, seed=0)
+        events = []
+        here = run_spec_campaign(spec, options=CampaignOptions(workers=1),
+                                 progress=events.append)
+        sharded = run_spec_campaign(spec, str(tmp_path / "j.jsonl"),
+                                    options=_options())
+        assert fold_json(here) == fold_json(sharded)
+        assert cells_csv(here) == cells_csv(sharded)
+        assert here.coverage == {**sharded.coverage, "stragglers": 0}
+        assert [(e["event"], e["cell"], e["done"]) for e in events] == \
+            [("result", index, index + 1) for index in range(3)]
+
     def test_bench_campaign_streams_into_history(self, tmp_path):
         from repro.diagnose import load_history
         from repro.campaign import run_bench_campaign
@@ -747,27 +800,55 @@ class TestCampaignCli:
 
     def test_chaos_fuzz_sharded_matches_serial_verdicts(self, tmp_path,
                                                         capsys):
+        """`chaos fuzz` at one job, at two, and `campaign chaos` print
+        one record, byte for byte, failures included."""
         from repro.cli import main
-        code = main(["chaos", "fuzz", "--budget", "4", "--json"])
-        serial = json.loads(capsys.readouterr().out)
-        code2 = main(["chaos", "fuzz", "--budget", "4", "--jobs", "2",
-                      "--json"])
-        sharded = json.loads(capsys.readouterr().out)
-        assert code == code2
-        record = sharded["record"]
-        assert record["runs"] == serial["runs"]
-        serial_failures = {run["fingerprint"]
-                           for run in serial["failures"]}
-        sharded_cells = sum(f["occurrences"]
-                            for f in record["distinct_failures"])
-        assert sharded_cells == len(serial["failures"])
-        assert {f["fingerprint"] for f in record["distinct_failures"]} \
-            <= serial_failures or not serial_failures
-        # Sharded `chaos fuzz` is `campaign chaos`: the same record.
-        code3 = main(["campaign", "chaos", "--budget", "4", "--jobs", "2",
-                      "--json"])
-        assert code3 == code2
-        assert json.loads(capsys.readouterr().out)["record"] == record
+        flags = ["--budget", "4", "--seed", "0", "--no-recovery",
+                 "--json"]
+        records = set()
+        for argv in (["chaos", "fuzz", "--jobs", "1"],
+                     ["chaos", "fuzz", "--jobs", "2"],
+                     ["campaign", "chaos", "--jobs", "2"]):
+            assert main(argv + flags) == 1
+            record = json.loads(capsys.readouterr().out)["record"]
+            assert record["distinct_failures"]
+            records.add(json.dumps(record, sort_keys=True))
+        assert len(records) == 1
+
+    def test_chaos_fuzz_report_at_one_job(self, tmp_path, capsys,
+                                          monkeypatch):
+        """`--report` is honoured at `--jobs 1`, which runs in this
+        process, and writes the fold a sharded run writes."""
+        from repro.campaign import drivers
+        from repro.cli import main
+        flags = ["--budget", "2", "--seed", "0", "--json"]
+        assert main(["chaos", "fuzz", "--jobs", "2", "--report",
+                     str(tmp_path / "sharded")] + flags) == 0
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("--jobs 1 started a worker")
+
+        monkeypatch.setattr(drivers, "run_sharded", no_worker)
+        report = tmp_path / "here"
+        assert main(["chaos", "fuzz", "--report", str(report)]
+                    + flags) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["report"] == str(report / "report.html")
+        assert sorted(os.listdir(report)) == [
+            "cells.csv", "coverage.json", "fold.json", "report.html"]
+        for name in ("fold.json", "cells.csv"):
+            assert (report / name).read_bytes() == \
+                (tmp_path / "sharded" / name).read_bytes()
+
+    def test_campaign_chaos_record_names_its_workload(self, capsys):
+        from repro.cli import main
+        assert main(["campaign", "chaos", "--workload", "metadata",
+                     "--ack-before-intent", "--budget", "1", "--jobs",
+                     "1", "--horizon", "12", "--max-events", "2",
+                     "--json"]) in (0, 1)
+        record = json.loads(capsys.readouterr().out)["record"]
+        assert record["workload"] == "metadata"
+        assert record["ack_before_intent"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -247,9 +247,10 @@ class TestChaosCli:
         from repro.cli import main
         code = main(["chaos", "fuzz", "--budget", "3", "--seed", "0",
                      "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 0
         assert record["ok"] and record["runs"] == 3
+        assert record["distinct_failures"] == []
 
     def test_fuzz_failure_shrinks_and_bundles(self, tmp_path, capsys):
         from repro.cli import main
@@ -257,10 +258,10 @@ class TestChaosCli:
         code = main(["chaos", "fuzz", "--budget", "4", "--seed", "0",
                      "--no-recovery", "--bundle-dir", bundle_dir,
                      "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 1
-        assert record["failures"]
-        failure = record["failures"][0]
+        assert record["distinct_failures"]
+        failure = record["distinct_failures"][0]
         assert failure["bundle"] is not None
         # The written bundle replays to the same failure, and the CLI
         # replay verb agrees (exit 0 = reproduced).

@@ -163,16 +163,17 @@ class TestMetadataCli:
         code = main(["chaos", "fuzz", "--workload", "metadata",
                      "--budget", "2", "--seed", "3", "--horizon", "12",
                      "--max-events", "2", "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 0
         assert record["ok"] is True
+        assert record["distinct_failures"] == []
         assert record["workload"] == "metadata"
 
     def test_fuzz_default_workload_is_write(self, capsys):
         from repro.cli import main
         code = main(["chaos", "fuzz", "--budget", "2", "--seed", "0",
                      "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 0
         assert record["workload"] == "write"
         assert record["ack_before_intent"] is False
@@ -185,10 +186,10 @@ class TestMetadataCli:
                      "--seed", "3", "--horizon", "12",
                      "--max-events", "2",
                      "--bundle-dir", str(tmp_path), "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 1
         assert not record["ok"]
-        failure = record["failures"][0]
+        failure = record["distinct_failures"][0]
         assert "no_lost_acked_metadata" in failure["failed_oracles"]
         assert failure["bundle"] is not None
 

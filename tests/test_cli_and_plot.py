@@ -199,6 +199,10 @@ BAD_ARGV = [
      f"argument --report: {_NO_DIR_MADE}F"),
     ("chaos fuzz --budget 2 --no-recovery --bundle-dir F/b",
      f"argument --bundle-dir: {_NO_DIR_MADE}F/b"),
+    ("chaos fuzz --budget 2 --resume", "--resume needs --journal"),
+    ("campaign bench --runs 1 --readers 1 --scale 0.02 --resume",
+     "--resume needs --journal"),
+    ("campaign chaos --budget 2 --resume", "--resume needs --journal"),
 ]
 
 
