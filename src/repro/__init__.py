@@ -24,7 +24,7 @@ Every figure and table of the paper has a runner in
 the command line.
 """
 
-from .bench import (ReaderResult, RunResult, repeat, run_local_once,
+from .bench import (ReaderResult, RunResult, run_local_once,
                     run_nfs_once, run_stride_once)
 from .experiments import all_experiments, get as get_experiment
 from .host import (LocalTestbed, NfsTestbed, TestbedConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "run_local_once",
     "run_nfs_once",
     "run_stride_once",
-    "repeat",
     "RunResult",
     "ReaderResult",
     "DefaultHeuristic",

@@ -5,7 +5,7 @@ from .fileset import (FileSpec, ITERATION_BYTES, READER_COUNTS,
 from .readers import (ReaderResult, SEQUENTIAL_READ_SIZE,
                       STRIDE_READ_SIZE, resilient_sequential_reader,
                       sequential_reader, stride_offsets, stride_reader)
-from .runner import (FaultRunResult, RunResult, repeat, run_faulted_once,
+from .runner import (FaultRunResult, RunResult, run_faulted_once,
                      run_local_once, run_nfs_once, run_stride_once)
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "run_nfs_once",
     "run_faulted_once",
     "run_stride_once",
-    "repeat",
 ]

@@ -6,21 +6,21 @@ set, starts all readers concurrently, and records each reader's
 completion time.  "The number of MB read divided by the time required
 for the last reader to finish gives the effective throughput."
 
-Each benchmark point repeats the run with distinct seeds and summarises
+A benchmark point repeats the run with distinct seeds and summarises
 with mean and standard deviation, as the paper does ("each point
-represents the average of at least ten separate runs").
+represents the average of at least ten separate runs"): the
+experiments through :func:`repro.experiments.common.sweep`, ``bench``
+through the campaign's bench cells (:mod:`repro.campaign`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..host.testbed import (NfsTestbed, TestbedConfig,
                             build_local_testbed, build_nfs_testbed)
-from ..sim.rand import run_seed
-from ..stats import Summary, summarize
 from .fileset import FileSpec, files_for_readers
 from .readers import (ReaderResult, resilient_sequential_reader,
                       sequential_reader, stride_reader)
@@ -218,28 +218,3 @@ def run_stride_once(config: TestbedConfig, strides: int,
         [FileSpec(name="stride-file", size=int(file_bytes * scale))])
     return result
 
-
-# ---------------------------------------------------------------------------
-# Repetition
-# ---------------------------------------------------------------------------
-
-def collect_metric(run_once: Callable[[TestbedConfig], object],
-                   config: TestbedConfig, runs: int,
-                   metric: str = "throughput_mb_s") -> List[float]:
-    """Per-seed values of ``metric`` (an attribute of ``run_once``'s
-    result) for ``runs`` repeats, in seed order.
-
-    Repeat ``index`` runs with seed ``run_seed(config.seed, index)``,
-    as every campaign cell does (:mod:`repro.campaign`).
-    """
-    if runs < 1:
-        raise ValueError("need at least one run")
-    seeds = [config.with_seed(run_seed(config.seed, index))
-             for index in range(runs)]
-    return [getattr(run_once(seeded), metric) for seeded in seeds]
-
-
-def repeat(run_once: Callable[[TestbedConfig], RunResult],
-           config: TestbedConfig, runs: int = 10) -> Summary:
-    """Repeat a run with per-run seeds; summarise throughput (MB/s)."""
-    return summarize(collect_metric(run_once, config, runs))

@@ -15,11 +15,10 @@ See DESIGN.md §11.
 from .cells import (CampaignSpec, SPEC_VERSION, chaos_cell,
                     namespace_point, run_bench_cell, run_chaos_cell,
                     run_spec_cell)
-from .drivers import (CampaignIncomplete, bench_results, bench_spec,
-                      chaos_spec, complete_results, fold_bench,
-                      fold_chaos, run_bench_campaign,
-                      run_chaos_campaign, run_spec_campaign,
-                      shrink_and_bundle)
+from .drivers import (CampaignIncomplete, bench_spec, chaos_spec,
+                      complete_results, fold_bench, fold_chaos,
+                      run_bench_campaign, run_chaos_campaign,
+                      run_spec_campaign, shrink_and_bundle)
 from .journal import (CampaignJournal, JournalError, LoadedJournal,
                       atomic_write_text, fold_records)
 from .orchestrator import (CampaignOptions, CampaignOutcome,
@@ -30,11 +29,10 @@ __all__ = [
     "CampaignIncomplete", "CampaignJournal", "CampaignOptions",
     "CampaignOutcome", "CampaignSpec", "CellOutcome", "JournalError",
     "LoadedJournal", "Orchestrator", "SPEC_VERSION",
-    "atomic_write_text", "bench_results", "bench_spec", "cells_csv",
-    "chaos_cell", "chaos_spec", "complete_results", "fold_bench",
-    "fold_chaos", "fold_json", "fold_records", "namespace_point",
-    "report_html", "run_bench_campaign",
-    "run_bench_cell", "run_chaos_campaign", "run_chaos_cell",
-    "run_sharded", "run_spec_campaign", "run_spec_cell",
-    "shrink_and_bundle", "write_report",
+    "atomic_write_text", "bench_spec", "cells_csv", "chaos_cell",
+    "chaos_spec", "complete_results", "fold_bench", "fold_chaos",
+    "fold_json", "fold_records", "namespace_point", "report_html",
+    "run_bench_campaign", "run_bench_cell", "run_chaos_campaign",
+    "run_chaos_cell", "run_sharded", "run_spec_campaign",
+    "run_spec_cell", "shrink_and_bundle", "write_report",
 ]

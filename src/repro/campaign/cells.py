@@ -89,8 +89,8 @@ def namespace_point(params: dict):
 
 
 def run_bench_cell(spec: CampaignSpec, index: int) -> dict:
-    """One seeded repeat of a bench spec: every `bench` and `campaign
-    bench` run, serial or sharded, is one of these.
+    """One seeded repeat of a bench spec: every `bench` run, in process
+    or sharded, is one of these.
 
     ``params["workload"] == "namespace"`` routes the cell to the
     metadata workload family (:mod:`repro.workloads.namespace`); the

@@ -5,9 +5,8 @@ folds the repository already speaks.  Every verb gets a spec's cells
 from :func:`run_spec_campaign`, in this process or sharded:
 
 * :func:`run_bench_campaign` — runs seeded benchmark repeats and
-  folds them with :func:`fold_bench` into the record `bench` prints
-  (`bench` adds only its ``jobs``), then optionally streams the record
-  into the bench history store;
+  folds them with :func:`fold_bench` into the record `bench` prints,
+  then optionally streams the record into the bench history store;
 * :func:`run_chaos_campaign` — runs fuzzed schedules, dedupes
   failures by their SHA-256 run fingerprint (a 100k-schedule campaign
   typically rediscovers the same bug thousands of times), and shrinks
@@ -114,17 +113,9 @@ def complete_results(outcome: CampaignOutcome, what: str) -> List[dict]:
     return outcome.fold()
 
 
-def bench_results(spec: CampaignSpec, jobs: int = 1) -> List[dict]:
-    """Every cell of a bench spec, in cell order, from ``jobs``
-    workers (:func:`run_spec_campaign`)."""
-    outcome = run_spec_campaign(spec,
-                                options=CampaignOptions(workers=jobs))
-    return complete_results(outcome, "bench --jobs")
-
-
 def fold_bench(spec: CampaignSpec, results: List[dict]) -> dict:
-    """The one `bench` record of a bench spec's per-cell results, as
-    `bench` (which adds its ``jobs``) and `campaign bench` print it.
+    """The one `bench` record of a bench spec's per-cell results: the
+    same at every ``--jobs``, with or without a journal.
 
     Namespace-workload specs fold ``ops_per_s`` instead of throughput.
     """

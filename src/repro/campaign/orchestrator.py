@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Dict, List, Optional
 
-from ..obs.metrics import MetricsRegistry
 from .journal import CampaignJournal, JournalError, fold_records
 from .workers import worker_main
 
@@ -161,31 +160,6 @@ class Orchestrator:
         self._next_worker_id = 0
         self._result_queue = self._mp.Queue()
         self._durations: List[float] = []
-        self.registry = MetricsRegistry()
-        self._register_gauges()
-
-    # -- gauges ------------------------------------------------------------
-
-    def _register_gauges(self) -> None:
-        """Campaign health as pull-gauges, same idiom as the testbeds."""
-        registry = self.registry
-        registry.gauge("campaign.cells_total", lambda: float(self.cells))
-        registry.gauge("campaign.cells_done",
-                       lambda: float(len(self.results)))
-        registry.gauge("campaign.cells_pending",
-                       lambda: float(len(self._pending)))
-        registry.gauge("campaign.cells_in_flight",
-                       lambda: float(sum(1 for w in self._workers.values()
-                                         if not w.idle)))
-        registry.gauge("campaign.cells_abandoned",
-                       lambda: float(len(self.abandoned)))
-        registry.gauge("campaign.workers_alive",
-                       lambda: float(sum(
-                           1 for w in self._workers.values()
-                           if w.process.is_alive())))
-        for name in _COUNTERS:
-            registry.gauge(f"campaign.{name}",
-                           lambda key=name: float(self.counters[key]))
 
     # -- workers -----------------------------------------------------------
 
@@ -298,6 +272,9 @@ class Orchestrator:
                        "attempt": attempt, "result": result,
                        "done": len(self.results), "total": self.cells})
 
+    def _timeout_detail(self) -> str:
+        return f"cell exceeded {self.options.cell_timeout:.1f}s"
+
     def _drain_results(self, now: float) -> None:
         import queue as queue_module
         while True:
@@ -306,22 +283,26 @@ class Orchestrator:
                     timeout=POLL_INTERVAL)
             except queue_module.Empty:
                 return
+            received = time.monotonic()
             status, worker_id, cell, attempt, payload, detail = message
             worker = self._workers.get(worker_id)
-            if worker is not None and worker.cell == cell:
-                worker.cell = None
-            else:
-                worker = None  # late message from a replaced worker
-            if status == "ok":
-                self._record_result(cell, attempt, payload, worker, now)
-            else:
-                if worker is None:
+            if worker is None or worker.cell != cell:
+                # A late message from a replaced worker.
+                if status == "ok":
+                    self._record_result(cell, attempt, payload, None, now)
+                else:
                     self.counters["late_results"] += 1
                     continue
-                worker.cell = cell  # _fail_attempt clears it
-                worker.attempt = attempt
-                self._fail_attempt(worker, "error",
-                                   f"{payload}", now)
+            elif status != "ok":
+                self._fail_attempt(worker, "error", f"{payload}", now)
+            elif received >= worker.deadline:
+                # The deadline binds however the result arrives: one
+                # that comes in after it is a timed-out attempt.
+                self._fail_attempt(worker, "timeout",
+                                   self._timeout_detail(), received)
+            else:
+                worker.cell = None
+                self._record_result(cell, attempt, payload, worker, now)
             if not self._pending and all(w.idle
                                          for w in self._workers.values()):
                 return
@@ -340,10 +321,8 @@ class Orchestrator:
             if worker.idle:
                 continue
             if now >= worker.deadline:
-                self._fail_attempt(
-                    worker, "timeout",
-                    f"cell exceeded {self.options.cell_timeout:.1f}s",
-                    now)
+                self._fail_attempt(worker, "timeout",
+                                   self._timeout_detail(), now)
                 self._retire_worker(worker, kill=True)
                 continue
             self._check_straggler(worker, now)

@@ -17,26 +17,27 @@ Examples::
     python -m repro diagnose --trace t.json --metrics m.json
 
 Every command is a leaf of one argparse tree and takes its flags after
-its name.  Five verbs ride next to the experiment ids, ``list`` and
-``all``: ``bench`` (one benchmark point, optionally parallel and
-machine-readable), ``replay`` (capture a run's vnode-boundary trace
-and/or replay a trace file against an arbitrary testbed; see
+its name.  Four verbs ride next to the experiment ids, ``list`` and
+``all``: ``bench`` (one benchmark point as a campaign of seeded
+repeats), ``replay`` (capture a run's vnode-boundary trace and/or
+replay a trace file against an arbitrary testbed; see
 :mod:`repro.replay`), ``diagnose`` (critical-path attribution,
 benchmark-trap detection, and the perf-regression gate over previously
-recorded artifacts; see :mod:`repro.diagnose`), ``chaos fuzz|replay``
-(fault-schedule fuzzing judged by correctness oracles, with shrinking
-repro bundles; see :mod:`repro.chaos`), and ``campaign bench|chaos``
-(fleet-scale sharded bench / chaos campaigns with a checkpointed
-journal, worker-failure recovery, ``--resume``, and a CSV/HTML report
-directory; see :mod:`repro.campaign`)::
+recorded artifacts; see :mod:`repro.diagnose`), and ``chaos
+fuzz|replay`` (fault-schedule fuzzing judged by correctness oracles,
+with shrinking repro bundles; see :mod:`repro.chaos`).  ``bench`` and
+``chaos fuzz`` are the two campaign verbs: both shard their cells
+across ``--jobs`` workers with a checkpointed ``--journal``,
+worker-failure recovery, ``--resume``, and a CSV/HTML ``--report``
+directory (see :mod:`repro.campaign`)::
 
     python -m repro chaos fuzz --budget 30 --seed 0 --json
-    python -m repro chaos fuzz --budget 10000 --jobs 8 --json
     python -m repro chaos replay bundles/chaos-17.json
-    python -m repro campaign chaos --budget 100000 --jobs 8 \\
+    python -m repro chaos fuzz --budget 100000 --jobs 8 \\
         --journal campaigns/overnight/journal.jsonl --report reports/o1
-    python -m repro campaign chaos --budget 100000 --jobs 8 \\
+    python -m repro chaos fuzz --budget 100000 --jobs 8 \\
         --journal campaigns/overnight/journal.jsonl --resume
+    python -m repro bench --runs 1000 --jobs 8 --history
 """
 
 from __future__ import annotations
@@ -160,21 +161,20 @@ def _obs_flags(parser: argparse.ArgumentParser) -> None:
                              "print a report after the run")
 
 
-def _point_flags(parser: argparse.ArgumentParser, runs: int,
-                 scale=_scale) -> None:
-    """File-size scale and runs per point: the experiments, ``bench``
-    and ``campaign bench``."""
+def _point_flags(parser: argparse.ArgumentParser, scale=_scale) -> None:
+    """File-size scale and runs per point: the experiments and
+    ``bench``."""
     parser.add_argument("--scale", type=scale, default=0.125,
                         help="file-size scale factor; 1.0 is the paper's "
                              "256 MB working set (default: 0.125)")
-    parser.add_argument("--runs", type=_positive_int, default=runs,
-                        help=f"seeded runs per point (paper uses >=10; "
-                             f"default: {runs})")
+    parser.add_argument("--runs", type=_positive_int, default=3,
+                        help="seeded runs per point (paper uses >=10; "
+                             "default: 3)")
 
 
 def _figure_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of every experiment id and of ``all``."""
-    _point_flags(parser, runs=3, scale=_figure_scale)
+    _point_flags(parser, scale=_figure_scale)
     parser.add_argument("--seed", type=int, default=0,
                         help="master random seed (default: 0)")
     parser.add_argument("--no-std", action="store_true",
@@ -212,8 +212,7 @@ def _protocol_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _testbed_flags(parser: argparse.ArgumentParser) -> None:
-    """The testbed knobs of ``bench``, ``replay`` and ``campaign
-    bench``."""
+    """The testbed knobs of ``bench`` and ``replay``."""
     parser.add_argument("--drive", choices=["ide", "scsi"], default="ide")
     parser.add_argument("--partition", type=int, choices=PARTITIONS,
                         default=1,
@@ -221,27 +220,11 @@ def _testbed_flags(parser: argparse.ArgumentParser) -> None:
     _protocol_flags(parser)
 
 
-def _bench_flags(parser: argparse.ArgumentParser, runs: int) -> None:
-    """One benchmark point's shape: ``bench`` and ``campaign bench``."""
-    _testbed_flags(parser)
-    parser.add_argument("--readers", type=_positive_int, default=4,
-                        help="concurrent sequential readers (default: 4)")
-    _point_flags(parser, runs)
-    parser.add_argument("--history", metavar="PATH", nargs="?",
-                        const=True, default=None, type=_history_file,
-                        help="append the JSON record to the bench "
-                             "history store (default: "
-                             "benchmarks/results/history.jsonl); "
-                             "'diagnose --against' gates future runs "
-                             "on it")
-
-
-def _orchestrator_flags(parser: argparse.ArgumentParser,
-                        jobs: int) -> None:
-    """The sharding/robustness knobs of `campaign` and `chaos fuzz`,
+def _orchestrator_flags(parser: argparse.ArgumentParser) -> None:
+    """The sharding/robustness knobs of ``bench`` and ``chaos fuzz``,
     their ``--json``, and their one handler."""
     parser.set_defaults(handler=functools.partial(_main_campaign, parser))
-    parser.add_argument("--jobs", type=_positive_int, default=jobs,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes to shard cells across "
                              "(one runs them in this process unless a "
                              "journal or a worker-enforced limit is set)")
@@ -277,11 +260,10 @@ def _orchestrator_flags(parser: argparse.ArgumentParser,
     _json_flag(parser)
 
 
-def _chaos_flags(parser: argparse.ArgumentParser, budget: int,
-                 jobs: int) -> None:
-    """The fuzzed campaign of `chaos fuzz` and `campaign chaos`."""
-    parser.add_argument("--budget", type=_positive_int, default=budget,
-                        help=f"schedules to run (default: {budget})")
+def _chaos_flags(parser: argparse.ArgumentParser) -> None:
+    """The fuzzed campaign of ``chaos fuzz``."""
+    parser.add_argument("--budget", type=_positive_int, default=30,
+                        help="schedules to run (default: 30)")
     _protocol_flags(parser)
     parser.add_argument("--clients", type=_positive_int, default=2,
                         help="client machines (default: 2)")
@@ -311,7 +293,48 @@ def _chaos_flags(parser: argparse.ArgumentParser, budget: int,
                         type=_output_dir,
                         help="shrink and bundle one repro per distinct "
                              "failure into DIR")
-    _orchestrator_flags(parser, jobs)
+    _orchestrator_flags(parser)
+
+
+def _bench_flags(parser: argparse.ArgumentParser) -> None:
+    """One benchmark point of ``bench``: streaming or namespace."""
+    _testbed_flags(parser)
+    parser.add_argument("--readers", type=_positive_int, default=4,
+                        help="concurrent sequential readers (default: 4)")
+    _point_flags(parser)
+    parser.add_argument("--workload", choices=["streaming", "namespace"],
+                        default="streaming",
+                        help="streaming = the paper's §4.3 read "
+                             "benchmark; namespace = metadata-heavy "
+                             "directory-tree workload")
+    parser.add_argument("--pattern", default="stat",
+                        help="namespace access pattern "
+                             "(stat/list/grep/untar/edit)")
+    parser.add_argument("--files", type=int, default=10_000,
+                        help="namespace tree size in files")
+    parser.add_argument("--tree-depth", type=int, default=0,
+                        help="0 = one flat directory; >0 = nested "
+                             "fanout^depth leaf directories")
+    parser.add_argument("--fanout", type=int, default=32,
+                        help="directories per level when nested")
+    parser.add_argument("--ops", type=int, default=1_000,
+                        help="namespace operations per run")
+    parser.add_argument("--clients", type=_positive_int, default=1,
+                        help="client machines sharing the namespace "
+                             "workload")
+    parser.add_argument("--history", metavar="PATH", nargs="?",
+                        const=True, default=None, type=_history_file,
+                        help="append the JSON record to the bench "
+                             "history store (default: "
+                             "benchmarks/results/history.jsonl); "
+                             "'diagnose --against' gates future runs "
+                             "on it")
+    parser.add_argument("--out", metavar="PATH", type=_output_file,
+                        help="also write the JSON record to PATH "
+                             "(implies --json), so CI and the history "
+                             "store consume it without shell "
+                             "redirection")
+    _orchestrator_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,40 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "run every experiment in turn"))
 
     bench = _leaf(commands, "bench", None,
-                  "one NFS benchmark point (§4.3), repeated and "
-                  "summarised; repeats optionally run in parallel")
-    # The handler's namespace-spec errors are this leaf's usage errors.
-    bench.set_defaults(handler=functools.partial(_main_bench, bench))
-    _bench_flags(bench, runs=3)
-    bench.add_argument("--workload", choices=["streaming", "namespace"],
-                       default="streaming",
-                       help="streaming = the paper's §4.3 read "
-                            "benchmark; namespace = metadata-heavy "
-                            "directory-tree workload")
-    bench.add_argument("--pattern", default="stat",
-                       help="namespace access pattern "
-                            "(stat/list/grep/untar/edit)")
-    bench.add_argument("--files", type=int, default=10_000,
-                       help="namespace tree size in files")
-    bench.add_argument("--tree-depth", type=int, default=0,
-                       help="0 = one flat directory; >0 = nested "
-                            "fanout^depth leaf directories")
-    bench.add_argument("--fanout", type=int, default=32,
-                       help="directories per level when nested")
-    bench.add_argument("--ops", type=int, default=1_000,
-                       help="namespace operations per run")
-    bench.add_argument("--clients", type=_positive_int, default=1,
-                       help="client machines sharing the namespace "
-                            "workload")
-    bench.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for the repeats; output "
-                            "is byte-identical to --jobs 1")
-    bench.add_argument("--out", metavar="PATH", type=_output_file,
-                       help="also write the JSON record to PATH "
-                            "(implies --json), so CI and the history "
-                            "store consume it without shell "
-                            "redirection")
-    _json_flag(bench)
+                  "one NFS benchmark point (§4.3): a campaign of seeded "
+                  "repeats, summarised as mean and standard deviation")
+    bench.set_defaults(kind="bench")
+    _bench_flags(bench)
 
     replay = _leaf(
         commands, "replay", None,
@@ -468,41 +461,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chaos-test the NFS stack: fuzz seeded fault "
                     "schedules against the correctness oracles, shrink "
                     "any failure to a minimal schedule, and replay "
-                    "repro bundles deterministically.  'fuzz' exits "
-                    "as 'campaign chaos' does (1 if any oracle "
-                    "failed); 'replay' exits 1 if the "
+                    "repro bundles deterministically.  'fuzz' exits 1 "
+                    "if any oracle failed and 4 if the campaign is "
+                    "partial; 'replay' exits 1 if the "
                     "bundle's failure did not reproduce bit-identically "
                     "and 3 if the bundle file is missing, truncated, "
                     "or corrupt.")
     modes = chaos.add_subparsers(dest="mode", required=True)
     fuzz = _leaf(modes, "fuzz", None,
-                 "run a fixed-seed campaign of fuzzed schedules: "
-                 "'campaign chaos' with a smaller budget and one job")
+                 "run a fixed-seed campaign of fuzzed schedules; "
+                 "failures are deduped by run fingerprint and shrunk "
+                 "once per distinct failure")
     fuzz.set_defaults(kind="chaos")
-    _chaos_flags(fuzz, budget=30, jobs=1)
+    _chaos_flags(fuzz)
     bundle = _leaf(modes, "replay", _main_chaos_replay,
                    "re-execute a repro bundle deterministically")
     bundle.add_argument("bundle", help="path to a chaos bundle JSON")
     _json_flag(bundle)
-
-    campaign = commands.add_parser(
-        "campaign", help="sharded bench and chaos campaigns with a "
-                         "resumable journal",
-        description="Fleet-scale sharded campaigns with a checkpointed "
-                    "journal, worker-failure recovery, and --resume. "
-                    "Exit 0: complete and healthy; 1: complete with "
-                    "chaos failures; 3: campaign error; 4: partial "
-                    "(resumable with --resume).")
-    kinds = campaign.add_subparsers(dest="kind", required=True)
-    campaign_bench = _leaf(kinds, "bench", None,
-                           "shard seeded benchmark repeats; the fold is "
-                           "byte-identical to a serial `bench` run")
-    _bench_flags(campaign_bench, runs=10)
-    _orchestrator_flags(campaign_bench, jobs=2)
-    _chaos_flags(_leaf(kinds, "chaos", None,
-                       "shard fuzzed fault schedules; failures are "
-                       "deduped by run fingerprint and shrunk once per "
-                       "distinct failure"), budget=1000, jobs=2)
     return parser
 
 
@@ -588,65 +563,6 @@ def _run_one(experiment_id: str, args) -> None:
     print(f"\n[{experiment.id}] scale={args.scale} runs={args.runs} "
           f"seed={args.seed} wall={elapsed:.1f}s")
     print(f"paper claim: {experiment.paper_claim}")
-
-
-def _bench_spec(args, **workload):
-    """The campaign spec of a `bench` or `campaign bench` point."""
-    from .campaign import bench_spec
-    return bench_spec(args.runs, drive=args.drive,
-                      partition=args.partition, transport=args.transport,
-                      heuristic=args.heuristic, nfsheur=args.nfsheur,
-                      readers=args.readers, scale=args.scale,
-                      seed=args.seed, **workload)
-
-
-def _main_bench(parser: argparse.ArgumentParser, args) -> int:
-    from .campaign import (CampaignIncomplete, bench_results, fold_bench,
-                           namespace_point)
-    spec = _bench_spec(args, workload=args.workload,
-                       pattern=args.pattern, files=args.files,
-                       tree_depth=args.tree_depth, fanout=args.fanout,
-                       ops=args.ops, clients=args.clients)
-    namespace = args.workload == "namespace"
-    if namespace:
-        try:
-            namespace_point(spec.params)
-        except ValueError as error:
-            parser.error(str(error))
-    else:
-        _check_fileset(parser, args.readers, args.scale)
-    try:
-        results = bench_results(spec, args.jobs)
-    except CampaignIncomplete as error:
-        print(f"bench: {error}", file=sys.stderr)
-        return 4
-    record = fold_bench(spec, results)
-    record["jobs"] = args.jobs
-    record_json = json.dumps(record, sort_keys=True)
-    if args.json or args.out is not None:
-        print(record_json)
-    elif namespace:
-        print(f"{args.transport}/{args.heuristic}/{args.nfsheur} "
-              f"{args.drive}{args.partition} {args.pattern} "
-              f"files={args.files}: "
-              f"{record['mean_ops_s']:.1f} +/- "
-              f"{record['std_ops_s']:.1f} ops/s "
-              f"({args.runs} runs, jobs={args.jobs})")
-    else:
-        print(f"{args.transport}/{args.heuristic}/{args.nfsheur} "
-              f"{args.drive}{args.partition} readers={args.readers}: "
-              f"{record['mean_mb_s']:.2f} +/- "
-              f"{record['std_mb_s']:.2f} MB/s "
-              f"({args.runs} runs, jobs={args.jobs})")
-    if args.out is not None:
-        with open(args.out, "w") as handle:
-            handle.write(record_json + "\n")
-    if args.history is not None:
-        from .diagnose import DEFAULT_HISTORY_PATH, append_history
-        path = (DEFAULT_HISTORY_PATH if args.history is True
-                else args.history)
-        append_history(path, record)
-    return 0
 
 
 def _main_replay(parser: argparse.ArgumentParser, args) -> int:
@@ -810,6 +726,19 @@ def _campaign_progress(total: int, quiet: bool):
     return progress
 
 
+def _bench_spec(args):
+    """The campaign spec of a `bench` point."""
+    from .campaign import bench_spec
+    return bench_spec(args.runs, drive=args.drive,
+                      partition=args.partition, transport=args.transport,
+                      heuristic=args.heuristic, nfsheur=args.nfsheur,
+                      readers=args.readers, scale=args.scale,
+                      seed=args.seed, workload=args.workload,
+                      pattern=args.pattern, files=args.files,
+                      tree_depth=args.tree_depth, fanout=args.fanout,
+                      ops=args.ops, clients=args.clients)
+
+
 def _chaos_spec(args):
     from .campaign import chaos_spec
     return chaos_spec(args.budget, transport=args.transport,
@@ -822,21 +751,33 @@ def _chaos_spec(args):
 
 
 def _main_campaign(parser: argparse.ArgumentParser, args) -> int:
-    """`campaign bench`, `campaign chaos` and `chaos fuzz`.  ``parser``
-    is the leaf, which reports ``--resume`` without ``--journal``, and a
-    scale that leaves a reader without a file, as usage errors."""
+    """`bench` and `chaos fuzz`.  ``parser`` is the leaf, which reports
+    ``--resume`` without ``--journal``, a namespace point that cannot
+    run, and a scale that leaves a reader without a file, as usage
+    errors."""
     from .campaign import (CampaignIncomplete, CampaignOptions,
-                           JournalError, run_bench_campaign,
-                           run_chaos_campaign, write_report)
+                           JournalError, namespace_point,
+                           run_bench_campaign, run_chaos_campaign,
+                           write_report)
     from .diagnose import DEFAULT_HISTORY_PATH
     if args.resume and args.journal is None:
         parser.error("--resume needs --journal")
     if args.kind == "bench":
-        _check_fileset(parser, args.readers, args.scale)
         spec = _bench_spec(args)
+        if args.workload == "namespace":
+            try:
+                namespace_point(spec.params)
+            except ValueError as error:
+                parser.error(str(error))
+            point = f"{args.pattern} files={args.files}"
+        else:
+            _check_fileset(parser, args.readers, args.scale)
+            point = f"readers={args.readers}"
+        # --out writes the record that --json prints.
+        args.json = args.json or args.out is not None
         title = (f"bench campaign: {args.runs} repeats of "
                  f"{args.transport}/{args.heuristic}/{args.nfsheur} "
-                 f"{args.drive}{args.partition}")
+                 f"{args.drive}{args.partition} {point}")
     else:
         spec = _chaos_spec(args)
         kind_tag = ("" if args.workload == "write"
@@ -888,7 +829,11 @@ def _main_campaign(parser: argparse.ArgumentParser, args) -> int:
               f"{coverage['timed_out']} timed out, "
               f"{coverage['abandoned']} abandoned, "
               f"{coverage['worker_crashes']} worker crashes)")
-        if args.kind == "bench":
+        if args.kind == "bench" and args.workload == "namespace":
+            print(f"  {record['mean_ops_s']:.1f} +/- "
+                  f"{record['std_ops_s']:.1f} ops/s over "
+                  f"{record['runs']} runs")
+        elif args.kind == "bench":
             print(f"  {record['mean_mb_s']:.2f} +/- "
                   f"{record['std_mb_s']:.2f} MB/s over "
                   f"{record['runs']} runs")
@@ -900,6 +845,9 @@ def _main_campaign(parser: argparse.ArgumentParser, args) -> int:
             print(f"  {verdict}")
         if args.report is not None:
             print(f"  report: {payload['report']}")
+    if getattr(args, "out", None) is not None:
+        with open(args.out, "w") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
     if not outcome.complete:
         return 4
     if args.kind == "chaos" and not record["ok"]:

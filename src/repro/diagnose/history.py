@@ -1,8 +1,9 @@
 """The bench-history store and the perf-regression gate.
 
-``bench --json`` records fold into ``benchmarks/results/history.jsonl``
-— one sorted-key JSON object per line, append-only, so successive CI
-runs accumulate a per-configuration throughput history.  The comparator
+``bench --history`` appends its record to
+``benchmarks/results/history.jsonl`` — one sorted-key JSON object per
+line, append-only, so successive CI runs accumulate a
+per-configuration throughput history.  The comparator
 answers "did this configuration get slower?" with a *noise-aware*
 threshold: a drop only gates when the relative delta clears both a
 floor and the spread the repeats themselves showed (the paper's own
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .report import GateResult
 
@@ -29,28 +30,45 @@ DEFAULT_FLOOR = 0.05
 #: The fields that identify a benchmark configuration across runs.
 KEY_FIELDS = ("verb", "drive", "partition", "transport", "heuristic",
               "nfsheur", "readers", "scale")
+#: What else identifies a namespace point: its tree and workload.
+NAMESPACE_KEY_FIELDS = ("workload", "pattern", "files", "tree_depth",
+                        "fanout", "ops", "clients")
+
+
+def _is_namespace(record: dict) -> bool:
+    return record.get("workload") == "namespace"
+
+
+def _metric(record: dict) -> Tuple[str, str, str]:
+    """A record's ``(mean field, per-repeat field, unit)``: namespace
+    points are measured in ops/s, streaming points in MB/s."""
+    if _is_namespace(record):
+        return "mean_ops_s", "ops_per_s", "ops/s"
+    return "mean_mb_s", "throughputs_mb_s", "MB/s"
 
 
 def bench_key(record: dict) -> str:
     """The identity of a bench record's configuration."""
-    return "/".join(f"{field}={record.get(field)}"
-                    for field in KEY_FIELDS)
+    fields = KEY_FIELDS
+    if _is_namespace(record):
+        fields += NAMESPACE_KEY_FIELDS
+    return "/".join(f"{field}={record.get(field)}" for field in fields)
 
 
 def relative_spread(record: dict) -> float:
-    """(max - min) / mean of the record's per-repeat throughputs.
+    """(max - min) / mean of the record's per-repeat values.
 
     The spread the repeats themselves showed is the tightest honest
     bound on run-to-run noise for this configuration; a single-repeat
     record has no spread and contributes 0.
     """
-    throughputs = record.get("throughputs_mb_s") or []
-    if len(throughputs) < 2:
+    values = record.get(_metric(record)[1]) or []
+    if len(values) < 2:
         return 0.0
-    mean = sum(throughputs) / len(throughputs)
+    mean = sum(values) / len(values)
     if mean <= 0:
         return 0.0
-    return (max(throughputs) - min(throughputs)) / mean
+    return (max(values) - min(values)) / mean
 
 
 def append_history(path: str, record: dict) -> None:
@@ -117,7 +135,8 @@ def compare_against_history(current: dict, history: List[dict],
     one that repeats within 1 % is held to the floor.
     """
     key = bench_key(current)
-    current_mean = current.get("mean_mb_s", 0.0)
+    mean_field, _, unit = _metric(current)
+    current_mean = current.get(mean_field, 0.0)
     baseline: Optional[dict] = None
     for record in history:
         if bench_key(record) == key and record is not current:
@@ -127,7 +146,7 @@ def compare_against_history(current: dict, history: List[dict],
                           reason="no prior record for this "
                                  "configuration; nothing to gate",
                           current_mean=current_mean)
-    baseline_mean = baseline.get("mean_mb_s", 0.0)
+    baseline_mean = baseline.get(mean_field, 0.0)
     if baseline_mean <= 0:
         return GateResult(ok=True, key=key,
                           reason="baseline mean is not positive; "
@@ -142,13 +161,13 @@ def compare_against_history(current: dict, history: List[dict],
             ok=False, key=key,
             reason=(f"throughput regressed {rel_delta:.1%} vs the "
                     f"previous record ({baseline_mean:.2f} -> "
-                    f"{current_mean:.2f} MB/s), beyond the "
+                    f"{current_mean:.2f} {unit}), beyond the "
                     f"noise-aware threshold {threshold:.1%}"),
             current_mean=current_mean, baseline_mean=baseline_mean,
             rel_delta=rel_delta, threshold=threshold, noise=noise)
     if rel_delta < -threshold:
         reason = (f"throughput improved {-rel_delta:.1%} "
-                  f"({baseline_mean:.2f} -> {current_mean:.2f} MB/s)")
+                  f"({baseline_mean:.2f} -> {current_mean:.2f} {unit})")
     else:
         reason = (f"within noise: delta {rel_delta:+.1%} against "
                   f"threshold {threshold:.1%}")

@@ -133,7 +133,17 @@ def load_provenance_file(path: str) -> List[ProvRecord]:
 
 
 def load_bench_file(path: str) -> dict:
-    return _load_json_object(path, "a bench")
+    """A `bench` record: bare, as ``--out`` and ``--history`` write it,
+    or the ``record`` of the ``bench --json`` payload."""
+    payload = _load_json_object(path, "a bench")
+    record = payload.get("record", payload)
+    if not (isinstance(record, dict) and record.get("verb") == "bench"
+            and isinstance(record.get("mean_mb_s",
+                                      record.get("mean_ops_s")),
+                           (int, float))):
+        raise ValueError(f"{path}: expected a 'bench' record, bare or "
+                         f"as the 'record' of 'bench --json'")
+    return record
 
 
 def build_inputs(trace_path: Optional[str] = None,

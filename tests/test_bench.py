@@ -6,9 +6,11 @@ import pytest
 
 from repro.bench import (FileSpec, ITERATION_BYTES, READER_COUNTS,
                          ReaderResult, SEQUENTIAL_READ_SIZE,
-                         files_for_readers, full_fileset, repeat,
+                         files_for_readers, full_fileset,
                          resilient_sequential_reader, run_local_once,
                          run_nfs_once, run_stride_once, stride_offsets)
+from repro.campaign import (CampaignOptions, bench_spec, fold_bench,
+                            run_spec_campaign)
 from repro.host import TestbedConfig
 from repro.sim import Simulator
 
@@ -133,12 +135,24 @@ class TestRunners:
         assert first.elapsed != second.elapsed
 
 
+def bench_results(spec, jobs=1):
+    """Every cell of a bench spec, in cell order, from ``jobs``
+    workers."""
+    outcome = run_spec_campaign(spec,
+                                options=CampaignOptions(workers=jobs))
+    assert outcome.complete
+    return outcome.fold()
+
+
 class TestRepeat:
+    """A benchmark point is a campaign of seeded repeats, folded into
+    one record with mean and standard deviation (§4.3)."""
+
     def test_repeat_summarises(self):
-        summary = repeat(lambda config: run_local_once(config, 1, SCALE),
-                         TestbedConfig(), runs=3)
-        assert summary.count == 3
-        assert summary.mean > 0
+        spec = bench_spec(3, readers=1, scale=SCALE)
+        record = fold_bench(spec, bench_results(spec))
+        assert record["runs"] == len(record["throughputs_mb_s"]) == 3
+        assert record["mean_mb_s"] > 0
 
     def test_paper_variance_criterion(self):
         """§4.3: 'the standard deviation for each set of runs is less
@@ -146,27 +160,25 @@ class TestRepeat:
         per-run noise is relatively larger, so the bound is doubled;
         the archived full benches meet the 5% criterion on nearly
         every point."""
-        summary = repeat(lambda config: run_nfs_once(config, 2, SCALE),
-                         TestbedConfig(), runs=4)
-        assert summary.relative_std < 0.12
+        spec = bench_spec(4, readers=2, scale=SCALE)
+        record = fold_bench(spec, bench_results(spec))
+        assert record["std_mb_s"] / record["mean_mb_s"] < 0.12
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
-            repeat(lambda config: None, TestbedConfig(), runs=0)
+            bench_spec(0)
 
 
 class TestBenchResults:
     """Sharded bench cells give the list the in-process path gives."""
 
     def test_two_jobs_match_one_stream(self):
-        from repro.campaign import bench_results, bench_spec
         spec = bench_spec(3, readers=2, scale=SCALE, seed=11)
         serial = bench_results(spec, jobs=1)
         assert bench_results(spec, jobs=2) == serial  # bit-identical
         assert len(serial) == 3
 
     def test_two_jobs_match_one_namespace(self):
-        from repro.campaign import bench_results, bench_spec
         spec = bench_spec(2, workload="namespace", pattern="stat",
                           files=120, tree_depth=1, fanout=4, ops=12,
                           clients=2, seed=5)

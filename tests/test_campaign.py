@@ -43,6 +43,12 @@ def slow_cell(index):
     return {"value": index}
 
 
+def briefly_slow_cell(index):
+    """Done well inside one result poll, and long after a 1 ms timeout."""
+    time.sleep(0.02)
+    return {"value": index}
+
+
 def flaky_cell(flag_path, index):
     """Fails cell 1 once (marker file), succeeds on retry."""
     if index == 1 and not os.path.exists(flag_path):
@@ -377,21 +383,6 @@ class TestOrchestrator:
         assert outcome.coverage["abandoned"] == 0
         assert outcome.coverage["not_run"] == 0
 
-    def test_gauges_report_campaign_health(self, tmp_path):
-        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
-        journal.create({"fingerprint": "g"})
-        with journal:
-            orchestrator = Orchestrator(square_cell, 3, journal,
-                                        options=_options())
-            gauges = orchestrator.registry.snapshot()["gauges"]
-            assert gauges["campaign.cells_total"] == 3.0
-            assert gauges["campaign.cells_pending"] == 3.0
-            outcome = orchestrator.run()
-        assert outcome.complete
-        gauges = orchestrator.registry.snapshot()["gauges"]
-        assert gauges["campaign.cells_done"] == 3.0
-        assert gauges["campaign.cells_pending"] == 0.0
-
     def test_late_result_purges_queued_retry(self, tmp_path):
         # An "ok" that lands after its worker was timeout-killed must
         # also cancel the retry queued by the timeout, or the resolved
@@ -461,6 +452,17 @@ class TestOrchestrator:
         assert outcome.coverage["timed_out"] == 1
         done = [o.index for o in outcome.outcomes if o.status == "done"]
         assert set(done) == {0, 1, 3}
+
+    def test_result_after_its_deadline_is_a_timeout(self, tmp_path):
+        # Each result arrives inside one result poll of its dispatch,
+        # so only a deadline check on the result itself catches it.
+        outcome = run_sharded(
+            briefly_slow_cell, 3, str(tmp_path / "j.jsonl"),
+            {"fingerprint": "late"},
+            options=_options(cell_timeout=0.001, max_attempts=1))
+        assert outcome.coverage["timed_out"] == 3
+        assert outcome.coverage["done"] == 0
+        assert all("exceeded" in o.reason for o in outcome.outcomes)
 
     def test_worker_kill_injection_recovers(self, tmp_path, monkeypatch):
         monkeypatch.setenv(KILL_CELL_ENV, "2")
@@ -564,18 +566,18 @@ SMALL = dict(readers=2, scale=0.03)
 
 class TestDrivers:
     def test_bench_campaign_fold_matches_serial_bytes(self, tmp_path):
-        from repro.bench.runner import (collect_metric, repeat,
-                                        run_nfs_once)
-        import functools
+        from repro.bench.runner import run_nfs_once
+        from repro.sim.rand import run_seed
+        from repro.stats import summarize
         spec = bench_spec(4, seed=0, **SMALL)
         outcome = run_spec_campaign(spec, str(tmp_path / "j.jsonl"),
                                     options=_options())
         record = fold_bench(spec, outcome.fold())
-        run_once = functools.partial(run_nfs_once, nreaders=2,
-                                     scale=0.03)
-        serial_list = collect_metric(run_once, TestbedConfig(seed=0),
-                                     runs=4)
-        serial = repeat(run_once, TestbedConfig(seed=0), runs=4)
+        serial_list = [
+            run_nfs_once(TestbedConfig(seed=run_seed(0, index)),
+                         nreaders=2, scale=0.03).throughput_mb_s
+            for index in range(4)]
+        serial = summarize(serial_list)
         assert json.dumps(record["throughputs_mb_s"]) == \
             json.dumps(serial_list)
         assert record["mean_mb_s"] == serial.mean
@@ -606,8 +608,7 @@ class TestDrivers:
                      "--tree-depth", "1", "--fanout", "4", "--ops",
                      "12", "--clients", "2", "--seed", "0",
                      "--json"]) == 0
-        bench = json.loads(capsys.readouterr().out)
-        assert bench.pop("jobs") == 1
+        bench = json.loads(capsys.readouterr().out)["record"]
         assert record == bench
 
     def test_chaos_campaign_dedupes_by_fingerprint(self, tmp_path):
@@ -743,8 +744,8 @@ class TestReport:
 class TestCampaignCli:
     def test_campaign_chaos_json(self, tmp_path, capsys):
         from repro.cli import main
-        code = main(["campaign", "chaos", "--budget", "3", "--jobs",
-                     "2", "--json"])
+        code = main(["chaos", "fuzz", "--budget", "3", "--jobs", "2",
+                     "--json"])
         out = capsys.readouterr().out
         assert code in (0, 1)
         payload = json.loads(out)
@@ -754,8 +755,8 @@ class TestCampaignCli:
     def test_campaign_bench_json_with_report(self, tmp_path, capsys):
         from repro.cli import main
         report = str(tmp_path / "rep")
-        code = main(["campaign", "bench", "--runs", "2", "--readers",
-                     "2", "--scale", "0.03", "--jobs", "2", "--json",
+        code = main(["bench", "--runs", "2", "--readers", "2",
+                     "--scale", "0.03", "--jobs", "2", "--json",
                      "--report", report])
         out = capsys.readouterr().out
         assert code == 0
@@ -764,23 +765,52 @@ class TestCampaignCli:
         assert os.path.exists(payload["report"])
         assert os.path.exists(os.path.join(report, "fold.json"))
 
-    def test_campaign_bench_record_is_the_bench_record(self, capsys):
+    def test_campaign_bench_record_is_the_bench_record(self, tmp_path,
+                                                       capsys):
+        """`bench` prints one record at one job, at two, and under a
+        journal, and the record does not echo how it was run."""
         from repro.cli import main
-        point = ["--runs", "2", "--readers", "2", "--scale", "0.03",
-                 "--json"]
-        assert main(["campaign", "bench", "--jobs", "2"] + point) == 0
-        campaign = json.loads(capsys.readouterr().out)
-        assert main(["bench"] + point) == 0
-        bench = json.loads(capsys.readouterr().out)
-        assert bench.pop("jobs") == 1
-        assert campaign["record"] == bench
+        point = ["bench", "--runs", "2", "--readers", "2", "--scale",
+                 "0.03", "--json"]
+        records = set()
+        for flags in ([], ["--jobs", "2"],
+                      ["--jobs", "2", "--journal",
+                       str(tmp_path / "j.jsonl")]):
+            assert main(point + flags) == 0
+            record = json.loads(capsys.readouterr().out)["record"]
+            assert "jobs" not in record
+            records.add(json.dumps(record, sort_keys=True))
+        assert len(records) == 1
+
+    def test_bench_report_at_one_job(self, tmp_path, capsys,
+                                     monkeypatch):
+        """`bench --report` at `--jobs 1` runs in this process and
+        writes the four report files."""
+        from repro.campaign import drivers
+        from repro.cli import main
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("--jobs 1 started a worker")
+
+        monkeypatch.setattr(drivers, "run_sharded", no_worker)
+        report = tmp_path / "rep"
+        assert main(["bench", "--runs", "2", "--readers", "2",
+                     "--scale", "0.03", "--json", "--report",
+                     str(report)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"] == str(report / "report.html")
+        assert sorted(os.listdir(report)) == [
+            "cells.csv", "coverage.json", "fold.json", "report.html"]
+        fold = json.loads((report / "fold.json").read_text())
+        assert [cell["throughput_mb_s"] for cell in fold["cells"]] == \
+            payload["record"]["throughputs_mb_s"]
 
     def test_campaign_refuses_journal_reuse(self, tmp_path, capsys):
         from repro.cli import main
         journal = str(tmp_path / "j.jsonl")
-        assert main(["campaign", "chaos", "--budget", "2", "--journal",
+        assert main(["chaos", "fuzz", "--budget", "2", "--journal",
                      journal, "--json"]) in (0, 1)
-        code = main(["campaign", "chaos", "--budget", "2", "--journal",
+        code = main(["chaos", "fuzz", "--budget", "2", "--journal",
                      journal, "--json"])
         err = capsys.readouterr().err
         assert code == 3
@@ -789,10 +819,10 @@ class TestCampaignCli:
     def test_campaign_resume_is_idempotent(self, tmp_path, capsys):
         from repro.cli import main
         journal = str(tmp_path / "j.jsonl")
-        assert main(["campaign", "chaos", "--budget", "2", "--journal",
+        assert main(["chaos", "fuzz", "--budget", "2", "--journal",
                      journal, "--json"]) in (0, 1)
         first = json.loads(capsys.readouterr().out)
-        code = main(["campaign", "chaos", "--budget", "2", "--journal",
+        code = main(["chaos", "fuzz", "--budget", "2", "--journal",
                      journal, "--resume", "--json"])
         second = json.loads(capsys.readouterr().out)
         assert code in (0, 1)
@@ -800,7 +830,7 @@ class TestCampaignCli:
 
     def test_chaos_fuzz_sharded_matches_serial_verdicts(self, tmp_path,
                                                         capsys):
-        """`chaos fuzz` at one job, at two, and `campaign chaos` print
+        """`chaos fuzz` at one job, at two, and under a journal prints
         one record, byte for byte, failures included."""
         from repro.cli import main
         flags = ["--budget", "4", "--seed", "0", "--no-recovery",
@@ -808,7 +838,8 @@ class TestCampaignCli:
         records = set()
         for argv in (["chaos", "fuzz", "--jobs", "1"],
                      ["chaos", "fuzz", "--jobs", "2"],
-                     ["campaign", "chaos", "--jobs", "2"]):
+                     ["chaos", "fuzz", "--jobs", "2", "--journal",
+                      str(tmp_path / "j.jsonl")]):
             assert main(argv + flags) == 1
             record = json.loads(capsys.readouterr().out)["record"]
             assert record["distinct_failures"]
@@ -842,7 +873,7 @@ class TestCampaignCli:
 
     def test_campaign_chaos_record_names_its_workload(self, capsys):
         from repro.cli import main
-        assert main(["campaign", "chaos", "--workload", "metadata",
+        assert main(["chaos", "fuzz", "--workload", "metadata",
                      "--ack-before-intent", "--budget", "1", "--jobs",
                      "1", "--horizon", "12", "--max-events", "2",
                      "--json"]) in (0, 1)
@@ -896,7 +927,7 @@ class TestOrchestratorCrashRecovery:
     BUDGET = 8
 
     def _args(self, journal, report, resume=False):
-        args = [sys.executable, "-m", "repro", "campaign", "chaos",
+        args = [sys.executable, "-m", "repro", "chaos", "fuzz",
                 "--budget", str(self.BUDGET), "--jobs", "2",
                 "--journal", journal, "--report", report, "--json"]
         if resume:

@@ -63,7 +63,7 @@ _HEURISTIC_CHOICE = ("invalid choice: '{}' (choose from "
 _COMMAND_CHOICE = ("invalid choice: '{}' (choose from "
                    + ", ".join(map(repr, [e.id for e in all_experiments()]
                                    + ["list", "all", "bench", "replay",
-                                      "diagnose", "chaos", "campaign"]))
+                                      "diagnose", "chaos"]))
                    + ")")
 _NAMESPACE = "bench --workload namespace"
 _REPLAY = "replay --capture t.jsonl --replay t.jsonl"
@@ -86,23 +86,16 @@ BAD_ARGV = [
      "argument --bench-scale: must be positive, got 0"),
     ("replay --replay t.jsonl --scale 0",
      "argument --scale: must be positive, got 0"),
-    ("campaign bench --runs 0", "argument --runs: must be positive, got 0"),
-    ("campaign bench --readers 0",
-     "argument --readers: must be positive, got 0"),
     ("bench --scale 2 --runs 1", "argument --scale: must be at most 1, got 2"),
     ("fig4 --scale 1.5 --runs 1",
      "argument --scale: must be at most 1, got 1.5"),
     ("all --scale 3 --runs 1", "argument --scale: must be at most 1, got 3"),
     ("replay --capture t.jsonl --bench-scale 2",
      "argument --bench-scale: must be at most 1, got 2"),
-    ("campaign bench --runs 1 --scale 2 --readers 2",
-     "argument --scale: must be at most 1, got 2"),
     ("fig4 --runs 1 --scale 1e-9",
      "argument --scale: must be large enough for 32 readers, got 1e-9"),
     ("bench --scale 1e-9",
      "4 readers at scale 1e-09: scale too small for this reader count"),
-    ("campaign bench --runs 1 --readers 2 --scale 1e-9",
-     "2 readers at scale 1e-09: scale too small for this reader count"),
     ("replay --capture t.jsonl --bench-scale 1e-9",
      "2 readers at scale 1e-09: scale too small for this reader count"),
     ("diagnose --floor -1", "argument --floor: must be non-negative, got -1"),
@@ -141,34 +134,28 @@ BAD_ARGV = [
      "argument --max-attempts: must be positive, got 0"),
     ("chaos fuzz --budget -1", "argument --budget: must be positive, got -1"),
     ("chaos fuzz --jobs 0", "argument --jobs: must be positive, got 0"),
-    ("campaign chaos --budget 0",
-     "argument --budget: must be positive, got 0"),
-    ("campaign chaos --clients 0",
-     "argument --clients: must be positive, got 0"),
-    ("campaign bench --max-attempts 0",
+    ("chaos fuzz --budget 0", "argument --budget: must be positive, got 0"),
+    ("bench --max-attempts 0",
      "argument --max-attempts: must be positive, got 0"),
-    ("campaign bench --cell-timeout -1",
+    ("bench --cell-timeout -1",
      "argument --cell-timeout: must be positive, got -1"),
-    ("campaign bench --partition 9",
-     f"argument --partition: {_PARTITION_CHOICE}"),
-    ("campaign bench --heuristic nope",
-     "argument --heuristic: " + _HEURISTIC_CHOICE.format("nope")),
-    ("campaign bench --jobs 0", "argument --jobs: must be positive, got 0"),
     ("diagnose --trace t.json --slowest 0",
      "argument --slowest: must be positive, got 0"),
     ("diagnose --trace t.json --slowest -3",
      "argument --slowest: must be positive, got -3"),
     ("fig99", "argument COMMAND: " + _COMMAND_CHOICE.format("fig99")),
     ("--runs 1 fig1", "argument COMMAND: " + _COMMAND_CHOICE.format("1")),
+    ("campaign bench --runs 10 --jobs 2",
+     "argument COMMAND: " + _COMMAND_CHOICE.format("campaign")),
+    ("campaign chaos --budget 1000 --jobs 2",
+     "argument COMMAND: " + _COMMAND_CHOICE.format("campaign")),
     ("list --runs 3", "unrecognized arguments: --runs 3"),
     ("replay --zipf -1", "argument --zipf: must be non-negative, got -1"),
-    ("campaign chaos --wall-budget -1",
+    ("chaos fuzz --wall-budget -1",
      "argument --wall-budget: must be positive, got -1"),
     ("chaos fuzz --shrink-runs -5",
      "argument --shrink-runs: must be positive, got -5"),
     ("chaos fuzz --shrink-runs 0",
-     "argument --shrink-runs: must be positive, got 0"),
-    ("campaign chaos --shrink-runs 0",
      "argument --shrink-runs: must be positive, got 0"),
     ("fig1 --runs 1 --scale 0.01 --trace missing/t.json",
      f"argument --trace: {_NO_DIR}t.json"),
@@ -191,18 +178,17 @@ BAD_ARGV = [
      f"argument --history: {_NO_FILE_DIR}F/h.jsonl"),
     ("bench --runs 1 --readers 1 --scale 0.02 --history D",
      "argument --history: must be a file, not a directory, got D"),
-    ("campaign bench --runs 1 --readers 1 --scale 0.02 "
-     "--journal F/j.jsonl", f"argument --journal: {_NO_FILE_DIR}F/j.jsonl"),
-    ("campaign chaos --budget 1 --report F/rep",
+    ("bench --runs 1 --readers 1 --scale 0.02 --journal F/j.jsonl",
+     f"argument --journal: {_NO_FILE_DIR}F/j.jsonl"),
+    ("chaos fuzz --budget 1 --report F/rep",
      f"argument --report: {_NO_DIR_MADE}F/rep"),
-    ("campaign chaos --budget 1 --report F",
+    ("chaos fuzz --budget 1 --report F",
      f"argument --report: {_NO_DIR_MADE}F"),
     ("chaos fuzz --budget 2 --no-recovery --bundle-dir F/b",
      f"argument --bundle-dir: {_NO_DIR_MADE}F/b"),
     ("chaos fuzz --budget 2 --resume", "--resume needs --journal"),
-    ("campaign bench --runs 1 --readers 1 --scale 0.02 --resume",
+    ("bench --runs 1 --readers 1 --scale 0.02 --resume",
      "--resume needs --journal"),
-    ("campaign chaos --budget 2 --resume", "--resume needs --journal"),
 ]
 
 
@@ -258,21 +244,21 @@ class TestBenchVerb:
         code = main(["bench", "--readers", "1", "--runs", "2",
                      "--scale", "0.02", "--json"])
         assert code == 0
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert record["verb"] == "bench"
         assert record["runs"] == 2
         assert len(record["throughputs_mb_s"]) == 2
         assert record["mean_mb_s"] > 0
 
     def test_jobs_do_not_change_the_output(self, capsys):
+        import json
         args = ["bench", "--readers", "1", "--runs", "2",
                 "--scale", "0.02", "--json"]
         assert main(args) == 0
-        serial = capsys.readouterr().out
+        serial = json.loads(capsys.readouterr().out)["record"]
         assert main(args + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        # Only the echoed jobs count may differ.
-        assert parallel.replace('"jobs": 2', '"jobs": 1') == serial
+        parallel = json.loads(capsys.readouterr().out)["record"]
+        assert json.dumps(parallel) == json.dumps(serial)
 
     def test_prose_output(self, capsys):
         assert main(["bench", "--readers", "1", "--runs", "1",
@@ -281,8 +267,8 @@ class TestBenchVerb:
 
     def test_abandoned_cell_is_one_line_and_exit_4(self, capsys,
                                                    monkeypatch):
-        """A sharded run that abandons a cell reports it in one
-        ``bench:`` line and exits 4, as `campaign bench` does."""
+        """A sharded run that abandons a cell exits 4 with one summary
+        line after its indented progress lines, and no traceback."""
         from repro.campaign import cells, run_bench_cell
 
         def broken_on_cell_1(spec, index):
@@ -294,9 +280,13 @@ class TestBenchVerb:
         assert main(["bench", "--runs", "2", "--readers", "2",
                      "--scale", "0.05", "--jobs", "2"]) == 4
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert err.startswith("bench: bench --jobs: 1/2 cells done")
-        assert "cell 1 is broken" in err and "Traceback" not in err
+        summary = [line for line in err.splitlines()
+                   if not line.startswith("  ")]
+        assert out == "" and len(summary) == 1
+        assert summary[0].startswith(
+            "campaign: bench campaign: 1/2 cells done")
+        assert "cell 1 is broken" in summary[0]
+        assert "Traceback" not in err
 
 
 class TestReplayVerb:

@@ -1,11 +1,10 @@
 """The CLI surface, pinned: every leaf command's options.
 
 A leaf is a command that runs a handler: one per experiment id, plus
-``list``, ``all``, ``bench``, ``replay``, ``diagnose``, ``chaos fuzz``,
-``chaos replay``, ``campaign bench`` and ``campaign chaos``.  For each
-option of each leaf the pin records its dest, default, choices, nargs,
-const and argparse action class, so a change to the parser tree cannot
-add, drop or retune a flag unnoticed.  Argument types are left out on
+``list``, ``all``, ``bench``, ``replay``, ``diagnose``, ``chaos fuzz``
+and ``chaos replay``.  For each option of each leaf the pin records its
+dest, default, choices, nargs, const and argparse action class, so a
+change to the parser tree cannot add, drop or retune a flag unnoticed.  Argument types are left out on
 purpose: the checked types are named after the builtin they wrap, so
 the ``BAD_ARGV`` rows in ``tests/test_cli_and_plot.py`` are what check
 them.
@@ -88,8 +87,7 @@ def test_surface_matches_pin():
         assert current[command] == pin[command], command
 
 
-VERBS = ["list", "all", "bench", "replay", "diagnose", "chaos",
-         "campaign"]
+VERBS = ["list", "all", "bench", "replay", "diagnose", "chaos"]
 
 
 def test_help_names_every_command(capsys):

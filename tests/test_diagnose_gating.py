@@ -26,6 +26,18 @@ def record(mean, throughputs=None, readers=4, transport="udp"):
             "mean_mb_s": mean, "std_mb_s": 0.0}
 
 
+def namespace_record(mean, pattern="stat", ops_per_s=None):
+    """A `bench --workload namespace` record, as `fold_bench` builds
+    it."""
+    return {"verb": "bench", "drive": "ide", "partition": 1,
+            "transport": "udp", "heuristic": "default",
+            "nfsheur": "default", "seed": 0, "runs": 2,
+            "workload": "namespace", "pattern": pattern, "files": 200,
+            "tree_depth": 0, "fanout": 32, "ops": 50, "clients": 1,
+            "ops_per_s": ops_per_s or [mean, mean],
+            "mean_ops_s": mean, "std_ops_s": 0.0}
+
+
 class TestStore:
     def test_append_load_round_trip(self, tmp_path):
         path = str(tmp_path / "history.jsonl")
@@ -53,6 +65,17 @@ class TestStore:
             bench_key(record(10.0, readers=8))
         assert bench_key(record(10.0)) != \
             bench_key(record(10.0, transport="tcp"))
+
+    def test_namespace_key_names_the_point(self):
+        stat, edit = namespace_record(8486.0), namespace_record(34.0,
+                                                                "edit")
+        assert bench_key(stat) != bench_key(edit)
+        assert bench_key(stat) == bench_key(namespace_record(8000.0))
+        assert "pattern=stat" in bench_key(stat)
+        # Streaming records keep the key existing stores were keyed by.
+        assert bench_key(record(10.0)) == (
+            "verb=bench/drive=ide/partition=1/transport=udp/"
+            "heuristic=default/nfsheur=default/readers=4/scale=0.125")
 
     def test_relative_spread(self):
         assert relative_spread(record(10.0, [9.0, 10.0, 11.0])) == \
@@ -97,6 +120,21 @@ class TestComparator:
     def test_improvement_passes_and_says_so(self):
         gate = compare_against_history(record(13.0), [record(10.0)])
         assert gate.ok and "improved" in gate.reason
+
+    def test_namespace_rate_halved_fails_in_ops_per_s(self):
+        history = [namespace_record(8486.0),
+                   namespace_record(34.0, "edit")]
+        gate = compare_against_history(namespace_record(4243.0), history)
+        assert not gate.ok
+        assert gate.baseline_mean == 8486.0
+        assert gate.rel_delta == pytest.approx(0.5)
+        assert "ops/s" in gate.reason and "MB/s" not in gate.reason
+
+    def test_namespace_spread_comes_from_ops_per_s(self):
+        noisy = namespace_record(100.0, ops_per_s=[90.0, 110.0])
+        assert relative_spread(noisy) == pytest.approx(0.2)
+        assert compare_against_history(namespace_record(85.0),
+                                       [noisy]).ok
 
     def test_gate_latest_uses_newest_record(self):
         assert not gate_latest([record(10.0), record(8.0)]).ok
@@ -154,7 +192,7 @@ class TestBenchHistoryFlags:
         code = main(["bench", "--readers", "1", "--runs", "1",
                      "--scale", "0.02", "--out", str(out)])
         assert code == 0
-        printed = json.loads(capsys.readouterr().out)
+        printed = json.loads(capsys.readouterr().out)["record"]
         assert json.loads(out.read_text()) == printed
         assert printed["mean_mb_s"] > 0
 

@@ -20,6 +20,12 @@ EDGE = {"args": {}, "dst": 2, "kind": "retried-as", "run": 0, "src": 1,
 NOTE = {"args": {}, "node": 1, "run": 0, "t": 0.0, "type": "note"}
 SPAN = {"ph": "X", "name": "a", "cat": "bench", "ts": 0.0, "dur": 0.0,
         "pid": 1, "tid": 1, "args": {"span_id": 1, "t0": 0.0, "t1": 0.0}}
+BENCH = {"verb": "bench", "drive": "ide", "partition": 1,
+         "transport": "udp", "heuristic": "default", "nfsheur": "default",
+         "readers": 2, "scale": 0.05, "seed": 0, "runs": 2,
+         "throughputs_mb_s": [18.0, 18.0], "mean_mb_s": 18.0,
+         "std_mb_s": 0.0}
+COVERAGE = {"cells": 2, "done": 2}
 
 
 def without(payload, *path):
@@ -52,6 +58,10 @@ CASES = [
         {"ph": "X", "name": "a", "cat": "bench",
          "args": {"span_id": 1, "t0": "x", "t1": 0.0}}]})),
     ("--metrics", '{"snapshots":[{"gauges":3}],"merged":{"gauges":{}}}'),
+    ("--bench", json.dumps({"record": {"verb": "chaos-campaign"},
+                            "coverage": COVERAGE})),
+    ("--bench", '{"runs": 2}'),
+    ("--bench", json.dumps(without(BENCH, "mean_mb_s"))),
 ]
 
 
@@ -67,6 +77,10 @@ def test_wrong_shape_is_one_line_and_exit_2(tmp_path, capsys, flag,
         trace = tmp_path / "t.json"
         trace.write_text(json.dumps({"traceEvents": [SPAN]}))
         argv += ["--trace", str(trace)]
+    if flag == "--bench":
+        history = tmp_path / "h.jsonl"
+        history.write_text(json.dumps(BENCH) + "\n")
+        argv += ["--against", str(history)]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -94,3 +108,21 @@ def test_trace_errors_name_the_event_and_field(tmp_path, capsys):
     assert main(["diagnose", "--trace", str(bad)]) == 2
     assert (f"{bad}: trace event 1: 't1' is not a number"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("shape", ["bare", "payload"])
+def test_bench_record_is_gated_bare_or_as_the_json_payload(
+        tmp_path, capsys, shape):
+    """Both shapes `bench` writes are gated on the record they hold."""
+    history = tmp_path / "h.jsonl"
+    history.write_text(json.dumps(BENCH) + "\n")
+    halved = dict(BENCH, throughputs_mb_s=[9.0, 9.0], mean_mb_s=9.0)
+    bench = tmp_path / "b.json"
+    bench.write_text(json.dumps(
+        halved if shape == "bare"
+        else {"record": halved, "coverage": COVERAGE}))
+    assert main(["diagnose", "--bench", str(bench), "--against",
+                 str(history), "--json"]) == 1
+    gate = json.loads(capsys.readouterr().out)["gate"]
+    assert gate["key"].startswith("verb=bench/")
+    assert gate["rel_delta"] == pytest.approx(0.5)

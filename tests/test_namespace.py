@@ -317,16 +317,15 @@ class TestNamespaceWorkload:
             + result.mount_stats["attr_misses"] >= 40
 
     def test_bench_collect_metric_over_namespace(self):
-        import functools
-        from repro.bench.runner import collect_metric
-        tree = NamespaceTreeSpec(files=150)
-        workload = NamespaceWorkload(pattern="stat", ops=20)
-        run_once = functools.partial(run_namespace_once, tree=tree,
-                                     workload=workload)
-        values = collect_metric(run_once, TestbedConfig(seed=2), 2,
-                                metric="ops_per_s")
-        assert len(values) == 2
-        assert all(v > 0 for v in values)
+        from repro.campaign import (CampaignOptions, bench_spec,
+                                    fold_bench, run_spec_campaign)
+        spec = bench_spec(2, workload="namespace", pattern="stat",
+                          files=150, ops=20, seed=2)
+        outcome = run_spec_campaign(
+            spec, options=CampaignOptions(workers=1))
+        record = fold_bench(spec, outcome.fold())
+        assert len(record["ops_per_s"]) == 2
+        assert all(value > 0 for value in record["ops_per_s"])
 
     def test_campaign_bench_cell_routes_namespace(self):
         from repro.campaign.cells import CampaignSpec, run_bench_cell
